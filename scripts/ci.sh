@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, a coverage gate, an observability smoke test,
+# CI gate: tier-1 tests, the benchmark's own tests (bench/), a coverage
+# gate, an observability smoke test,
 # a chaos smoke test, a parallel-execution smoke test, a process-pool
 # smoke test (a `--pool process --workers 4 --columnar` report diffed
 # byte-for-byte against the serial run), a crash-resume smoke test, a
@@ -35,6 +36,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
+
+echo "== benchmark self-tests =="
+# Every metric prints with its unit, counts repeat exactly for a seed,
+# and the brand-NER counters (nlp.squash_calls > 0) stay visible.
+python -m pytest -q bench
 
 echo "== coverage gate =="
 python scripts/coverage_gate.py

@@ -129,11 +129,11 @@ class MessageAnnotator:
         english = translated.text
         # Brand NER runs on the original text too — brand strings survive
         # translation (they are slot values) but leetspeak lives in the
-        # original surface form.
-        brand = (
-            self.brand_recognizer.find_primary(text)
-            or self.brand_recognizer.find_primary(english)
-        )
+        # original surface form. English texts, and texts no template
+        # translated, come back unchanged and need no second pass.
+        brand = self.brand_recognizer.find_primary(text)
+        if not brand and english != text:
+            brand = self.brand_recognizer.find_primary(english)
         scam = self.scam_classifier.classify(english, brand=brand)
         lures = self.lure_detector.detect_set(english)
         labels = AnnotationLabels(

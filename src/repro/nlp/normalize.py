@@ -44,7 +44,7 @@ def strip_accents(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-def _has_letters(token: str) -> bool:
+def has_letters(token: str) -> bool:
     return any(ch.isalpha() for ch in token)
 
 
@@ -56,8 +56,14 @@ def _is_code_like(token: str) -> bool:
 
 def normalize_token(token: str) -> str:
     """Undo leet/homoglyph substitutions inside one token."""
-    if _is_code_like(token) or not _has_letters(token):
+    if _is_code_like(token) or not has_letters(token):
         return token.lower()
+    return undisguise(token)
+
+
+def undisguise(token: str) -> str:
+    """The letter branch of :func:`normalize_token`, applied even when
+    ``token`` has no letter: map look-alikes back, strip accents."""
     chars = []
     for ch in token:
         lower = ch.lower()

@@ -66,6 +66,35 @@ class TestAnnotator:
         assert parsed.labels.brand == annotation.labels.brand
         assert parsed.labels.lures == annotation.labels.lures
 
+    @staticmethod
+    def _ner_texts(annotator, monkeypatch, text):
+        """The texts ``annotate`` runs brand NER on."""
+        seen = []
+        find_all = annotator.brand_recognizer.find_all
+        monkeypatch.setattr(annotator.brand_recognizer, "find_all",
+                            lambda t: seen.append(t) or find_all(t))
+        annotator.annotate("m", text)
+        return seen
+
+    def test_brandless_english_runs_ner_once(self, annotator, monkeypatch):
+        text = "hi, are we still on for dinner?"
+        assert self._ner_texts(annotator, monkeypatch, text) == [text]
+
+    def test_untranslated_text_runs_ner_once(self, annotator, monkeypatch):
+        text = "bonjour mon ami, merci pour votre message et bonne journée"
+        assert annotator.language_detector.detect_code(text) != "en"
+        assert self._ner_texts(annotator, monkeypatch, text) == [text]
+
+    def test_translation_gets_a_second_ner_pass(self, annotator,
+                                                monkeypatch):
+        # The leet spelling defeats the first pass; the translation differs.
+        text = ("Comm!rzb4nk: Ihr Konto wurde wegen verdächtiger "
+                "Aktivitäten gesperrt. Bitte bestätigen Sie Ihre Daten: "
+                "https://commerzbank-team.com/refund")
+        seen = self._ner_texts(annotator, monkeypatch, text)
+        assert seen[0] == text
+        assert len(seen) == 2 and seen[1] != text
+
     def test_json_names_cover_prompt(self):
         assert set(SCAM_TYPE_JSON_NAMES.values()) == {
             "Hey mum/dad", "Delivery/Parcel", "Banking", "Government",

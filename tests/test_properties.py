@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis) on core data structures & invariants."""
 
 import datetime as dt
+import pickle
 import random
 import string
+import sys
 import threading
 
 import pytest
@@ -15,14 +17,18 @@ from repro.exec import (
     canonical_merge,
     shard,
 )
-from repro.nlp.brands_ner import BrandRecognizer
+from repro.nlp import brands_ner
+from repro.nlp.brands_ner import BrandMatch, BrandRecognizer
 from repro.nlp.normalize import (
+    HOMOGLYPH_MAP,
+    LEET_MAP,
     MAX_NORMALIZE_CHARS,
     batch_normalize,
     batch_squash,
     normalize_text,
     squash,
 )
+from repro.nlp.tokenize import tokenize
 from repro.imaging.screenshot import word_wrap
 from repro.net.ipaddr import IPv4
 from repro.net.url import Url, defang, parse_url, refang
@@ -44,7 +50,8 @@ from repro.stream import (
     WatermarkStore,
     content_hash,
 )
-from repro.types import Forum
+from repro.types import Forum, ScamType
+from repro.world.brands import Brand, BrandRegistry
 from repro.utils.rng import WeightedSampler, partition_count, stable_hash
 from repro.utils.stats import cohens_kappa, ks_two_sample, median
 
@@ -428,6 +435,179 @@ class TestHostileUnicodeProperties:
                            posted_at=dt.datetime(2022, 9, 1), body=body)
         verdict = Sanitizer().screen(report)
         assert verdict is None or verdict.reason in QUARANTINE_REASONS
+
+
+def _reference_find_all(recognizer, text):
+    """The n-gram walk as it stood before per-token keys: every window
+    squashed from its joined tokens, longest window first."""
+    normalised = normalize_text(text)
+    tokens = tokenize(normalised)
+    if len(tokens) > brands_ner._MAX_SCAN_TOKENS:
+        tokens = tokens[:brands_ner._MAX_SCAN_TOKENS]
+    matches = []
+    index = 0
+    while index < len(tokens):
+        matched = None
+        for span in range(min(recognizer._max_tokens + 2,
+                              len(tokens) - index), 0, -1):
+            window = tokens[index:index + span]
+            if any("/" in t or t.startswith("http") for t in window):
+                # n-grams crossing URLs are never brand phrases; the
+                # URL itself is checked as a single token below.
+                if span > 1:
+                    continue
+            key = squash("".join(window))
+            entry = recognizer._lexicon.get(key)
+            if entry is None and span == 1 and "." in window[0]:
+                # Try the URL's host labels ("netflix.com-billing.xyz").
+                for label in window[0].replace("/", ".").split("."):
+                    entry = recognizer._lexicon.get(squash(label))
+                    if entry:
+                        break
+            if entry is None:
+                continue
+            canonical, alias, _ = entry
+            if len(key) < 4 and span == 1:
+                # Short aliases must match the token exactly.
+                if squash(window[0]) != key:
+                    continue
+            matched = BrandMatch(
+                brand=canonical, matched_alias=alias, start_token=index
+            )
+            index += span
+            break
+        if matched is not None:
+            matches.append(matched)
+        else:
+            index += 1
+    return matches
+
+
+class TestBrandWalkProperties:
+    """The per-token-key walk in `BrandRecognizer.find_all` returns
+    exactly the matches of the window-by-window reference above, on the
+    inputs where the two could part: leet digits and symbols that only
+    map inside a window with a letter, homoglyphs, combining marks, URL
+    pieces, and brand aliases spliced among them."""
+
+    recognizer = BrandRecognizer()
+    _ALIASES = sorted(recognizer._registry.all_alias_forms())
+    _PIECES = (sorted(LEET_MAP) + sorted(HOMOGLYPH_MAP)
+               + ["\u0301", "\u0308", "\u0327",   # combining marks
+                  "/", ".", "http", "https://", ".com", "-", "_",
+                  " ", "  ", "\n", "\t", "e", "o", "x", "bank"])
+    texts = st.lists(st.one_of(st.sampled_from(_PIECES),
+                               st.sampled_from(_ALIASES)),
+                     max_size=40).map("".join)
+
+    @settings(max_examples=300)
+    @given(texts)
+    def test_walk_matches_reference(self, text):
+        assert self.recognizer.find_all(text) == _reference_find_all(
+            self.recognizer, text)
+
+    #: A lexicon with letter-free keys ("11", "0202"), which only the
+    #: tokens' plain keys can reach.
+    digit_recognizer = BrandRecognizer(BrandRegistry([
+        Brand("1&1", ScamType.TELECOM, ("DEU",), ("de",),
+              aliases=("0 2 0 2",)),
+        Brand("O2", ScamType.TELECOM, ("GBR",), ("en",)),
+    ]))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(["0", "1", "2", "3", "o", "e", "!", "&",
+                                     "/", ".", " ", " ", " "]),
+                    max_size=30).map("".join))
+    def test_letter_free_keys_match_reference(self, text):
+        assert self.digit_recognizer.find_all(text) == _reference_find_all(
+            self.digit_recognizer, text)
+
+    @pytest.mark.parametrize("text, brands", [
+        ("3 e", ["EE"]),          # "3" maps to "e" only next to a letter
+        ("0 2", []),              # "02" stays a code
+        ("o 2", ["O2"]),
+        ("N3tfl!x", ["Netflix"]),
+        ("T-Mobile bill", ["T-Mobile"]),
+        ("pay at netflix.secure-billing.xyz/x", ["Netflix"]),
+        ("ama z.on/", []),        # no window runs into a URL...
+        ("n.et/ flix", []),       # ...or on from one
+        ("S-tate Bank of In-dia", ["State Bank of India"]),  # 6 tokens
+    ])
+    def test_fixed_cases_match_reference(self, text, brands):
+        found = self.recognizer.find_all(text)
+        assert found == _reference_find_all(self.recognizer, text)
+        assert [m.brand for m in found] == brands
+
+    @settings(max_examples=300)
+    @given(texts)
+    def test_concatenated_keys_equal_joined_squash(self, text):
+        """Every window the walk can build: the concatenated per-token
+        keys equal ``squash`` of the joined window."""
+        tokens = tokenize(normalize_text(text))
+        max_span = self.recognizer._max_tokens + 2
+        for index in range(len(tokens)):
+            plain = letters = ""
+            lettered = False
+            for end in range(index + 1, min(index + max_span, len(tokens)) + 1):
+                token_plain, token_letters, token_lettered = (
+                    self.recognizer._token_keys(tokens[end - 1]))
+                plain += token_plain
+                letters += token_letters
+                lettered = lettered or token_lettered
+                key = letters if lettered else plain
+                assert key == squash("".join(tokens[index:end]))
+
+    def test_window_longer_than_normalize_budget(self):
+        """A window past MAX_NORMALIZE_CHARS keys on its truncated join.
+        Bengali vowel sign O decomposes into two signs that are not
+        alphanumeric, so "net" plus 32,766 of them normalises to one
+        65,535-character token that squashes to "net". Joined with
+        "flix", the window passes the budget and squashes to "netf":
+        the tokens' keys would add up to "netflix" instead."""
+        text = "net" + "\u09cb" * 32_766 + " flix"
+        tokens = tokenize(normalize_text(text))
+        assert len("".join(tokens)) > MAX_NORMALIZE_CHARS
+        assert squash("".join(tokens)) == "netf"
+        assert self.recognizer.find_all(text) == []
+        assert _reference_find_all(self.recognizer, text) == []
+
+    def test_memo_shared_by_threads(self, monkeypatch):
+        """Thread-pool workers share one recogniser. With a memo small
+        enough to be emptied mid-fill and a short switch interval, every
+        worker still gets the reference matches."""
+        monkeypatch.setattr(brands_ner, "_MAX_MEMO_TOKENS", 8)
+        recognizer = BrandRecognizer()
+        texts = ["Your N3tfl!x payment failed", "3 e bill", "o 2 top-up",
+                 "pay at netflix.secure-billing.xyz/x",
+                 "S-tate Bank of In-dia", "Amazon and Netflix emailed"] * 20
+        expected = [_reference_find_all(recognizer, t) for t in texts]
+        results = {}
+
+        def work(worker):
+            results[worker] = [recognizer.find_all(t) for t in texts]
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == {i: expected for i in range(8)}
+
+    def test_warm_recognizer_pickles_without_its_memo(self):
+        cold = pickle.dumps(BrandRecognizer())
+        warm = BrandRecognizer()
+        before = warm.find_all("N3tfl!x: pay at 0 2 amazon.co/x")
+        assert warm._memo
+        clone = pickle.loads(pickle.dumps(warm))
+        assert clone._memo == {}
+        assert len(pickle.dumps(warm)) == len(cold)
+        assert clone.find_all("N3tfl!x: pay at 0 2 amazon.co/x") == before
 
 
 class TestDatasetKeyProperties:
