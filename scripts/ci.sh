@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the benchmark's own tests (bench/), a coverage
-# gate, an observability smoke test,
-# a chaos smoke test, a parallel-execution smoke test, a process-pool
+# CI gate: tier-1 tests, the benchmark's own tests (bench/), a check that
+# every bench hook target exists, a coverage gate, an observability smoke
+# test, a chaos smoke test, a parallel-execution smoke test, a process-pool
 # smoke test (a `--pool process --workers 4 --columnar` report diffed
 # byte-for-byte against the serial run), a crash-resume smoke test, a
 # Chrome trace-export smoke test, a perf-gate smoke test (which
@@ -41,6 +41,21 @@ echo "== benchmark self-tests =="
 # Every metric prints with its unit, counts repeat exactly for a seed,
 # and the brand-NER counters (nlp.squash_calls > 0) stay visible.
 python -m pytest -q bench
+
+echo "== bench hook targets =="
+# A traced bench run wraps program methods by name. When one is renamed,
+# the bench only warns on stderr and that layer's metric reads 0, so a
+# short traced run of each workload must not print the warning.
+for workload in batch-480 serve-repeat; do
+  hook_err="$(python3 bench/run.py --workload "$workload" --seed 5 \
+    --seconds 0 --trace 1 --scale 0.05 2>&1 > /dev/null)"
+  if grep -q "hook targets absent" <<< "$hook_err"; then
+    echo "bench hooks FAILED on $workload:" >&2
+    grep "hook targets absent" <<< "$hook_err" >&2
+    exit 1
+  fi
+done
+echo "bench hooks ok: every traced hook target exists"
 
 echo "== coverage gate =="
 python scripts/coverage_gate.py

@@ -38,6 +38,7 @@ duplicate reports (the dedup ledger's job), and unparseable paste bodies
 from __future__ import annotations
 
 import datetime as dt
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -125,12 +126,22 @@ _HOSTILE_CHARS = frozenset(
     "﻿�"                           # BOM, replacement char
 )
 _ALLOWED_CONTROLS = frozenset("\n\r\t")
+#: The characters the loop below counts in ASCII text: no ASCII
+#: character is Cf, Co or Cn or in ``_HOSTILE_CHARS``, so only the C0
+#: controls outside ``_ALLOWED_CONTROLS`` remain.
+_ASCII_HOSTILE_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 
 def _hostile_char_count(text: str, *, limit: int) -> int:
     """Count invisible/control/undefined characters, capped at ``limit``
     so a pathological body never costs a full scan."""
     count = 0
+    if text.isascii():
+        for _ in _ASCII_HOSTILE_RE.finditer(text):
+            count += 1
+            if count >= limit:
+                return count
+        return count
     for ch in text:
         if ch in _ALLOWED_CONTROLS:
             continue

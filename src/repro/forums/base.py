@@ -9,6 +9,7 @@ exercised.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -69,6 +70,9 @@ class ForumService:
 
     def __init__(self, *, meter: Optional[ForumMeter] = None):
         self._posts: List[Post] = []
+        #: ``created_at`` of each entry of ``_posts``, for bisecting a
+        #: search window; rebuilt by :meth:`_ensure_sorted`.
+        self._times: List[dt.datetime] = []
         self._by_id: Dict[str, Post] = {}
         self._sorted = True
         self.meter = meter or ForumMeter(service=self.forum.value)
@@ -99,6 +103,7 @@ class ForumService:
     def _ensure_sorted(self) -> None:
         if not self._sorted:
             self._posts.sort(key=lambda p: (p.created_at, p.post_id))
+            self._times = [post.created_at for post in self._posts]
             self._sorted = True
 
     # -- read API -------------------------------------------------------------------
@@ -127,20 +132,19 @@ class ForumService:
 
         The cursor is the integer offset into the chronological match
         list, stringified — opaque to callers, stable across pages.
+        Posts are sorted by ``created_at``, so ``[since, until)`` is one
+        index range: the page walks only that range from the cursor on.
         """
         self.meter.charge()
         self._ensure_sorted()
-        start_index = int(cursor) if cursor else 0
+        posts, times = self._posts, self._times
+        low = 0 if since is None else bisect.bisect_left(times, since)
+        high = len(posts) if until is None else bisect.bisect_left(times, until)
+        start_index = max(int(cursor) if cursor else 0, low)
         matches: List[Post] = []
-        scanned = 0
         next_cursor: Optional[str] = None
-        for index, post in enumerate(self._posts):
-            if index < start_index:
-                continue
-            if since is not None and post.created_at < since:
-                continue
-            if until is not None and post.created_at >= until:
-                continue
+        for index in range(start_index, high):
+            post = posts[index]
             if post.deleted and not include_deleted:
                 continue
             if not post.matches_keyword(keyword):

@@ -10,7 +10,7 @@ test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ValidationError
 from ..types import TldClass
@@ -103,6 +103,10 @@ class TldRegistry:
     )
 
     def __init__(self) -> None:
+        #: Public suffixes as label lists, longest first.
+        self._suffix_labels: Tuple[Tuple[str, List[str]], ...] = tuple(
+            (suffix, suffix.split("."))
+            for suffix in sorted(self.PUBLIC_SUFFIXES, key=len, reverse=True))
         self._records: Dict[str, TldRecord] = {}
         for suffix in _GENERIC:
             self._add(suffix, TldClass.GENERIC)
@@ -156,8 +160,7 @@ class TldRegistry:
         if not host or "." not in host:
             raise ValidationError(f"not a dotted hostname: {host!r}")
         labels = host.split(".")
-        for suffix in sorted(self.PUBLIC_SUFFIXES, key=len, reverse=True):
-            suffix_labels = suffix.split(".")
+        for suffix, suffix_labels in self._suffix_labels:
             if len(labels) > len(suffix_labels) and labels[-len(suffix_labels):] == suffix_labels:
                 registered = ".".join(labels[-len(suffix_labels) - 1:])
                 return registered, suffix

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..types import LurePrinciple
 
@@ -55,10 +55,14 @@ _PHRASES: Dict[LurePrinciple, Tuple[str, ...]] = {
     ),
 }
 
-#: Phrases that must match as whole words when single-token.
+#: Phrases that must match as whole words when single-token. Each is a
+#: run of ``\w`` characters, so it matches exactly when it is one of the
+#: text's ``\w+`` runs; every other phrase matches as a substring.
 _WORD_BOUNDARY = {"now", "win", "won", "free", "help", "mum", "mom", "dad",
                   "today", "cash", "claim", "offer", "alert", "notice",
                   "before", "service", "earn"}
+
+_WORD_RE = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -74,26 +78,16 @@ class LureDetector:
 
     def __init__(self, *, min_cues: int = 1):
         self._min_cues = min_cues
-        self._compiled: Dict[LurePrinciple, List[Tuple[str, re.Pattern]]] = {}
-        for lure, phrases in _PHRASES.items():
-            patterns: List[Tuple[str, re.Pattern]] = []
-            for phrase in phrases:
-                if phrase in _WORD_BOUNDARY:
-                    pattern = re.compile(rf"\b{re.escape(phrase)}\b")
-                else:
-                    pattern = re.compile(re.escape(phrase))
-            # (compiled below to keep the lambda-free loop readable)
-                patterns.append((phrase, pattern))
-            self._compiled[lure] = patterns
 
     def detect(self, english_text: str) -> LureDetection:
         """Detect every lure whose cue count reaches the threshold."""
         lowered = english_text.lower()
+        words = set(_WORD_RE.findall(lowered))
         found: Dict[LurePrinciple, Tuple[str, ...]] = {}
-        for lure, patterns in self._compiled.items():
+        for lure, phrases in _PHRASES.items():
             hits = tuple(
-                phrase for phrase, pattern in patterns
-                if pattern.search(lowered)
+                phrase for phrase in phrases
+                if phrase in (words if phrase in _WORD_BOUNDARY else lowered)
             )
             if len(hits) >= self._min_cues:
                 found[lure] = hits

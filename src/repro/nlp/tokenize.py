@@ -27,6 +27,7 @@ _WORD_RE = re.compile(
     r"'@€£₹¥!]+",
     re.UNICODE,
 )
+_ASCII_LETTER_RE = re.compile(r"[A-Za-z]")
 
 
 def tokenize(text: str) -> List[str]:
@@ -63,6 +64,9 @@ def dominant_script(text: str) -> str:
     devanagari, bengali, tamil, telugu, thai, greek, sinhala, gujarati,
     kannada, malayalam, unknown.
     """
+    if text.isascii():
+        # Every ASCII letter is Latin (below 0x250).
+        return "latin" if _ASCII_LETTER_RE.search(text) else "unknown"
     counts: dict = {}
     for char in text:
         if not char.isalpha():

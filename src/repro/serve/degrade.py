@@ -12,9 +12,8 @@ signals into one mode:
   tier is failing or still probing its way back; the service runs
   ``degraded`` (annotate-only: accepted reports get the cheap,
   cache-friendly annotation pass now and skip the expensive per-URL /
-  per-sender battery). The half-open probe/success counters from
-  :meth:`CircuitBreaker.snapshot` make the reason string distinguish
-  "recovering" from "still failing".
+  per-sender battery). The breaker's half-open probe/success counters
+  make the reason string distinguish "recovering" from "still failing".
 * **meter budgets** — a metered service whose remaining lifetime quota
   falls under ``quota_floor`` would burn its last calls on a backlog;
   degrade before it hits zero.
@@ -35,6 +34,8 @@ from __future__ import annotations
 import enum
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
+
+from ..resilience.breaker import BreakerState
 
 
 class ServeMode(str, enum.Enum):
@@ -90,11 +91,11 @@ class DegradationController:
         """A reason string when the enrichment tier is under pressure."""
         for name in sorted(self._breakers):
             breaker = self._breakers[name]
-            snap = breaker.snapshot()
-            if snap["state"] != "closed":
-                return (f"breaker {name} {snap['state']} "
-                        f"({snap['half_open_probes']} probes, "
-                        f"{snap['half_open_successes']} ok)")
+            state = breaker.state
+            if state is not BreakerState.CLOSED:
+                return (f"breaker {name} {state.value} "
+                        f"({breaker.half_open_probes} probes, "
+                        f"{breaker.half_open_successes} ok)")
         for name in sorted(self._meters):
             meter = self._meters[name]
             if meter.quota is None:
@@ -118,19 +119,21 @@ class DegradationController:
         if self._draining:
             target, reason = ServeMode.DRAINING, "drain requested"
         elif self._shed_latched:
-            target = ServeMode.SHEDDING
-            reason = (f"queue depth {queue_depth} breached high watermark "
-                      f"{self.high_watermark}")
+            target, reason = ServeMode.SHEDDING, None
         else:
-            pressure = self._pressure()
-            if pressure is not None:
-                target, reason = ServeMode.DEGRADED, pressure
-            else:
-                target = ServeMode.HEALTHY
+            reason = self._pressure()
+            target = (ServeMode.HEALTHY if reason is None
+                      else ServeMode.DEGRADED)
+        if target is not self.mode:
+            # Refresh runs on every dispatch; only a transition needs the
+            # queue-depth reasons, so they are formatted here.
+            if target is ServeMode.SHEDDING:
+                reason = (f"queue depth {queue_depth} breached high "
+                          f"watermark {self.high_watermark}")
+            elif target is ServeMode.HEALTHY:
                 reason = (f"recovered: queue depth {queue_depth} at/below "
                           f"low watermark {self.low_watermark}, enrichment "
                           f"tier clear")
-        if target is not self.mode:
             self.transitions.append(ModeTransition(
                 at=round(self.clock.now, 3),
                 from_mode=self.mode.value,

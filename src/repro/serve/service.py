@@ -629,13 +629,15 @@ class IntakeService:
         state.urls.update(enriched.urls)
         state.senders.update(enriched.senders)
         annotations = dict(enriched.annotations)
-        raw = dict(enriched.raw_annotations)
+        batch_raw = enriched.raw_annotations
+        raw = dict(batch_raw)
         # Duplicates inherit their canonical twin's annotation, rebound
         # to their own record id — the annotation service's own echo
-        # semantics for a repeated text.
-        lookup = {**state.raw_annotations, **raw}
+        # semantics for a repeated text. The batch's own annotations
+        # shadow earlier ones; the loop below adds to neither source.
         for dup_id, canon_id in division.duplicate_of.items():
-            canonical = lookup.get(canon_id)
+            canonical = (batch_raw[canon_id] if canon_id in batch_raw
+                         else state.raw_annotations.get(canon_id))
             if canonical is None:  # canonical's annotation gapped
                 continue
             rebound = dataclasses.replace(canonical, message_id=dup_id)

@@ -44,6 +44,15 @@ class CrtShService:
         for asset in assets:
             if asset.certificates:
                 self._index.setdefault(asset.fqdn, []).extend(asset.certificates)
+        #: Parent domain -> certificates of every logged host below it,
+        #: in ``_index`` order: each host is filed under the text after
+        #: each of its dots, exactly the keys it ``endswith("." + key)``.
+        self._below: Dict[str, List[TlsCertificate]] = {}
+        for fqdn, certs in self._index.items():
+            dot = fqdn.find(".")
+            while dot >= 0:
+                self._below.setdefault(fqdn[dot + 1:], []).extend(certs)
+                dot = fqdn.find(".", dot + 1)
         clock = clock or SimClock()
         self.meter = ServiceMeter(
             service="crtsh", clock=clock, rate=rate_per_second,
@@ -54,11 +63,7 @@ class CrtShService:
         """All logged certificates for ``host`` and its subdomains."""
         wait_and_charge(self.meter)
         key = host.lower().strip(".")
-        results: List[TlsCertificate] = list(self._index.get(key, []))
-        suffix = "." + key
-        for fqdn, certs in self._index.items():
-            if fqdn.endswith(suffix):
-                results.extend(certs)
+        results = self._index.get(key, []) + self._below.get(key, [])
         return sorted(results, key=lambda c: (c.issued_at, c.serial))
 
     def summary_for(self, host: str) -> CertSummary:
