@@ -26,10 +26,12 @@
 # cache hit rate in the stats output. The crash-resume smoke test kills
 # a checkpointed flaky run mid-enrichment (--crash-at), resumes it with
 # `repro resume`, and diffs the resumed report against an uninterrupted
-# run's — they must be byte-identical. The watch smoke test runs a
-# 2-epoch incremental ingest (`repro watch`), crashes a second copy
-# mid-epoch-2, resumes it from its stream directory, and compares the
-# stream fingerprints — crash/resume must not change what was ingested.
+# run's — they must be byte-identical; a second leg does the same for a
+# `--hostile poison` run crashed before its collection barrier. The
+# watch smoke test runs a 2-epoch incremental ingest (`repro watch`) on
+# a 2-worker process pool, crashes a second copy mid-epoch-2, resumes it
+# from its stream directory, and compares the stream fingerprints —
+# crash/resume must not change what was ingested.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -155,24 +157,47 @@ if ! diff -q "$resumed_out" "$full_out" > /dev/null; then
   exit 1
 fi
 echo "crash-resume ok: resumed report byte-identical to uninterrupted run"
+# Hostile leg: a crash before the collection barrier must resume on the
+# poisoned world the manifest names, not on a clean one.
+ck_hostile="$(mktemp -d -t repro-ck-hostile-XXXXXX)"
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile"' EXIT
+crash_rc=0
+python -m repro --seed 7 --campaigns 10 --quiet --hostile poison \
+  --checkpoint-dir "$ck_hostile/ck" --crash-at Reddit:1 report \
+  > /dev/null 2>&1 || crash_rc=$?
+if [ "$crash_rc" -ne 75 ]; then
+  echo "crash-resume FAILED: expected exit 75 from the killed hostile run, got $crash_rc" >&2
+  exit 1
+fi
+python -m repro resume --checkpoint-dir "$ck_hostile/ck" --quiet \
+  > "$ck_hostile/resumed.txt"
+python -m repro --seed 7 --campaigns 10 --quiet --hostile poison report \
+  > "$ck_hostile/full.txt"
+if ! diff -q "$ck_hostile/resumed.txt" "$ck_hostile/full.txt" > /dev/null; then
+  echo "crash-resume FAILED: resumed hostile report differs from uninterrupted hostile run" >&2
+  diff "$ck_hostile/resumed.txt" "$ck_hostile/full.txt" | head -20 >&2
+  exit 1
+fi
+echo "crash-resume ok: resumed --hostile poison report byte-identical to uninterrupted run"
 
 echo "== watch smoke test (incremental ingestion) =="
 clean_dir="$(mktemp -d -t repro-stream-clean-XXXXXX)"
 crash_dir="$(mktemp -d -t repro-stream-crash-XXXXXX)"
 watch_out="$(mktemp -t repro-watch-XXXXXX.txt)"
 resume_stream_out="$(mktemp -t repro-watch-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out"' EXIT
 rmdir "$clean_dir" "$crash_dir"   # the CLI wants to create them itself
-python -m repro --seed 7 --campaigns 40 --quiet watch --epochs 2 \
-  --stream-dir "$clean_dir" > "$watch_out"
+watch_pool=(--workers 2 --pool process)
+python -m repro --seed 7 --campaigns 40 --quiet "${watch_pool[@]}" \
+  watch --epochs 2 --stream-dir "$clean_dir" > "$watch_out"
 grep -q "^stream fingerprint=" "$watch_out" || {
   echo "watch FAILED: no stream fingerprint in watch output" >&2; exit 1; }
 grep -q "(ledger)" "$watch_out" || {
   echo "watch FAILED: no ledger row in the Stream table" >&2; exit 1; }
 watch_rc=0
-python -m repro --seed 7 --campaigns 40 --quiet --crash-at whois:5 \
-  watch --epochs 2 --crash-epoch 1 --stream-dir "$crash_dir" \
-  > /dev/null 2>&1 || watch_rc=$?
+python -m repro --seed 7 --campaigns 40 --quiet "${watch_pool[@]}" \
+  --crash-at whois:5 watch --epochs 2 --crash-epoch 1 \
+  --stream-dir "$crash_dir" > /dev/null 2>&1 || watch_rc=$?
 if [ "$watch_rc" -ne 75 ]; then
   echo "watch FAILED: expected exit 75 from the mid-epoch crash, got $watch_rc" >&2
   exit 1
@@ -186,13 +211,13 @@ if [ "$clean_fp" != "$resumed_fp" ]; then
   echo "  resumed: $resumed_fp" >&2
   exit 1
 fi
-echo "watch ok: crash/resume stream fingerprint matches the clean 2-epoch run"
+echo "watch ok: process-pool crash/resume stream fingerprint matches the clean 2-epoch run"
 
 echo "== serve smoke test (burst load + kill-and-resume) =="
 serve_out="$(mktemp -t repro-serve-XXXXXX.txt)"
 serve_dir="$(mktemp -d -t repro-serve-dir-XXXXXX)"
 serve_resumed_out="$(mktemp -t repro-serve-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out"' EXIT
 rmdir "$serve_dir"   # the CLI wants to create it itself
 serve_args=(--seed 7 --campaigns 20 --quiet serve --load-profile burst
   --requests 10000 --reporters 2000 --queue-capacity 40)
@@ -243,7 +268,7 @@ echo "serve ok: kill-and-resume fingerprint matches the uninterrupted run"
 
 echo "== trace-export smoke test (--trace-format chrome) =="
 chrome_trace="$(mktemp -t repro-chrome-XXXXXX.json)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace"' EXIT
 python -m repro stats --seed 7 --quiet \
   --trace-out "$chrome_trace" --trace-format chrome > /dev/null
 python - "$chrome_trace" <<'PY'
@@ -267,7 +292,7 @@ PY
 
 echo "== perf-gate smoke test (baseline pin + tampered baseline) =="
 perf_dir="$(mktemp -d -t repro-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir"' EXIT
 python -m repro stats --seed 7 --quiet --history-dir "$perf_dir" > /dev/null
 python scripts/perf_gate.py --history-dir "$perf_dir" \
   --baseline "$perf_dir/BASELINE.json" --update-baseline > /dev/null
@@ -307,7 +332,7 @@ echo "perf-gate ok: clean baseline passes, records/sec floor enforced, tampered 
 echo "== hostile-input smoke test (--hostile poison quarantine) =="
 hostile_out="$(mktemp -t repro-hostile-XXXXXX.txt)"
 hostile_clean_out="$(mktemp -t repro-hostile-clean-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out"' EXIT
 python -m repro --seed 7 --campaigns 10 --quiet --hostile poison stats \
   > "$hostile_out"
 python -m repro --seed 7 --campaigns 10 --quiet stats > "$hostile_clean_out"
@@ -353,7 +378,7 @@ invest_proc_out="$(mktemp -t repro-invest-proc-XXXXXX.txt)"
 invest_resumed_out="$(mktemp -t repro-invest-resumed-XXXXXX.txt)"
 invest_dir="$(mktemp -d -t repro-invest-dir-XXXXXX)"
 invest_perf="$(mktemp -d -t repro-invest-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf"' EXIT
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf"' EXIT
 rmdir "$invest_dir"   # the CLI wants to create it itself
 invest_root=(--seed 7 --campaigns 30 --quiet)
 invest_sub=(investigate --playbook full-funnel --sample 120)

@@ -16,6 +16,9 @@ Layers, bottom-up:
 
 * :mod:`repro.checkpoint.codec` — value/exception serialisation and
   config fingerprints.
+* :mod:`repro.checkpoint.identity` — the run-identity codec: scenario,
+  fault plan and execution policy to and from manifest dicts, shared
+  by every durable directory (batch, stream, serve, investigate).
 * :mod:`repro.checkpoint.state` — :class:`StateRegistry`: capture /
   diff / restore of every restorable run object under stable keys.
 * :mod:`repro.checkpoint.journal` — :class:`RunJournal`: the durable
@@ -50,12 +53,7 @@ from .session import (
     build_manifest,
 )
 from .state import StateRegistry, build_state_registry
-from .resume import (
-    plan_from_manifest,
-    policy_from_manifest,
-    resume_pipeline,
-    scenario_from_manifest,
-)
+from .resume import resume_pipeline
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -77,8 +75,5 @@ __all__ = [
     "encode_exception",
     "encode_value",
     "fingerprint",
-    "plan_from_manifest",
-    "policy_from_manifest",
     "resume_pipeline",
-    "scenario_from_manifest",
 ]

@@ -1,9 +1,10 @@
 """Resuming a crashed run from its journal: ``resume_pipeline``.
 
-A resume rebuilds the run's inputs *from the manifest* — the world from
-its scenario (world construction is a pure function of the scenario
-config), the fault plan from its recorded profile, the execution policy
-from its recorded knobs — then hands a resume-mode
+A resume rebuilds the run's inputs *from the manifest*, read back
+through :mod:`repro.checkpoint.identity` — the world from its scenario
+(world construction is a pure function of the scenario config), the
+fault plan from its recorded profile, the execution policy from its
+recorded knobs — then hands a resume-mode
 :class:`~repro.checkpoint.session.CheckpointSession` to the ordinary
 :func:`~repro.core.pipeline.run_pipeline`. Nothing about the pipeline's
 control flow is forked for resumption; the session supplies restored
@@ -18,60 +19,14 @@ over the crash-free plan, still matches).
 
 from __future__ import annotations
 
-import datetime as dt
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import CheckpointError
 from ..exec import ExecutionPolicy
-from ..faults import FaultPlan, build_fault_plan
-from ..world.scenario import ScenarioConfig, build_world
+from ..faults import FaultPlan
+from ..world.scenario import build_world
+from .identity import identity_from_dict
 from .session import CheckpointSession
-
-
-def scenario_from_manifest(scenario: Dict[str, Any]) -> ScenarioConfig:
-    """Rebuild the exact scenario the crashed run was measuring."""
-    try:
-        return ScenarioConfig(
-            seed=int(scenario["seed"]),
-            n_campaigns=int(scenario["n_campaigns"]),
-            mean_campaign_volume=float(scenario["mean_campaign_volume"]),
-            timeline_start=dt.date.fromisoformat(scenario["timeline_start"]),
-            timeline_end=dt.date.fromisoformat(scenario["timeline_end"]),
-            include_sbi_burst=bool(scenario["include_sbi_burst"]),
-            sbi_burst_volume=int(scenario["sbi_burst_volume"]),
-            apk_campaign_fraction=float(scenario["apk_campaign_fraction"]),
-            androzoo_corpus_size=int(scenario["androzoo_corpus_size"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"manifest scenario is unusable: {exc}")
-
-
-def plan_from_manifest(manifest: Dict[str, Any],
-                       fault_plan: Optional[FaultPlan]) -> FaultPlan:
-    """The survivable fault plan the resumed run must replay under."""
-    if fault_plan is not None:
-        return fault_plan.without_crash_points()
-    faults = manifest.get("faults", {})
-    profile = faults.get("profile")
-    if profile is None:
-        raise CheckpointError(
-            "the crashed run used a hand-built fault plan the manifest "
-            "cannot reconstruct; pass the same plan via fault_plan="
-        )
-    return build_fault_plan(profile, seed=int(faults.get("seed", 0)))
-
-
-def policy_from_manifest(manifest: Dict[str, Any]) -> ExecutionPolicy:
-    execution = manifest.get("execution", {})
-    max_entries = execution.get("cache_max_entries")
-    return ExecutionPolicy(
-        workers=int(execution.get("workers", 1)),
-        cache=bool(execution.get("cache", True)),
-        cache_max_entries=None if max_entries is None else int(max_entries),
-        # Manifests written before the pool axis carry no "pool" key;
-        # they were all thread-pooled.
-        pool=str(execution.get("pool", "thread")),
-    )
 
 
 def resume_pipeline(
@@ -96,11 +51,17 @@ def resume_pipeline(
     from ..core.pipeline import run_pipeline  # local: breaks import cycle
 
     session = CheckpointSession.resume(checkpoint_dir)
-    manifest = session.manifest
-    world = build_world(scenario_from_manifest(manifest.get("scenario", {})))
-    plan = plan_from_manifest(manifest, fault_plan)
-    policy = execution if execution is not None \
-        else policy_from_manifest(manifest)
+    scenario, plan, policy = identity_from_dict(session.manifest)
+    if fault_plan is not None:
+        plan = fault_plan.without_crash_points()
+    if execution is not None:
+        policy = execution
+    if plan is None:
+        raise CheckpointError(
+            "the crashed run used a hand-built fault plan the manifest "
+            "cannot reconstruct; pass the same plan via fault_plan="
+        )
+    world = build_world(scenario)
     if telemetry is None and telemetry_factory is not None:
         telemetry = telemetry_factory(world)
     return run_pipeline(

@@ -34,6 +34,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import CheckpointError, CheckpointMismatch
 from .codec import decode_value, encode_value, fingerprint
+from .identity import faults_to_dict, policy_to_dict, scenario_to_dict
 from .journal import RunJournal, code_fingerprint
 from .state import StateRegistry
 
@@ -59,26 +60,13 @@ def build_manifest(scenario, config, fault_plan, policy,
                    *, cli: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The identity record binding a journal to exactly one run.
 
-    The fault section fingerprints the plan *minus crash points*: a
-    crashed run and its resume intentionally differ only in where the
-    injected crash lands, and that difference must not reject the
-    journal.
+    Scenario, faults and execution policy go through
+    :mod:`repro.checkpoint.identity`; the faults carry the crash-free
+    plan's rule description too, so a crashed run and its resume,
+    which differ only in where the crash lands, still match.
     """
-    scenario_dict = {
-        "seed": scenario.seed,
-        "n_campaigns": scenario.n_campaigns,
-        "mean_campaign_volume": scenario.mean_campaign_volume,
-        "timeline_start": scenario.timeline_start.isoformat(),
-        "timeline_end": scenario.timeline_end.isoformat(),
-        "include_sbi_burst": scenario.include_sbi_burst,
-        "sbi_burst_volume": scenario.sbi_burst_volume,
-        "apk_campaign_fraction": scenario.apk_campaign_fraction,
-        "androzoo_corpus_size": scenario.androzoo_corpus_size,
-    }
-    survivable = fault_plan.without_crash_points() if fault_plan is not None \
-        else None
     manifest: Dict[str, Any] = {
-        "scenario": scenario_dict,
+        "scenario": scenario_to_dict(scenario),
         "pipeline_config": fingerprint({
             "keywords": list(config.keywords),
             "windows": str(config.windows),
@@ -86,18 +74,8 @@ def build_manifest(scenario, config, fault_plan, policy,
             "evaluation_sample_size": config.evaluation_sample_size,
             "case_study_posts": config.case_study_posts,
         }),
-        "faults": {
-            "profile": survivable.profile if survivable is not None else None,
-            "seed": survivable.seed if survivable is not None else 0,
-            "rules": survivable.describe() if survivable is not None
-            else "none",
-        },
-        "execution": {
-            "workers": policy.workers,
-            "cache": policy.cache,
-            "cache_max_entries": policy.cache_max_entries,
-            "pool": policy.pool,
-        },
+        "faults": faults_to_dict(fault_plan, rules=True),
+        "execution": policy_to_dict(policy),
         "code": code_fingerprint(),
     }
     if cli is not None:

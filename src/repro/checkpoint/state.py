@@ -6,6 +6,8 @@ exposes ``state_dict()`` / ``restore_state()``. A :class:`StateRegistry`
 aggregates them under stable string keys so the journal can write one
 flat ``{key: state}`` mapping per barrier and a *changed-keys-only*
 delta per lookup record, and a resume can put every piece back exactly.
+The stream, serve and investigate sessions capture and restore their
+committed state through the same registry.
 
 Restores are silent by design: no observer fires, no telemetry counter
 increments. The charges and transitions being restored already happened
@@ -20,6 +22,7 @@ from typing import Any, Callable, Dict, Optional
 
 from ..errors import CheckpointError
 from ..faults.proxy import FaultProxy
+from ..resilience.breaker import CircuitBreaker
 
 #: State keys use ``<kind>:<name>`` so a restore can route by prefix.
 CLOCK_KEY = "clock"
@@ -103,14 +106,22 @@ class StateRegistry:
                 )
 
 
-def build_state_registry(world, services, forums, enricher) -> StateRegistry:
+def build_state_registry(clock, services, forums, breakers,
+                         telemetry) -> StateRegistry:
     """Wire one run's restorable objects into a registry.
 
-    ``services``/``forums`` must be the *post-fault-injection* containers
-    the pipeline actually calls through, so proxy call counters are seen.
+    ``services``/``forums`` are the containers the run calls through:
+    every :class:`FaultProxy` among them is registered, so passing the
+    unwrapped containers registers none. Which proxies count is thus the
+    caller's choice: a batch run and a stream epoch pass their injected
+    containers, serve its lifetime-wrapped battery, and a stream session
+    its bare ones (its proxies are rebuilt every epoch). ``breakers`` is
+    the live ``{service: breaker}`` dict the enricher fills lazily; a
+    restore creates missing breakers into it exactly as the enricher
+    would.
     """
     registry = StateRegistry()
-    registry.register(CLOCK_KEY, world.clock)
+    registry.register(CLOCK_KEY, clock)
     for name, meter in services.meters().items():
         registry.register(METER_PREFIX + name, meter)
     for forum, forum_service in forums.items():
@@ -124,6 +135,12 @@ def build_state_registry(world, services, forums, enricher) -> StateRegistry:
         if isinstance(service_obj, FaultProxy):
             registry.register(
                 PROXY_PREFIX + service_obj.meter.service, service_obj)
-    registry.register_breakers(enricher._breaker,
-                               lambda: dict(enricher.breakers))
+
+    def breaker(name: str) -> CircuitBreaker:
+        if name not in breakers:
+            breakers[name] = CircuitBreaker(
+                name, clock, observer=telemetry.breaker_hook())
+        return breakers[name]
+
+    registry.register_breakers(breaker, lambda: dict(breakers))
     return registry

@@ -66,9 +66,9 @@ from .checkpoint import (
     MANIFEST_NAME,
     CheckpointSession,
     RunJournal,
-    policy_from_manifest,
     resume_pipeline,
 )
+from .checkpoint.identity import policy_from_dict
 from .core.active import run_case_study
 from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
@@ -150,6 +150,11 @@ def _manifest_argv(args: argparse.Namespace) -> List[str]:
     return argv
 
 
+def _execution_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    return ExecutionPolicy(workers=args.workers, cache=not args.no_cache,
+                           pool=args.pool)
+
+
 def _build_run(args: argparse.Namespace) -> PipelineRun:
     progress = None if args.quiet else stderr_sink
     resume_dir = getattr(args, "_resume_dir", None)
@@ -169,9 +174,7 @@ def _build_run(args: argparse.Namespace) -> PipelineRun:
         if args.crash_at is not None:
             service, at_call = _parse_crash_at(args.crash_at)
             fault_plan = fault_plan.extended(CrashPoint(service, at_call))
-        execution = ExecutionPolicy(workers=args.workers,
-                                    cache=not args.no_cache,
-                                    pool=args.pool)
+        execution = _execution_policy(args)
         checkpoint = None
         if args.checkpoint_dir is not None:
             checkpoint = CheckpointSession.record(
@@ -424,9 +427,7 @@ def _build_stream_session(args: argparse.Namespace,
         epochs=epochs,
         epoch_hours=epoch_hours,
         fault_plan=build_fault_plan(args.faults, seed=args.seed),
-        execution=ExecutionPolicy(workers=args.workers,
-                                  cache=not args.no_cache,
-                                  pool=args.pool),
+        execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         stream_dir=stream_dir,
         crash_at=crash,
@@ -533,9 +534,7 @@ def _build_serve(args: argparse.Namespace) -> IntakeService:
                            drain_interval=args.drain_interval,
                            commit_every=args.commit_every),
         fault_plan=build_fault_plan(args.faults, seed=args.seed),
-        execution=ExecutionPolicy(workers=args.workers,
-                                  cache=not args.no_cache,
-                                  pool=args.pool),
+        execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         serve_dir=getattr(args, "serve_dir", None),
         kill_at=getattr(args, "kill_at", None),
@@ -599,8 +598,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
                        hostile=args.hostile),
         playbook=args.playbook,
         sample=args.sample,
-        workers=args.workers,
-        pool_kind=args.pool,
+        execution=_execution_policy(args),
         fault_profile=args.faults,
         fault_seed=args.seed,
         invest_dir=getattr(args, "invest_dir", None),
@@ -615,8 +613,8 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
                      if outcome.session is not None else args.faults)
     print(f"seed={world.config.seed} campaigns={world.config.n_campaigns} "
           f"faults={fault_profile} "
-          f"workers={args.workers} "
-          f"pool={args.pool} "
+          f"workers={outcome.policy.workers} "
+          f"pool={outcome.policy.pool} "
           f"playbook={report.playbook} "
           f"investigated={report.investigated} "
           f"packages={len(report.packages)} "
@@ -1140,7 +1138,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if getattr(args, "history_dir", None) is not None:
         new_args.history_dir = args.history_dir
     if not new_args.quiet:
-        policy = policy_from_manifest(manifest)
+        policy = policy_from_dict(manifest.get("execution"))
         print(f"resuming run from {args.checkpoint_dir} "
               f"({policy.describe()})", file=sys.stderr)
     return new_args.func(new_args)

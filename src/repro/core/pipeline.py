@@ -155,7 +155,8 @@ def run_pipeline(
     )
     if checkpoint.active:
         checkpoint.bind(
-            registry=build_state_registry(world, services, forums, enricher),
+            registry=build_state_registry(world.clock, services, forums,
+                                          enricher.breakers, telemetry),
             scenario=world.config, config=config, fault_plan=fault_plan,
             policy=policy,
         )

@@ -68,7 +68,6 @@ from .playbook import (
 from .session import (
     INVESTIGATE_FORMAT_VERSION,
     INVESTIGATE_MANIFEST_NAME,
-    INVESTIGATE_STATE_NAME,
     InvestigationSession,
     registry_keys,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "EVIDENCE_FORMAT_VERSION",
     "INVESTIGATE_FORMAT_VERSION",
     "INVESTIGATE_MANIFEST_NAME",
-    "INVESTIGATE_STATE_NAME",
     "PLAYBOOKS",
     "STEP_OPS",
     "SYNTHETIC_PII",

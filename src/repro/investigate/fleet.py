@@ -34,6 +34,7 @@ from ..checkpoint.state import (
     CLOCK_KEY,
     METER_PREFIX,
     PROXY_PREFIX,
+    StateRegistry,
 )
 from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
@@ -261,13 +262,13 @@ class InvestigationFleet:
             "virustotal", clock,
             observer=self.telemetry.breaker_hook(),
         )
-        registry: Dict[str, Any] = {
-            CLOCK_KEY: clock,
-            METER_PREFIX + "virustotal": self.world.virustotal.meter,
-            BREAKER_PREFIX + "virustotal": breaker,
-        }
+        registry = StateRegistry()
+        registry.register(CLOCK_KEY, clock)
+        registry.register(METER_PREFIX + "virustotal",
+                          self.world.virustotal.meter)
+        registry.register(BREAKER_PREFIX + "virustotal", breaker)
         if isinstance(virustotal, FaultProxy):
-            registry[PROXY_PREFIX + "virustotal"] = virustotal
+            registry.register(PROXY_PREFIX + "virustotal", virustotal)
 
         scan_results: List[Tuple[str, Optional[FamilyVerdict], float]] = []
         if session is not None and session.resuming:

@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional
 
 from ..core.pipeline import run_pipeline
 from ..errors import SimulatedCrash
+from ..exec import ExecutionPolicy
 from ..faults import build_fault_plan
 from ..obs import Telemetry
 from ..world.scenario import ScenarioConfig, World, build_world
@@ -42,6 +43,8 @@ class InvestigationOutcome:
 
     report: FleetReport
     world: World
+    #: The policy the fleet ran under (a resume's comes from its manifest).
+    policy: ExecutionPolicy
     session: Optional[InvestigationSession] = None
 
 
@@ -98,8 +101,7 @@ def run_investigation(
     *,
     playbook: str = "full-funnel",
     sample: Optional[int] = None,
-    workers: int = 1,
-    pool_kind: str = "serial",
+    execution: Optional[ExecutionPolicy] = None,
     fault_profile: Optional[str] = None,
     fault_seed: int = 0,
     invest_dir: Optional[Path] = None,
@@ -111,50 +113,52 @@ def run_investigation(
     """Scenario → world → pipeline → investigation fleet, end to end.
 
     With ``invest_dir`` the charged phase commits durably; ``resume``
-    reopens a crashed directory (run parameters come from its manifest,
-    not the arguments). ``kill_at`` injects a crash before that scan
-    index — it propagates :class:`~repro.errors.SimulatedCrash` after
-    the last commit, leaving the directory resumable.
+    reopens a crashed directory (run parameters, the execution policy
+    included, come from its manifest, not the arguments). ``kill_at``
+    injects a crash before that scan index — it propagates
+    :class:`~repro.errors.SimulatedCrash` after the last commit, leaving
+    the directory resumable. ``execution`` defaults to one serial
+    worker.
     """
-    from ..stream.runner import _scenario_from_dict, _scenario_to_dict
-
     session: Optional[InvestigationSession] = None
     if resume:
         if invest_dir is None:
             raise ValueError("resume requires invest_dir")
         session = InvestigationSession.load(invest_dir)
-        scenario = _scenario_from_dict(session.scenario)
+        scenario = session.scenario
         playbook = session.playbook
         sample = session.sample
-        fault_profile = session.fault_profile
-        fault_seed = session.fault_seed
+        plan = session.fault_plan
+        policy = session.policy
     else:
         scenario = scenario or ScenarioConfig()
+        plan = build_fault_plan(fault_profile or "none", seed=fault_seed)
+        policy = execution or ExecutionPolicy(pool="serial")
         if invest_dir is not None:
             session = InvestigationSession.create(
                 invest_dir,
-                scenario=_scenario_to_dict(scenario),
+                scenario=scenario,
                 playbook=playbook,
                 sample=sample,
                 commit_every=commit_every,
-                fault_profile=fault_profile,
-                fault_seed=fault_seed,
+                fault_plan=plan,
+                policy=policy,
             )
 
-    plan = build_fault_plan(fault_profile or "none", seed=fault_seed)
     world = build_world(scenario)
     run = run_pipeline(world, telemetry=telemetry)
     fleet = InvestigationFleet(
         world, run.dataset,
         playbook=get_playbook(playbook),
         sample=sample,
-        workers=workers,
-        pool_kind=pool_kind,
+        workers=policy.workers,
+        pool_kind=policy.pool,
         fault_plan=plan,
         telemetry=telemetry,
     )
     report = fleet.run(session=session, kill_at=kill_at)
-    return InvestigationOutcome(report=report, world=world, session=session)
+    return InvestigationOutcome(report=report, world=world, policy=policy,
+                                session=session)
 
 
 def run_killed_then_resumed(
@@ -180,6 +184,4 @@ def run_killed_then_resumed(
         raise AssertionError(
             f"kill point at scan {kill_at} never fired "
             f"(fewer payloads than the kill index?)")
-    return run_investigation(invest_dir=invest_dir, resume=True,
-                             workers=kwargs.get("workers", 1),
-                             pool_kind=kwargs.get("pool_kind", "serial"))
+    return run_investigation(invest_dir=invest_dir, resume=True)

@@ -2,12 +2,14 @@
 
 The charged half of a fleet run — one VirusTotal file submission per
 unique payload hash — is the only part worth journaling: probes are pure
-and free to recompute. A session directory holds:
+and free to recompute. A session directory is a
+:class:`~repro.stream.persist.SnapshotStore`:
 
-* ``INVESTIGATE.json`` — the manifest: scenario, playbook, sample,
-  fault profile, and (once the first commit lands) a digest-bound
-  reference to the state file. Written atomically before any charged
-  work, so a kill at any instant leaves a resumable directory.
+* ``INVESTIGATE.json`` — the manifest: the run identity (scenario,
+  fault plan, execution policy), playbook, sample, commit cadence and
+  (once the first commit lands) the digest of the state file. Written
+  atomically before any charged work, so a kill at any instant leaves a
+  resumable directory.
 * ``state.pkl`` — the pickled state: completed scan results (hash,
   verdict, simulated completion time) plus the restorable-state registry
   (clock, VirusTotal meter, circuit breaker, fault-proxy counter).
@@ -23,24 +25,24 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..checkpoint.identity import identity_from_dict, identity_to_dict
 from ..checkpoint.state import (
     BREAKER_PREFIX,
     CLOCK_KEY,
     METER_PREFIX,
     PROXY_PREFIX,
+    StateRegistry,
 )
-from ..errors import CheckpointError, ConfigurationError
+from ..exec import ExecutionPolicy
+from ..faults import FaultPlan
 from ..services.euphony import FamilyVerdict
-from ..stream.persist import (
-    atomic_write_json,
-    atomic_write_pickle,
-    read_json,
-    read_pickle,
-)
+from ..stream.persist import SnapshotStore
+from ..world.scenario import ScenarioConfig
 
 INVESTIGATE_MANIFEST_NAME = "INVESTIGATE.json"
-INVESTIGATE_STATE_NAME = "state.pkl"
-INVESTIGATE_FORMAT_VERSION = 1
+#: Version 2 is the shared snapshot-store manifest; a version-1
+#: directory (nested ``state_ref``) is refused, not misread.
+INVESTIGATE_FORMAT_VERSION = 2
 
 #: One completed charged scan: ``(sha256, verdict-or-None, sim_time)``.
 #: ``verdict`` of None records a scan gap (the service never answered).
@@ -52,27 +54,26 @@ class InvestigationSession:
 
     def __init__(
         self,
-        directory: Path,
+        store: SnapshotStore,
         *,
-        scenario: Dict[str, Any],
+        scenario: ScenarioConfig,
         playbook: str,
         sample: Optional[int],
         commit_every: int,
-        fault_profile: Optional[str],
-        fault_seed: int,
+        fault_plan: Optional[FaultPlan],
+        policy: ExecutionPolicy,
     ):
-        self.directory = Path(directory)
+        self.store = store
         self.scenario = scenario
         self.playbook = playbook
         self.sample = sample
         self.commit_every = max(1, int(commit_every))
-        self.fault_profile = fault_profile or "none"
-        self.fault_seed = int(fault_seed)
+        self.fault_plan = fault_plan
+        self.policy = policy
         self.resuming = False
         #: Committed charged work, restored on load.
         self.scan_results: List[ScanResult] = []
-        self._registry_state: Dict[str, Dict[str, Any]] = {}
-        self._commits = 0
+        self.registry_state: Dict[str, Dict[str, Any]] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -81,141 +82,87 @@ class InvestigationSession:
         cls,
         directory: Path,
         *,
-        scenario: Dict[str, Any],
+        scenario: ScenarioConfig,
         playbook: str,
         sample: Optional[int],
         commit_every: int = 1,
-        fault_profile: Optional[str] = None,
-        fault_seed: int = 0,
+        fault_plan: Optional[FaultPlan] = None,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ) -> "InvestigationSession":
-        directory = Path(directory)
-        manifest = directory / INVESTIGATE_MANIFEST_NAME
-        if manifest.exists():
-            raise ConfigurationError(
-                f"{directory} already holds an investigation session; "
-                f"pass --resume to continue it"
-            )
         session = cls(
-            directory,
+            _investigate_store(directory),
             scenario=scenario,
             playbook=playbook,
             sample=sample,
             commit_every=commit_every,
-            fault_profile=fault_profile,
-            fault_seed=fault_seed,
+            fault_plan=fault_plan,
+            policy=policy,
         )
-        directory.mkdir(parents=True, exist_ok=True)
         # Persist before any charged work: a kill during the very first
         # scan must still leave a loadable session behind.
-        session._persist_manifest(state_ref=None)
+        session.store.create(session._manifest(),
+                             resume_hint="pass --resume to continue it")
         return session
 
     @classmethod
     def load(cls, directory: Path) -> "InvestigationSession":
-        directory = Path(directory)
-        manifest_path = directory / INVESTIGATE_MANIFEST_NAME
-        if not manifest_path.exists():
-            raise CheckpointError(
-                f"{directory} holds no {INVESTIGATE_MANIFEST_NAME}; "
-                f"nothing to resume"
-            )
-        manifest = read_json(manifest_path)
-        version = manifest.get("format_version")
-        if version != INVESTIGATE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"investigation session format {version!r} is not "
-                f"supported (expected {INVESTIGATE_FORMAT_VERSION})"
-            )
-        faults = manifest.get("faults") or {}
+        store = _investigate_store(directory)
+        manifest, payload = store.load()
+        scenario, fault_plan, policy = identity_from_dict(manifest)
         session = cls(
-            directory,
-            scenario=manifest["scenario"],
+            store,
+            scenario=scenario,
             playbook=manifest["playbook"],
             sample=manifest.get("sample"),
             commit_every=manifest.get("commit_every", 1),
-            fault_profile=faults.get("profile"),
-            fault_seed=faults.get("seed", 0),
+            fault_plan=fault_plan,
+            policy=policy,
         )
         session.resuming = True
-        state_ref = manifest.get("state_ref")
-        if state_ref:
-            payload = read_pickle(
-                directory / state_ref["state_file"],
-                expected_sha256=state_ref["state_sha256"],
-            )
+        if payload is not None:
             session.scan_results = list(payload["scan_results"])
-            session._registry_state = dict(payload["registry"])
+            session.registry_state = dict(payload["registry"])
         return session
 
     # -- state ----------------------------------------------------------------
 
     @property
-    def scan_cursor(self) -> int:
-        """How many sorted payload hashes are already committed."""
-        return len(self.scan_results)
+    def fault_profile(self) -> str:
+        """The named chaos profile the charged phase runs under."""
+        if self.fault_plan is None:
+            return "none"
+        return self.fault_plan.profile or "none"
 
-    def restore(self, registry: Dict[str, Any]) -> None:
-        """Put every restorable object back to the crash-time instant.
-
-        ``registry`` maps state keys to live objects (clock, meter,
-        breaker, proxy). Journaled proxy state with no live counterpart
-        is dropped (the resumed plan may leave the service unwrapped);
-        any other unknown key means the directory does not belong to
-        this run shape.
-        """
-        for key, state in self._registry_state.items():
-            obj = registry.get(key)
-            if obj is not None:
-                obj.restore_state(state)
-            elif key.startswith(PROXY_PREFIX):
-                continue
-            else:
-                raise CheckpointError(
-                    f"investigation state carries unknown key {key!r}; "
-                    f"the session does not match this run"
-                )
+    def restore(self, registry: StateRegistry) -> None:
+        """Put the fleet's registered objects back to the crash-time
+        instant (a key this run did not register is refused)."""
+        registry.restore(self.registry_state)
 
     def maybe_commit(self, scan_results: List[ScanResult],
-                     registry: Dict[str, Any]) -> None:
+                     registry: StateRegistry) -> None:
         """Commit when the configured granularity says so."""
         if len(scan_results) % self.commit_every == 0:
             self.commit(scan_results, registry)
 
     def commit(self, scan_results: List[ScanResult],
-               registry: Dict[str, Any]) -> None:
+               registry: StateRegistry) -> None:
         """Durably record completed scans plus restorable state."""
-        payload = {
-            "scan_results": list(scan_results),
-            "registry": {key: obj.state_dict()
-                         for key, obj in registry.items()},
-        }
-        digest = atomic_write_pickle(
-            self.directory / INVESTIGATE_STATE_NAME, payload
-        )
-        self._persist_manifest(state_ref={
-            "state_file": INVESTIGATE_STATE_NAME,
-            "state_sha256": digest,
-        })
-        self._commits += 1
+        self.store.commit({"scan_results": list(scan_results),
+                           "registry": registry.capture()},
+                          self._manifest())
 
-    @property
-    def commits(self) -> int:
-        return self._commits
-
-    def _persist_manifest(self,
-                          state_ref: Optional[Dict[str, str]]) -> None:
-        atomic_write_json(self.directory / INVESTIGATE_MANIFEST_NAME, {
-            "format_version": INVESTIGATE_FORMAT_VERSION,
-            "scenario": self.scenario,
+    def _manifest(self) -> Dict[str, Any]:
+        return {
+            **identity_to_dict(self.scenario, self.fault_plan, self.policy),
             "playbook": self.playbook,
             "sample": self.sample,
             "commit_every": self.commit_every,
-            "faults": {
-                "profile": self.fault_profile,
-                "seed": self.fault_seed,
-            },
-            "state_ref": state_ref,
-        })
+        }
+
+
+def _investigate_store(directory) -> SnapshotStore:
+    return SnapshotStore(directory, INVESTIGATE_MANIFEST_NAME,
+                         INVESTIGATE_FORMAT_VERSION)
 
 
 def registry_keys(*, proxied: bool) -> Tuple[str, ...]:

@@ -40,12 +40,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from ..checkpoint.state import (
-    BREAKER_PREFIX,
-    CLOCK_KEY,
-    METER_PREFIX,
-    PROXY_PREFIX,
-)
+from ..checkpoint.identity import identity_from_dict, identity_to_dict
+from ..checkpoint.state import build_state_registry
 from ..core.collection import _report_from_post
 from ..core.config import PipelineConfig
 from ..core.curation import Curator
@@ -53,16 +49,14 @@ from ..core.dataset import SmishingDataset
 from ..core.quarantine import Sanitizer
 from ..core.enrichment import Enricher, EnrichedDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
-from ..errors import CheckpointError, ConfigurationError, SimulatedCrash
+from ..errors import ConfigurationError, SimulatedCrash
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import FaultPlan, FaultProxy, build_fault_plan, inject_faults
+from ..faults import FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
 from ..resilience import CircuitBreaker, RetryPolicy
 from ..stream.ledger import DedupLedger
-from ..stream.persist import atomic_write_json, atomic_write_pickle, \
-    read_json, read_pickle
-from ..stream.runner import _scenario_from_dict, _scenario_to_dict
+from ..stream.persist import SnapshotStore
 from ..utils.rng import derive
 from ..world.scenario import ScenarioConfig, World, build_world
 from .admission import AdmissionController, AdmissionPolicy
@@ -73,7 +67,6 @@ from .state import ServeState
 
 #: The serve directory's manifest file name.
 SERVE_MANIFEST_NAME = "SERVE.json"
-SERVE_STATE_NAME = "state.pkl"
 SERVE_FORMAT_VERSION = 1
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
@@ -156,7 +149,7 @@ class IntakeService:
                  fault_plan: Optional[FaultPlan] = None,
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
-                 serve_dir: Optional[Path] = None,
+                 store: Optional[SnapshotStore] = None,
                  kill_at: Optional[int] = None,
                  cli: Optional[Dict[str, Any]] = None):
         self.world = world
@@ -166,12 +159,12 @@ class IntakeService:
         self.policy = execution or ExecutionPolicy()
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.tracer.bind_clock(world.clock)
-        self.serve_dir = Path(serve_dir) if serve_dir is not None else None
+        self._store = store
         self._kill_at = kill_at
         self._cli = dict(cli) if cli else {}
         self._plan = (fault_plan.without_crash_points()
                       if fault_plan is not None else None)
-        if (self.serve_dir is not None and self._plan is not None
+        if (store is not None and self._plan is not None
                 and not self._plan.is_empty and self._plan.profile is None):
             raise ConfigurationError(
                 "a durable serve session needs a *named* fault profile "
@@ -189,6 +182,12 @@ class IntakeService:
         self._engine = ExecutionEngine(self.policy)
         self.cache = self._engine.build_cache()
         self.breakers: Dict[str, CircuitBreaker] = {}
+        #: Services are wrapped once for the whole lifetime, so proxy
+        #: call counters are session state (unlike a stream's per-epoch
+        #: proxies) and must survive a resume for call-indexed fault
+        #: rules to fire at the same calls. Serve never touches a forum.
+        self._registry = build_state_registry(
+            world.clock, services, {}, self.breakers, self.telemetry)
 
         #: Deterministic submission material: the world's posts in their
         #: canonical order, cycled by the load schedule.
@@ -258,19 +257,14 @@ class IntakeService:
         spec = load or LoadSpec(seed=scenario.seed)
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
+        store = _serve_store(serve_dir) if serve_dir is not None else None
         service = cls(world, load=spec, config=config, fault_plan=fault_plan,
                       execution=execution, telemetry=telemetry,
-                      serve_dir=serve_dir, kill_at=kill_at, cli=cli)
-        if service.serve_dir is not None:
-            manifest = service.serve_dir / SERVE_MANIFEST_NAME
-            if manifest.exists():
-                raise ConfigurationError(
-                    f"{service.serve_dir} already holds a serve session; "
-                    f"continue it with `repro serve --resume --serve-dir "
-                    f"{service.serve_dir}`"
-                )
-            service.serve_dir.mkdir(parents=True, exist_ok=True)
-            service._persist_manifest(state_ref=None)
+                      store=store, kill_at=kill_at, cli=cli)
+        if store is not None:
+            store.create(service._manifest(), resume_hint=(
+                f"continue it with `repro serve --resume --serve-dir "
+                f"{store.directory}`"))
         return service
 
     @classmethod
@@ -285,26 +279,10 @@ class IntakeService:
         continue from ``arrival_index + 1``. Injected kills are never
         inherited: a resume only crashes again if *this* call asks to.
         """
-        serve_dir = Path(serve_dir)
-        manifest_path = serve_dir / SERVE_MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ConfigurationError(
-                f"{serve_dir} holds no {SERVE_MANIFEST_NAME}; nothing to "
-                f"resume"
-            )
-        manifest = read_json(manifest_path)
-        if manifest.get("version") != SERVE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"serve manifest version {manifest.get('version')!r} is "
-                f"not supported (want {SERVE_FORMAT_VERSION})"
-            )
-        scenario = _scenario_from_dict(manifest["scenario"])
+        store = _serve_store(serve_dir)
+        manifest, payload = store.load()
+        scenario, fault_plan, execution = identity_from_dict(manifest)
         world = build_world(scenario)
-        faults = manifest.get("faults") or {}
-        fault_plan = None
-        if faults.get("profile"):
-            fault_plan = build_fault_plan(faults["profile"],
-                                          seed=int(faults["seed"]))
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
         service = cls(
@@ -312,17 +290,13 @@ class IntakeService:
             load=LoadSpec.from_dict(manifest["load"]),
             config=ServeConfig.from_dict(manifest["config"]),
             fault_plan=fault_plan,
-            execution=ExecutionPolicy(**manifest["execution"]),
+            execution=execution,
             telemetry=telemetry,
-            serve_dir=serve_dir,
+            store=store,
             kill_at=kill_at,
             cli=manifest.get("cli") or {},
         )
-        if manifest.get("state_file"):
-            payload = read_pickle(
-                serve_dir / manifest["state_file"],
-                expected_sha256=manifest.get("state_sha256", ""),
-            )
+        if payload is not None:
             service.state = ServeState.from_payload(payload["state"])
             service.admission.rejections = service.state.rejections
             service.admission.restore_state(payload["admission"])
@@ -334,49 +308,8 @@ class IntakeService:
             service._next_due = payload["next_due"]
             if service.cache is not None:
                 service.cache.seed(payload.get("cache_entries", ()))
-            service._restore_registry(payload.get("registry_state", {}))
+            service._registry.restore(payload.get("registry_state", {}))
         return service
-
-    # -- the registry: clock, meters, breakers, fault proxies -----------------
-
-    def _registry_objects(self) -> Dict[str, Any]:
-        objects: Dict[str, Any] = {CLOCK_KEY: self.clock}
-        for name, meter in self.services.meters().items():
-            objects[METER_PREFIX + name] = meter
-        for name, breaker in self.breakers.items():
-            objects[BREAKER_PREFIX + name] = breaker
-        # Serve wraps services once for its whole lifetime, so proxy
-        # call counters are continuous session state (unlike stream's
-        # per-epoch proxies) and must survive a resume for call-indexed
-        # fault rules to fire at the same calls.
-        for field_name in ("hlr", "whois", "crtsh", "passivedns", "ipinfo",
-                           "virustotal", "gsb", "openai"):
-            service_obj = getattr(self.services, field_name)
-            if isinstance(service_obj, FaultProxy):
-                objects[PROXY_PREFIX + service_obj.meter.service] = service_obj
-        return objects
-
-    def _capture_registry(self) -> Dict[str, Dict[str, Any]]:
-        return {key: obj.state_dict()
-                for key, obj in self._registry_objects().items()}
-
-    def _restore_registry(self, state: Dict[str, Dict[str, Any]]) -> None:
-        objects = self._registry_objects()
-        for key, value in state.items():
-            obj = objects.get(key)
-            if obj is not None:
-                obj.restore_state(value)
-            elif key.startswith(BREAKER_PREFIX):
-                name = key[len(BREAKER_PREFIX):]
-                breaker = CircuitBreaker(
-                    name, self.clock,
-                    observer=self.telemetry.breaker_hook(),
-                )
-                breaker.restore_state(value)
-                self.breakers[name] = breaker
-            else:
-                raise CheckpointError(
-                    f"serve state carries unknown registry key {key!r}")
 
     # -- the HTTP-shaped surface ----------------------------------------------
 
@@ -508,10 +441,10 @@ class IntakeService:
             }))
             self.state.arrival_index = arrival.index
             self.state.queue_depths.add(self.queue.depth)
-            if (self.serve_dir is not None
+            if (self._store is not None
                     and (arrival.index + 1) % self.config.commit_every == 0):
                 self._commit()
-        if self.serve_dir is not None:
+        if self._store is not None:
             self._commit()
 
     def _drain_due(self) -> None:
@@ -540,7 +473,7 @@ class IntakeService:
             self._process_batch()
         self.controller.end_drain()
         self._next_due = None
-        if self.serve_dir is not None:
+        if self._store is not None:
             self._commit()
 
     # -- batch processing -----------------------------------------------------
@@ -661,37 +594,21 @@ class IntakeService:
             "ledger": self.ledger.to_dict(),
             "sanitizer": self._sanitizer.state_dict(),
             "next_due": self._next_due,
-            "registry_state": self._capture_registry(),
+            "registry_state": self._registry.capture(),
             "cache_entries": (self.cache.export_entries()
                               if self.cache is not None else ()),
         }
-        digest = atomic_write_pickle(self.serve_dir / SERVE_STATE_NAME,
-                                     payload)
-        self._persist_manifest(state_ref={"state_file": SERVE_STATE_NAME,
-                                          "state_sha256": digest})
+        self._store.commit(payload, self._manifest())
 
-    def _persist_manifest(self, *,
-                          state_ref: Optional[Dict[str, str]]) -> None:
-        faults = {"profile": (self._plan.profile
-                              if self._plan is not None else None),
-                  "seed": (self._plan.seed if self._plan is not None
-                           else self.world.config.seed)}
-        manifest: Dict[str, Any] = {
-            "version": SERVE_FORMAT_VERSION,
-            "scenario": _scenario_to_dict(self.world.config),
+    def _manifest(self) -> Dict[str, Any]:
+        return {
+            **identity_to_dict(self.world.config, self._plan, self.policy),
             "load": self.load.to_dict(),
             "config": self.config.to_dict(),
-            "faults": faults,
-            "execution": {"workers": self.policy.workers,
-                          "cache": self.policy.cache,
-                          "cache_max_entries": self.policy.cache_max_entries},
             "committed_arrival": self.state.arrival_index,
             "commits": self.state.commits,
-            "state_file": state_ref["state_file"] if state_ref else None,
-            "state_sha256": state_ref["state_sha256"] if state_ref else None,
             "cli": self._cli,
         }
-        atomic_write_json(self.serve_dir / SERVE_MANIFEST_NAME, manifest)
 
     # -- reporting ------------------------------------------------------------
 
@@ -744,3 +661,7 @@ class IntakeService:
             self.telemetry.capture_cache(self.cache)
         self.telemetry.capture_exec(self._engine.stats())
         self.telemetry.capture_serve(self.stats())
+
+
+def _serve_store(serve_dir) -> SnapshotStore:
+    return SnapshotStore(serve_dir, SERVE_MANIFEST_NAME, SERVE_FORMAT_VERSION)

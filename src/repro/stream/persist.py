@@ -1,12 +1,16 @@
-"""Crash-safe file writes for the stream layer's durable artefacts.
+"""Crash-safe session directories: atomic writers and the snapshot store.
 
-Every stream artefact — the ``STREAM.json`` session manifest, the
-watermark/ledger JSON, the pickled merged state — is written with the
-same discipline the run journal uses: write to a temp file in the same
-directory, ``fsync`` the file, atomically rename over the target, then
-``fsync`` the directory so the rename itself is durable. A crash at any
-instant leaves either the old artefact or the new one, never a torn
-mixture.
+Every durable session artefact — a ``STREAM.json``, ``SERVE.json`` or
+``INVESTIGATE.json`` manifest, the watermark/ledger JSON, the pickled
+session state — is written with the same discipline the run journal
+uses: write to a temp file in the same directory, ``fsync`` the file,
+atomically rename over the target, then ``fsync`` the directory so the
+rename itself is durable. A crash at any instant leaves either the old
+artefact or the new one, never a torn mixture.
+
+:class:`SnapshotStore` is the one manifest + ``state.pkl`` protocol the
+stream, serve and investigate sessions share; each keeps only its own
+manifest fields and state payload.
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any
+from typing import Any, Dict, Optional, Tuple
+
+from ..errors import CheckpointError, ConfigurationError
+
+#: The state file every snapshot store commits.
+STATE_NAME = "state.pkl"
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -61,18 +70,86 @@ def read_json(path: Path) -> Any:
         return json.load(handle)
 
 
-def read_pickle(path: Path, *, expected_sha256: str = "") -> Any:
-    """Load a pickled artefact, verifying its digest when one is given."""
+def read_pickle(path: Path, *, expected_sha256: Optional[str]) -> Any:
+    """Load a pickled artefact after verifying its digest."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if expected_sha256:
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != expected_sha256:
-            from ..errors import CheckpointError
-
-            raise CheckpointError(
-                f"stream state file {path} does not match its manifest "
-                f"digest (expected {expected_sha256[:12]}…, got "
-                f"{digest[:12]}…); the stream directory is corrupt"
-            )
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != expected_sha256:
+        raise CheckpointError(
+            f"state file {path} does not match its manifest digest "
+            f"(expected {str(expected_sha256)[:12]}…, got {digest[:12]}…); "
+            f"the session directory is corrupt"
+        )
     return pickle.loads(blob)
+
+
+class SnapshotStore:
+    """One session directory: a JSON manifest bound to a ``state.pkl``.
+
+    * :meth:`create` refuses a directory that already holds the
+      manifest, then makes the directory and writes the manifest before
+      any work, so a crash at any instant leaves a loadable directory.
+    * :meth:`commit` writes the pickle, then the manifest recording its
+      SHA-256: the manifest's rename is the commit point.
+    * :meth:`load` fails on a missing manifest or another version and
+      verifies the pickle against the recorded digest before unpickling.
+
+    Every manifest carries ``version``, ``state_file`` and
+    ``state_sha256`` beside the session kind's own fields.
+    """
+
+    def __init__(self, directory, manifest_name: str, version: int):
+        self.directory = Path(directory)
+        self.manifest_name = manifest_name
+        self.version = version
+        #: Digest of the last committed (or loaded) state; None before
+        #: the first commit.
+        self.state_sha256: Optional[str] = None
+
+    def create(self, fields: Dict[str, Any], *, resume_hint: str) -> None:
+        if (self.directory / self.manifest_name).exists():
+            raise ConfigurationError(
+                f"{self.directory} already holds a session "
+                f"({self.manifest_name}); {resume_hint}"
+            )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.write_manifest(fields)
+
+    def load(self) -> Tuple[Dict[str, Any], Any]:
+        """The manifest and the committed state (None before the first
+        commit)."""
+        path = self.directory / self.manifest_name
+        if not path.is_file():
+            raise CheckpointError(
+                f"{self.directory} holds no {self.manifest_name}; nothing "
+                f"to resume"
+            )
+        manifest = read_json(path)
+        version = manifest.get("version") if isinstance(manifest, dict) \
+            else None
+        if version != self.version:
+            raise CheckpointError(
+                f"{self.manifest_name} version {version!r} is not "
+                f"supported (want {self.version})"
+            )
+        if not manifest.get("state_file"):
+            return manifest, None
+        payload = read_pickle(self.directory / manifest["state_file"],
+                              expected_sha256=manifest.get("state_sha256"))
+        self.state_sha256 = manifest["state_sha256"]
+        return manifest, payload
+
+    def commit(self, payload: Any, fields: Dict[str, Any]) -> None:
+        self.state_sha256 = atomic_write_pickle(self.directory / STATE_NAME,
+                                                payload)
+        self.write_manifest(fields)
+
+    def write_manifest(self, fields: Dict[str, Any]) -> None:
+        """Rewrite the manifest around the last committed state."""
+        atomic_write_json(self.directory / self.manifest_name, {
+            **fields,
+            "version": self.version,
+            "state_file": STATE_NAME if self.state_sha256 else None,
+            "state_sha256": self.state_sha256,
+        })

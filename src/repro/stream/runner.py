@@ -36,59 +36,37 @@ import datetime as dt
 import shutil
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..checkpoint import MANIFEST_NAME, CheckpointSession
+from ..checkpoint.identity import identity_from_dict, identity_to_dict
 from ..checkpoint.session import NULL_CHECKPOINT
-from ..checkpoint.state import (
-    BREAKER_PREFIX,
-    CLOCK_KEY,
-    FORUM_METER_PREFIX,
-    METER_PREFIX,
-    PROXY_PREFIX,
-    build_state_registry,
-)
-from ..core.collection import CollectionResult, collect_all
+from ..checkpoint.state import build_state_registry
+from ..core.collection import collect_all
 from ..core.config import PipelineConfig
 from ..core.curation import Curator
 from ..core.quarantine import stamp_epoch
-from ..core.enrichment import EnrichedDataset, Enricher
+from ..core.enrichment import Enricher
 from ..core.dataset import SmishingDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import CrashPoint, FaultPlan, build_fault_plan, inject_faults
+from ..faults import CrashPoint, FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
 from ..resilience import CircuitBreaker, RetryPolicy
-from ..types import Forum
 from ..utils.rng import derive
 from ..world.scenario import ScenarioConfig, World, build_world
 from .epochs import EpochScheduler, EpochWindow, clamp_windows, plan_epochs
 from .ledger import DedupLedger
-from .persist import atomic_write_json, atomic_write_pickle, read_json, \
-    read_pickle
+from .persist import STATE_NAME, SnapshotStore
 from .state import EpochStats, StreamState
 from .watermarks import WatermarkStore
 
 #: The stream directory's manifest file name.
 STREAM_MANIFEST_NAME = "STREAM.json"
-STREAM_STATE_NAME = "state.pkl"
+STREAM_STATE_NAME = STATE_NAME
 STREAM_FORMAT_VERSION = 1
-
-
-def _scenario_to_dict(scenario: ScenarioConfig) -> Dict[str, Any]:
-    payload = dataclasses.asdict(scenario)
-    payload["timeline_start"] = scenario.timeline_start.isoformat()
-    payload["timeline_end"] = scenario.timeline_end.isoformat()
-    return payload
-
-
-def _scenario_from_dict(payload: Dict[str, Any]) -> ScenarioConfig:
-    data = dict(payload)
-    data["timeline_start"] = dt.date.fromisoformat(data["timeline_start"])
-    data["timeline_end"] = dt.date.fromisoformat(data["timeline_end"])
-    return ScenarioConfig(**data)
 
 
 class StreamSession:
@@ -99,7 +77,7 @@ class StreamSession:
                  fault_plan: Optional[FaultPlan] = None,
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
-                 stream_dir: Optional[Path] = None,
+                 store: Optional[SnapshotStore] = None,
                  crash_at: Optional[tuple] = None,
                  crash_epoch: Optional[int] = None,
                  cli: Optional[Dict[str, Any]] = None):
@@ -117,10 +95,10 @@ class StreamSession:
         self.policy = execution or ExecutionPolicy()
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.tracer.bind_clock(world.clock)
-        self.stream_dir = Path(stream_dir) if stream_dir is not None else None
+        self._store = store
         self._cli = dict(cli) if cli else {}
 
-        if (self.stream_dir is not None and self._survivable is not None
+        if (store is not None and self._survivable is not None
                 and not self._survivable.is_empty
                 and self._survivable.profile is None):
             raise ConfigurationError(
@@ -135,6 +113,13 @@ class StreamSession:
         self._engine = ExecutionEngine(self.policy)
         self.cache = self._engine.build_cache()
         self.breakers: Dict[str, CircuitBreaker] = {}
+        #: The committed clock/meter/breaker state. It registers no
+        #: fault proxy: proxies are rebuilt for every epoch, so their
+        #: call counters are epoch state (journaled per epoch), not
+        #: session state.
+        self._registry = build_state_registry(
+            world.clock, self.services, world.forums, self.breakers,
+            self.telemetry)
 
         self.state = StreamState()
         self.watermarks = WatermarkStore()
@@ -173,20 +158,15 @@ class StreamSession:
                                    idle_seconds=idle_seconds)
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
+        store = _stream_store(stream_dir) if stream_dir is not None else None
         session = cls(world, scheduler=scheduler, config=base,
                       fault_plan=fault_plan, execution=execution,
-                      telemetry=telemetry, stream_dir=stream_dir,
+                      telemetry=telemetry, store=store,
                       crash_at=crash_at, crash_epoch=crash_epoch, cli=cli)
-        if session.stream_dir is not None:
-            manifest = session.stream_dir / STREAM_MANIFEST_NAME
-            if manifest.exists():
-                raise ConfigurationError(
-                    f"{session.stream_dir} already holds a stream session; "
-                    f"continue it with `repro resume --stream-dir "
-                    f"{session.stream_dir}` or `repro ingest`"
-                )
-            session.stream_dir.mkdir(parents=True, exist_ok=True)
-            session._persist_manifest(state_ref=None)
+        if store is not None:
+            store.create(session._manifest(), resume_hint=(
+                f"continue it with `repro resume --stream-dir "
+                f"{store.directory}` or `repro ingest`"))
         return session
 
     @classmethod
@@ -200,30 +180,12 @@ class StreamSession:
         merged state, watermarks, and ledger, seeds the enrichment cache
         from the prior epochs' exported entries, and restores the
         registry state (clock, meters, breakers) captured at the last
-        commit — fault-proxy counters excepted, since proxies are
-        rebuilt fresh for every epoch.
+        commit.
         """
-        stream_dir = Path(stream_dir)
-        manifest_path = stream_dir / STREAM_MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise ConfigurationError(
-                f"{stream_dir} holds no {STREAM_MANIFEST_NAME}; nothing "
-                f"to resume"
-            )
-        manifest = read_json(manifest_path)
-        if manifest.get("version") != STREAM_FORMAT_VERSION:
-            raise CheckpointError(
-                f"stream manifest version {manifest.get('version')!r} is "
-                f"not supported (want {STREAM_FORMAT_VERSION})"
-            )
-        scenario = _scenario_from_dict(manifest["scenario"])
+        store = _stream_store(stream_dir)
+        manifest, payload = store.load()
+        scenario, fault_plan, execution = identity_from_dict(manifest)
         world = build_world(scenario)
-        faults = manifest.get("faults") or {}
-        fault_plan = None
-        if faults.get("profile"):
-            fault_plan = build_fault_plan(faults["profile"],
-                                          seed=int(faults["seed"]))
-        execution = ExecutionPolicy(**manifest["execution"])
         plan = [EpochWindow(index=i,
                             start=dt.datetime.fromisoformat(start),
                             end=dt.datetime.fromisoformat(end))
@@ -235,54 +197,19 @@ class StreamSession:
                      else None)
         session = cls(world, scheduler=scheduler,
                       fault_plan=fault_plan, execution=execution,
-                      telemetry=telemetry, stream_dir=stream_dir,
+                      telemetry=telemetry, store=store,
                       crash_at=crash_at, crash_epoch=crash_epoch,
                       cli=manifest.get("cli") or {})
-        if manifest.get("state_file"):
-            payload = read_pickle(
-                stream_dir / manifest["state_file"],
-                expected_sha256=manifest.get("state_sha256", ""),
-            )
+        if payload is not None:
             session.state = StreamState.from_payload(payload)
             if session.cache is not None:
                 session._cache_seeded = session.cache.seed(
                     payload.get("cache_entries", ()))
-            session._restore_registry_state(
-                payload.get("registry_state", {}))
+            session._registry.restore(payload.get("registry_state", {}))
         session.watermarks = WatermarkStore.from_dict(
             manifest.get("watermarks", {}))
         session.ledger = DedupLedger.from_dict(manifest.get("ledger", {}))
         return session
-
-    def _restore_registry_state(self, state: Dict[str, Dict[str, Any]]) -> None:
-        """Put the last commit's clock/meter/breaker state back.
-
-        ``proxy:`` keys are dropped: fault proxies are per-epoch objects
-        whose call counters start at zero each epoch, exactly as they do
-        in an uninterrupted in-process session.
-        """
-        meters = self.services.meters()
-        for key, value in state.items():
-            if key == CLOCK_KEY:
-                self.world.clock.restore_state(value)
-            elif key.startswith(METER_PREFIX):
-                meters[key[len(METER_PREFIX):]].restore_state(value)
-            elif key.startswith(FORUM_METER_PREFIX):
-                forum = Forum(key[len(FORUM_METER_PREFIX):])
-                self.world.forums[forum].meter.restore_state(value)
-            elif key.startswith(BREAKER_PREFIX):
-                name = key[len(BREAKER_PREFIX):]
-                breaker = CircuitBreaker(
-                    name, self.world.clock,
-                    observer=self.telemetry.breaker_hook(),
-                )
-                breaker.restore_state(value)
-                self.breakers[name] = breaker
-            elif key.startswith(PROXY_PREFIX):
-                continue
-            else:
-                raise CheckpointError(
-                    f"stream state carries unknown registry key {key!r}")
 
     # -- the epoch loop -------------------------------------------------------
 
@@ -314,8 +241,8 @@ class StreamSession:
                 f"planned epoch(s) still pending — run `repro resume` first"
             )
         self.scheduler.extend(epochs)
-        if self.stream_dir is not None:
-            self._persist_manifest(state_ref=self._last_state_ref)
+        if self._store is not None:
+            self._store.write_manifest(self._manifest())
         return self.run()
 
     def _run_epoch(self, epoch: EpochWindow) -> None:
@@ -336,8 +263,8 @@ class StreamSession:
             known_senders=set(self.state.senders),
             known_urls=set(self.state.urls),
         )
-        registry = build_state_registry(self.world, services, forums,
-                                        enricher)
+        registry = build_state_registry(self.world.clock, services, forums,
+                                        self.breakers, self.telemetry)
         charged_before = self._charged_now()
         try:
             if checkpoint.active:
@@ -392,8 +319,7 @@ class StreamSession:
                 epoch=epoch, collection=collection, filtered=filtered,
                 dataset=dataset, curation_stats=curation_stats,
                 next_index=next_index, division=division, enriched=enriched,
-                registry=registry, cache_reuse=cache_reuse,
-                charged_before=charged_before,
+                cache_reuse=cache_reuse, charged_before=charged_before,
             )
         finally:
             if checkpoint.active:
@@ -402,7 +328,7 @@ class StreamSession:
 
     def _commit_epoch(self, *, epoch, collection, filtered, dataset,
                       curation_stats, next_index, division, enriched,
-                      registry, cache_reuse, charged_before) -> None:
+                      cache_reuse, charged_before) -> None:
         """Fold one finished epoch into the state and make it durable."""
         kept = filtered.result
         kept.limitations = [replace(l, epoch=epoch.index)
@@ -456,8 +382,12 @@ class StreamSession:
         )
         self.watermarks.commit(filtered, epoch)
         self.ledger.commit(division.new_hashes)
-        if self.stream_dir is not None:
-            self._persist(registry)
+        if self._store is not None:
+            payload = self.state.to_payload()
+            payload["cache_entries"] = (self.cache.export_entries()
+                                        if self.cache is not None else ())
+            payload["registry_state"] = self._registry.capture()
+            self._store.commit(payload, self._manifest())
 
     # -- per-epoch helpers ----------------------------------------------------
 
@@ -476,9 +406,10 @@ class StreamSession:
         return plan
 
     def _open_epoch_checkpoint(self, epoch: EpochWindow):
-        if self.stream_dir is None:
+        if self._store is None:
             return NULL_CHECKPOINT
-        epoch_dir = self.stream_dir / "epochs" / f"epoch-{epoch.index:04d}"
+        epoch_dir = (self._store.directory / "epochs"
+                     / f"epoch-{epoch.index:04d}")
         if (epoch_dir / MANIFEST_NAME).is_file():
             return CheckpointSession.resume(epoch_dir)
         if epoch_dir.exists():
@@ -522,45 +453,10 @@ class StreamSession:
 
     # -- persistence ----------------------------------------------------------
 
-    @property
-    def _last_state_ref(self) -> Optional[Dict[str, str]]:
-        if self.stream_dir is None:
-            return None
-        manifest_path = self.stream_dir / STREAM_MANIFEST_NAME
-        if not manifest_path.is_file():
-            return None
-        manifest = read_json(manifest_path)
-        if not manifest.get("state_file"):
-            return None
-        return {"state_file": manifest["state_file"],
-                "state_sha256": manifest.get("state_sha256", "")}
-
-    def _persist(self, registry) -> None:
-        registry_state = {key: value
-                          for key, value in registry.capture().items()
-                          if not key.startswith(PROXY_PREFIX)}
-        payload = self.state.to_payload()
-        payload["cache_entries"] = (self.cache.export_entries()
-                                    if self.cache is not None else ())
-        payload["registry_state"] = registry_state
-        digest = atomic_write_pickle(self.stream_dir / STREAM_STATE_NAME,
-                                     payload)
-        self._persist_manifest(state_ref={"state_file": STREAM_STATE_NAME,
-                                          "state_sha256": digest})
-
-    def _persist_manifest(self, *, state_ref: Optional[Dict[str, str]]) -> None:
-        faults = {"profile": (self._survivable.profile
-                              if self._survivable is not None else None),
-                  "seed": (self._survivable.seed
-                           if self._survivable is not None
-                           else self.world.config.seed)}
-        manifest: Dict[str, Any] = {
-            "version": STREAM_FORMAT_VERSION,
-            "scenario": _scenario_to_dict(self.world.config),
-            "faults": faults,
-            "execution": {"workers": self.policy.workers,
-                          "cache": self.policy.cache,
-                          "cache_max_entries": self.policy.cache_max_entries},
+    def _manifest(self) -> Dict[str, Any]:
+        return {
+            **identity_to_dict(self.world.config, self._survivable,
+                               self.policy),
             "plan": [[w.start.isoformat(), w.end.isoformat()]
                      for w in self.scheduler.plan],
             "idle_seconds": self.scheduler.idle_seconds,
@@ -571,11 +467,8 @@ class StreamSession:
             "ledger": self.ledger.to_dict(),
             "epoch_stats": [stats.to_dict()
                             for stats in self.state.epoch_stats],
-            "state_file": state_ref["state_file"] if state_ref else None,
-            "state_sha256": state_ref["state_sha256"] if state_ref else None,
             "cli": self._cli,
         }
-        atomic_write_json(self.stream_dir / STREAM_MANIFEST_NAME, manifest)
 
     # -- reporting ------------------------------------------------------------
 
@@ -609,3 +502,8 @@ class StreamSession:
         """The merged state viewed as a batch-style run (for reports)."""
         return self.state.as_pipeline_run(self.world, self.config,
                                           self.telemetry)
+
+
+def _stream_store(stream_dir) -> SnapshotStore:
+    return SnapshotStore(stream_dir, STREAM_MANIFEST_NAME,
+                         STREAM_FORMAT_VERSION)

@@ -39,7 +39,7 @@ from repro.errors import (
 )
 from repro.exec import ExecutionPolicy
 from repro.exec.cache import EnrichmentCache, EntryKind
-from repro.faults import CrashPoint, FaultPlan, build_fault_plan
+from repro.faults import CrashPoint, ErrorRate, FaultPlan, build_fault_plan
 from repro.world.scenario import ScenarioConfig, build_world
 
 from tests.fingerprints import fingerprint_run
@@ -304,6 +304,22 @@ def test_resume_rejects_a_different_fault_plan(tmp_path):
     with pytest.raises(CheckpointMismatch, match="faults"):
         resume_pipeline(d, fault_plan=build_fault_plan("outage",
                                                        seed=_SMALL.seed))
+
+
+def test_resume_refuses_a_hand_built_plan_it_cannot_rebuild(tmp_path):
+    """A profile-less plan is not in the manifest's identity; the
+    resume must be handed the same plan, and is refused without it."""
+    plan = FaultPlan(seed=_SMALL.seed, rules=[ErrorRate("whois", 0.2)])
+    session = CheckpointSession.record(tmp_path / "ck")
+    with pytest.raises(SimulatedCrash):
+        run_pipeline(build_world(_SMALL),
+                     fault_plan=plan.extended(CrashPoint("whois", 2)),
+                     checkpoint=session)
+    with pytest.raises(CheckpointError, match="hand-built"):
+        resume_pipeline(tmp_path / "ck")
+    resumed = resume_pipeline(tmp_path / "ck", fault_plan=plan)
+    assert fingerprint_run(resumed) == fingerprint_run(
+        run_pipeline(build_world(_SMALL), fault_plan=plan))
 
 
 def test_resume_of_a_completed_run_is_idempotent(tmp_path):

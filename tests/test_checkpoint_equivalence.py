@@ -26,7 +26,7 @@ from repro.checkpoint import CheckpointSession, resume_pipeline
 from repro.core.pipeline import run_pipeline
 from repro.errors import SimulatedCrash
 from repro.exec import ExecutionPolicy
-from repro.faults import build_fault_plan
+from repro.faults import CrashPoint, build_fault_plan
 from repro.obs import Telemetry
 from repro.world.scenario import ScenarioConfig, build_world
 
@@ -180,3 +180,26 @@ def test_resumed_telemetry_reports_replays(tmp_path):
     assert snapshot["mode"] == "resume"
     assert snapshot["stages_restored"] == ["collection", "curation"]
     assert snapshot["lookups_replayed"] > 0
+
+
+def test_hostile_run_resumes_on_its_hostile_world(tmp_path):
+    """A ``--hostile poison`` run that crashes before the collection
+    barrier must resume on the poisoned world it started on: the
+    manifest's scenario carries every ScenarioConfig field, ``hostile``
+    included, so the resumed world is rebuilt with the same pack."""
+    scenario = ScenarioConfig(seed=7, n_campaigns=10, hostile="poison")
+    plan = build_fault_plan("none", seed=scenario.seed)
+    base = run_pipeline(build_world(scenario), fault_plan=plan)
+
+    session = CheckpointSession.record(tmp_path / "ck")
+    with pytest.raises(SimulatedCrash):
+        run_pipeline(build_world(scenario),
+                     fault_plan=plan.extended(CrashPoint("Reddit", 1)),
+                     checkpoint=session)
+    assert session.manifest["scenario"]["hostile"] == "poison"
+    resumed = resume_pipeline(tmp_path / "ck")
+
+    assert resumed.world.config == scenario
+    assert (len(resumed.collection.reports),
+            resumed.curation_stats.quarantined) == (1598, 43)
+    assert fingerprint_run(resumed) == fingerprint_run(base)

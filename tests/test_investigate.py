@@ -17,9 +17,11 @@ import datetime as dt
 import pytest
 
 from repro.analysis.malware import build_table19, family_distribution_table
+from repro.checkpoint import StateRegistry
 from repro.core.active import run_case_study
 from repro.core.pipeline import run_pipeline
 from repro.errors import CheckpointError, ConfigurationError
+from repro.exec import ExecutionPolicy
 from repro.investigate import (
     EvidencePackage,
     InvestigationSession,
@@ -318,6 +320,14 @@ class TestDurableSessions:
         assert resumed.session is not None
         assert resumed.session.resuming
 
+    def test_resume_takes_its_policy_from_the_manifest(self, tmp_path):
+        policy = ExecutionPolicy(workers=2, pool="thread")
+        resumed = run_killed_then_resumed(
+            tmp_path / "sess", kill_at=1, scenario=_fleet_scenario(),
+            sample=FLEET_SAMPLE, execution=policy,
+        )
+        assert resumed.session.policy == resumed.policy == policy
+
     def test_kill_that_never_fires_is_an_error(self, tmp_path):
         with pytest.raises(AssertionError):
             run_killed_then_resumed(
@@ -328,11 +338,12 @@ class TestDurableSessions:
     def test_create_refuses_existing_session(self, tmp_path):
         directory = tmp_path / "sess"
         InvestigationSession.create(
-            directory, scenario={}, playbook="full-funnel", sample=None)
+            directory, scenario=ScenarioConfig(), playbook="full-funnel",
+            sample=None)
         with pytest.raises(ConfigurationError):
             InvestigationSession.create(
-                directory, scenario={}, playbook="full-funnel",
-                sample=None)
+                directory, scenario=ScenarioConfig(),
+                playbook="full-funnel", sample=None)
 
     def test_load_requires_a_manifest(self, tmp_path):
         with pytest.raises(CheckpointError):
@@ -344,11 +355,11 @@ class TestDurableSessions:
 
     def test_restore_rejects_foreign_state(self, tmp_path):
         session = InvestigationSession.create(
-            tmp_path / "sess", scenario={}, playbook="full-funnel",
-            sample=None)
-        session._registry_state = {"meter:weird-service": {}}
+            tmp_path / "sess", scenario=ScenarioConfig(),
+            playbook="full-funnel", sample=None)
+        session.registry_state = {"meter:weird-service": {}}
         with pytest.raises(CheckpointError):
-            session.restore({})
+            session.restore(StateRegistry())
 
     def test_registry_keys_cover_both_shapes(self):
         plain = registry_keys(proxied=False)

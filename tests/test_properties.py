@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on core data structures & invariants."""
 
+import dataclasses
 import datetime as dt
+import json
 import pickle
 import random
 import re
@@ -13,14 +15,25 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.checkpoint.identity import (
+    faults_to_dict,
+    plan_from_dict,
+    policy_from_dict,
+    policy_to_dict,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 from repro.exec import (
+    POOL_KINDS,
     EnrichmentCache,
+    ExecutionPolicy,
     SerialPool,
     ThreadPool,
     canonical_merge,
     shard,
 )
-from repro.errors import ValidationError
+from repro.errors import CheckpointError, ValidationError
+from repro.faults import FAULT_PROFILES, CrashPoint, FaultPlan, build_fault_plan
 from repro.forums.base import ForumService, Post
 from repro.nlp import brands_ner
 from repro.nlp.brands_ner import BrandMatch, BrandRecognizer
@@ -66,8 +79,10 @@ from repro.stream import (
     content_hash,
 )
 from repro.types import Forum, ScamType
+from repro.world.adversarial import HOSTILE_PROFILES
 from repro.world.brands import Brand, BrandRegistry
 from repro.world.infrastructure import TlsCertificate
+from repro.world.scenario import ScenarioConfig
 from repro.utils.rng import WeightedSampler, partition_count, stable_hash
 from repro.utils.stats import cohens_kappa, ks_two_sample, median
 
@@ -1335,3 +1350,83 @@ class TestAsciiFastPathProperties:
     @given(st.one_of(ascii_texts, st.text(max_size=60)))
     def test_dominant_script_matches_vote(self, text):
         assert dominant_script(text) == _reference_dominant_script(text)
+
+
+class TestRunIdentityCodecProperties:
+    """Every durable manifest writes and reads its run identity through
+    one codec; a round trip through JSON must give back the same run."""
+
+    scenarios = st.builds(
+        ScenarioConfig,
+        seed=st.integers(min_value=0, max_value=2**31),
+        n_campaigns=st.integers(min_value=1, max_value=5000),
+        mean_campaign_volume=st.floats(min_value=0.5, max_value=500.0,
+                                       allow_nan=False),
+        timeline_start=st.dates(min_value=dt.date(2000, 1, 1),
+                                max_value=dt.date(2022, 12, 31)),
+        timeline_end=st.dates(min_value=dt.date(2023, 1, 1),
+                              max_value=dt.date(2040, 12, 31)),
+        include_sbi_burst=st.booleans(),
+        sbi_burst_volume=st.integers(min_value=0, max_value=10_000),
+        apk_campaign_fraction=st.floats(min_value=0.0, max_value=1.0),
+        androzoo_corpus_size=st.integers(min_value=0, max_value=100_000),
+        hostile=st.sampled_from(HOSTILE_PROFILES),
+    )
+
+    @staticmethod
+    def _json(payload):
+        return json.loads(json.dumps(payload, sort_keys=True))
+
+    @settings(max_examples=200)
+    @given(scenarios)
+    def test_scenario_round_trip_covers_every_field(self, scenario):
+        payload = scenario_to_dict(scenario)
+        assert set(payload) == {f.name for f in
+                                dataclasses.fields(ScenarioConfig)}
+        assert scenario_from_dict(payload) == scenario
+        assert scenario_from_dict(self._json(payload)) == scenario
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(FAULT_PROFILES),
+           st.integers(min_value=0, max_value=2**31),
+           st.booleans())
+    def test_faults_round_trip_every_profile(self, profile, seed, crashed):
+        plan = build_fault_plan(profile, seed=seed)
+        if crashed:  # crash points are never part of the identity
+            plan = plan.extended(CrashPoint("whois", 3))
+        payload = self._json(faults_to_dict(plan, rules=True))
+        rebuilt = plan_from_dict(payload)
+        assert (rebuilt.profile, rebuilt.seed) == (profile, seed)
+        assert payload["rules"] == plan.without_crash_points().describe()
+        assert faults_to_dict(rebuilt, rules=True) == payload
+
+    @given(st.integers(min_value=0, max_value=2**31))
+    def test_bare_crash_only_plan_encodes_as_no_plan(self, seed):
+        bare = FaultPlan(seed=seed).extended(CrashPoint("openai", 3))
+        assert faults_to_dict(bare, rules=True) == faults_to_dict(
+            None, rules=True)
+        assert plan_from_dict(faults_to_dict(bare)) is None
+
+    @given(st.sampled_from(POOL_KINDS), st.integers(min_value=1,
+                                                    max_value=64),
+           st.booleans(),
+           st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)))
+    def test_policy_round_trip_every_combination(self, pool, workers, cache,
+                                                 max_entries):
+        policy = ExecutionPolicy(workers=workers, cache=cache,
+                                 cache_max_entries=max_entries, pool=pool)
+        payload = policy_to_dict(policy)
+        assert set(payload) == {f.name for f in
+                                dataclasses.fields(ExecutionPolicy)}
+        assert policy_from_dict(self._json(payload)) == policy
+
+    def test_readers_refuse_what_they_cannot_rebuild(self):
+        payload = scenario_to_dict(ScenarioConfig())
+        for broken in ({k: v for k, v in payload.items() if k != "hostile"},
+                       {**payload, "seed": "seven"},
+                       {**payload, "shards": 4}):
+            with pytest.raises(CheckpointError):
+                scenario_from_dict(broken)
+        with pytest.raises(CheckpointError):
+            policy_from_dict({"workers": 2, "cache": True,
+                              "cache_max_entries": None})

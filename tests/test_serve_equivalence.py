@@ -102,6 +102,24 @@ class TestWorkerEquivalence:
         assert serve_fingerprint(resumed) == serve_fingerprint(
             baselines["flaky"])
 
+    def test_process_pool_survives_kill_resume(self, tmp_path):
+        """SERVE.json records the whole execution policy: a killed
+        process-pool service resumes on the process pool."""
+        from repro.exec import ExecutionPolicy
+
+        kwargs = dict(
+            scenario=ScenarioConfig(seed=7, n_campaigns=4),
+            load=LoadSpec(profile="steady", requests=60, reporters=10,
+                          seed=3),
+            config=ServeConfig(batch_size=8, commit_every=20),
+            execution=ExecutionPolicy(workers=2, pool="process"),
+        )
+        resumed = run_killed_then_resumed(tmp_path / "serve-proc",
+                                          kill_at=30, **kwargs)
+        assert resumed.policy.pool == "process"
+        assert serve_fingerprint(resumed) == serve_fingerprint(
+            run_to_completion(**kwargs))
+
 
 class TestShedAccounting:
     @pytest.mark.parametrize("faults", ["flaky", "outage"])

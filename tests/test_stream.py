@@ -33,6 +33,7 @@ from repro.stream import (
     plan_epochs,
 )
 from repro.stream.persist import (
+    SnapshotStore,
     atomic_write_json,
     atomic_write_pickle,
     read_json,
@@ -291,6 +292,31 @@ class TestPersist:
             read_pickle(path, expected_sha256=digest)
 
 
+    def test_snapshot_store_protocol(self, tmp_path):
+        store = SnapshotStore(tmp_path / "sess", "KIND.json", 2)
+        store.create({"kind": "x"}, resume_hint="resume it")
+        assert SnapshotStore(store.directory, "KIND.json", 2).load() == (
+            {"kind": "x", "version": 2, "state_file": None,
+             "state_sha256": None}, None)
+        with pytest.raises(ConfigurationError, match="resume it"):
+            SnapshotStore(store.directory, "KIND.json", 2).create(
+                {}, resume_hint="resume it")
+        store.commit({"k": [1, 2]}, {"kind": "y"})
+        manifest, payload = SnapshotStore(store.directory, "KIND.json",
+                                          2).load()
+        assert payload == {"k": [1, 2]}
+        assert manifest["state_sha256"] == store.state_sha256
+        # Another version (an older INVESTIGATE.json, say) is refused.
+        with pytest.raises(CheckpointError, match="version"):
+            SnapshotStore(store.directory, "KIND.json", 1).load()
+        with pytest.raises(CheckpointError, match="nothing to resume"):
+            SnapshotStore(tmp_path / "none", "KIND.json", 2).load()
+        state = store.directory / manifest["state_file"]
+        state.write_bytes(state.read_bytes() + b"tamper")
+        with pytest.raises(CheckpointError, match="digest"):
+            store.load()
+
+
 # ---------------------------------------------------------------------------
 # Durable session lifecycle
 
@@ -354,6 +380,31 @@ class TestDurableSession:
         _, _, state = durable
         in_memory = StreamSession.create(_SCENARIO, epochs=2).run()
         assert in_memory.fingerprint() == state.fingerprint()
+
+
+class TestDurablePolicy:
+    def test_process_pool_stream_resumes_mid_epoch(self, tmp_path):
+        """STREAM.json records the whole execution policy, pool
+        included, so the reloaded session matches its per-epoch
+        journal instead of being refused as a different run. (The
+        crash point grafted onto this plan-less stream leaves a bare
+        plan, which encodes as no plan, so the faults match too.)"""
+        from repro.errors import SimulatedCrash
+        from repro.exec import ExecutionPolicy
+
+        policy = ExecutionPolicy(workers=2, pool="process")
+        clean = StreamSession.create(_SCENARIO, epochs=2,
+                                     execution=policy).run()
+        stream_dir = tmp_path / "run"
+        crashed = StreamSession.create(
+            _SCENARIO, epochs=2, execution=policy,
+            stream_dir=str(stream_dir), crash_at=("openai", 3))
+        with pytest.raises(SimulatedCrash):
+            crashed.run()
+        resumed = StreamSession.load(str(stream_dir))
+        state = resumed.run()
+        assert resumed.policy == policy
+        assert state.fingerprint() == clean.fingerprint()
 
 
 class TestIngest:
