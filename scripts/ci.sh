@@ -31,7 +31,9 @@
 # watch smoke test runs a 2-epoch incremental ingest (`repro watch`) on
 # a 2-worker process pool, crashes a second copy mid-epoch-2, resumes it
 # from its stream directory, and compares the stream fingerprints —
-# crash/resume must not change what was ingested.
+# crash/resume must not change what was ingested. The GC smoke test runs
+# one report normally and once with the collector disabled for the whole
+# process, and diffs the two byte for byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -449,5 +451,23 @@ if [ "$invest_floor_rc" -ne 1 ]; then
   exit 1
 fi
 echo "investigate ok: pool matrix + kill-and-resume fingerprints match, perf floor enforced"
+
+echo "== GC smoke test (collector disabled for the whole process) =="
+# The engine freezes the heap for a run; the collector must never change
+# an output, so a run with it off from the first import must print the
+# same report byte for byte.
+gc_on_report="$(mktemp -t repro-gc-on-XXXXXX.txt)"
+gc_off_report="$(mktemp -t repro-gc-off-XXXXXX.txt)"
+trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf" "$gc_on_report" "$gc_off_report"' EXIT
+gc_args=(--seed 7 --campaigns 40 --faults flaky --quiet report)
+python -m repro "${gc_args[@]}" > "$gc_on_report"
+python -c "import gc, sys; gc.disable(); from repro.cli import main; sys.exit(main(sys.argv[1:]))" \
+  "${gc_args[@]}" > "$gc_off_report"
+if ! diff -q "$gc_on_report" "$gc_off_report" > /dev/null; then
+  echo "gc FAILED: report with the collector disabled differs from the normal run" >&2
+  diff "$gc_on_report" "$gc_off_report" | head -20 >&2
+  exit 1
+fi
+echo "gc ok: report byte-identical with the collector disabled"
 
 echo "ci ok"

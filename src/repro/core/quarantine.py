@@ -215,10 +215,8 @@ class Sanitizer:
         known before the first per-record screen."""
         author_counts: Dict[Tuple[str, str], int] = {}
         text_counts: Dict[str, int] = {}
-        keys: List[Tuple[RawReport, str]] = []
         for report in reports:
             key = self._text_key(report)
-            keys.append((report, key))
             if not key:
                 continue
             author_counts[(report.author, key)] = (

@@ -50,10 +50,40 @@ from the restored dataset), while the serial effects replay is the only
 place state mutates between barriers — which is why journaling one
 record per guarded lookup, with a changed-state delta, reconstructs a
 crashed run bit-for-bit under any worker count.
+
+The frozen heap
+===============
+
+A run's world is built before the engine is entered and stays alive
+through the whole run: about 310,000 GC-tracked objects at 480
+campaigns, none of them garbage (a clean run creates no cyclic garbage;
+``gc.collect()`` after a 480-campaign run finds 0 unreachable objects),
+yet every full collection walked them all. So the ``with`` block calls
+``gc.freeze()`` on entry, moving everything alive into the permanent
+generation, and ``gc.unfreeze()`` on exit; the collector walks only
+what the run allocates (GC per 480-campaign job with its report fell
+from 0.57–1.22 s to 0.14–0.42 s on a 2-CPU host). The block that froze
+is the one that thaws, after its pools close, on any exit,
+:class:`~repro.errors.SimulatedCrash` included; a block entered while
+anything is frozen does nothing, so a caller's or an outer run's frozen
+objects stay frozen, and a test session's worlds become collectable
+again after each run. The collector is frozen out, not disabled:
+disabling it would leave any cycle a later change creates uncollected
+until the run ends, for the intake service its whole life. Nothing in
+``src/`` can observe a collection: no weak references, no finalizers,
+no ``gc`` call outside this module (``tests/test_gc_freeze.py``).
+Rejected: ``__slots__`` on the record types (Python 3.9 has no
+``dataclass(slots=True)``, hand-written slots collide with field
+defaults, a frozen slotted dataclass fails to unpickle, and with the
+world frozen slots would only save memory); pausing the collector in
+``build_world`` (0.21–0.61 s of GC per build, but that is set-up time,
+outside the engine); re-freezing at the stage barriers (0.07–0.09 s per
+world, not worth an API).
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -113,7 +143,8 @@ SEQUENTIAL = ExecutionPolicy(workers=1, cache=False)
 
 
 class ExecutionEngine:
-    """Builds and owns the pools + cache for one pipeline run."""
+    """Builds and owns the pools + cache for one pipeline run, and
+    freezes the heap while the run is inside its ``with`` block."""
 
     def __init__(self, policy: Optional[ExecutionPolicy] = None):
         self.policy = policy or ExecutionPolicy()
@@ -121,6 +152,9 @@ class ExecutionEngine:
         #: Task accounting of pools already closed — :meth:`stats` keeps
         #: reporting them after the engine context exits.
         self._retired_stats: List[Dict[str, Any]] = []
+        #: Whether this engine's ``with`` block froze the heap, and so
+        #: owns the unfreeze (see the module docstring).
+        self._froze = False
 
     # -- resources ------------------------------------------------------------
 
@@ -184,10 +218,17 @@ class ExecutionEngine:
         self._pools.clear()
 
     def __enter__(self) -> "ExecutionEngine":
+        self._froze = gc.get_freeze_count() == 0
+        if self._froze:
+            gc.freeze()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
+        try:
+            self.close()
+        finally:
+            if self._froze:
+                gc.unfreeze()
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
