@@ -2,8 +2,8 @@
 # CI gate: tier-1 tests, the benchmark's own tests (bench/), a check that
 # every bench hook target exists, a coverage gate, an observability smoke
 # test, a chaos smoke test, a parallel-execution smoke test, a process-pool
-# smoke test (a `--pool process --workers 4 --columnar` report diffed
-# byte-for-byte against the serial run), a crash-resume smoke test, a
+# smoke test (a `--pool process --workers 4` report diffed byte-for-byte
+# against the serial run), a crash-resume smoke test, a
 # Chrome trace-export smoke test, a perf-gate smoke test (which
 # also enforces the records/second floor), a hostile-input smoke
 # test (a `--hostile poison` run must quarantine with exact three-bucket
@@ -37,6 +37,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# Every smoke leg writes under one scratch directory, removed on exit.
+work="$(mktemp -d -t repro-ci-XXXXXX)"
+trap 'rm -rf "$work"' EXIT
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
@@ -65,8 +68,7 @@ echo "== coverage gate =="
 python scripts/coverage_gate.py
 
 echo "== observability smoke test =="
-trace="$(mktemp -t repro-trace-XXXXXX.json)"
-trap 'rm -f "$trace"' EXIT
+trace="$work/trace.json"
 python -m repro stats --seed 7 --quiet --trace-out "$trace" > /dev/null
 python - "$trace" <<'PY'
 import json, sys
@@ -88,8 +90,7 @@ print(f"smoke ok: {len(trace['spans'])} spans, "
 PY
 
 echo "== chaos smoke test (flaky fault profile) =="
-chaos_out="$(mktemp -t repro-chaos-XXXXXX.txt)"
-trap 'rm -f "$trace" "$chaos_out"' EXIT
+chaos_out="$work/chaos.txt"
 python -m repro stats --seed 7 --quiet --faults flaky > "$chaos_out"
 python - "$chaos_out" <<'PY'
 import re, sys
@@ -106,8 +107,7 @@ print(f"chaos ok: {header.group(1)} gaps under the flaky profile")
 PY
 
 echo "== parallel smoke test (--workers 4) =="
-par_out="$(mktemp -t repro-par-XXXXXX.txt)"
-trap 'rm -f "$trace" "$chaos_out" "$par_out"' EXIT
+par_out="$work/par.txt"
 python -m repro stats --seed 7 --quiet --workers 4 > "$par_out"
 python - "$par_out" <<'PY'
 import re, sys
@@ -123,26 +123,23 @@ assert hits > 0, "parallel run recorded zero cache hits"
 print(f"parallel ok: workers=4 run exited 0 with {hits} cache hits")
 PY
 
-echo "== process-pool smoke test (--pool process --workers 4 --columnar) =="
-proc_report="$(mktemp -t repro-proc-XXXXXX.txt)"
-serial_report="$(mktemp -t repro-serial-XXXXXX.txt)"
-trap 'rm -f "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report"' EXIT
+echo "== process-pool smoke test (--pool process --workers 4) =="
+proc_report="$work/proc.txt"
+serial_report="$work/serial.txt"
 python -m repro --seed 7 --campaigns 20 --quiet --workers 4 \
-  --pool process --columnar report > "$proc_report"
+  --pool process report > "$proc_report"
 python -m repro --seed 7 --campaigns 20 --quiet report > "$serial_report"
 if ! diff -q "$proc_report" "$serial_report" > /dev/null; then
-  echo "process-pool FAILED: --pool process --columnar report differs from serial run" >&2
+  echo "process-pool FAILED: --pool process report differs from serial run" >&2
   diff "$proc_report" "$serial_report" | head -20 >&2
   exit 1
 fi
-echo "process-pool ok: 4-worker columnar report byte-identical to serial run"
+echo "process-pool ok: 4-worker process-pool report byte-identical to serial run"
 
 echo "== crash-resume smoke test (checkpoint journal) =="
-ck_dir="$(mktemp -d -t repro-ck-XXXXXX)"
-resumed_out="$(mktemp -t repro-resumed-XXXXXX.txt)"
-full_out="$(mktemp -t repro-full-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out"' EXIT
-rmdir "$ck_dir"   # the CLI wants to create it empty itself
+ck_dir="$work/ck"
+resumed_out="$work/resumed.txt"
+full_out="$work/full.txt"
 crash_rc=0
 python -m repro --seed 7 --campaigns 40 --quiet --faults flaky \
   --checkpoint-dir "$ck_dir" --crash-at whois:5 report \
@@ -161,8 +158,8 @@ fi
 echo "crash-resume ok: resumed report byte-identical to uninterrupted run"
 # Hostile leg: a crash before the collection barrier must resume on the
 # poisoned world the manifest names, not on a clean one.
-ck_hostile="$(mktemp -d -t repro-ck-hostile-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile"' EXIT
+ck_hostile="$work/ck-hostile"
+mkdir "$ck_hostile"
 crash_rc=0
 python -m repro --seed 7 --campaigns 10 --quiet --hostile poison \
   --checkpoint-dir "$ck_hostile/ck" --crash-at Reddit:1 report \
@@ -183,12 +180,10 @@ fi
 echo "crash-resume ok: resumed --hostile poison report byte-identical to uninterrupted run"
 
 echo "== watch smoke test (incremental ingestion) =="
-clean_dir="$(mktemp -d -t repro-stream-clean-XXXXXX)"
-crash_dir="$(mktemp -d -t repro-stream-crash-XXXXXX)"
-watch_out="$(mktemp -t repro-watch-XXXXXX.txt)"
-resume_stream_out="$(mktemp -t repro-watch-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out"' EXIT
-rmdir "$clean_dir" "$crash_dir"   # the CLI wants to create them itself
+clean_dir="$work/stream-clean"
+crash_dir="$work/stream-crash"
+watch_out="$work/watch.txt"
+resume_stream_out="$work/watch-resumed.txt"
 watch_pool=(--workers 2 --pool process)
 python -m repro --seed 7 --campaigns 40 --quiet "${watch_pool[@]}" \
   watch --epochs 2 --stream-dir "$clean_dir" > "$watch_out"
@@ -216,11 +211,9 @@ fi
 echo "watch ok: process-pool crash/resume stream fingerprint matches the clean 2-epoch run"
 
 echo "== serve smoke test (burst load + kill-and-resume) =="
-serve_out="$(mktemp -t repro-serve-XXXXXX.txt)"
-serve_dir="$(mktemp -d -t repro-serve-dir-XXXXXX)"
-serve_resumed_out="$(mktemp -t repro-serve-resumed-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out"' EXIT
-rmdir "$serve_dir"   # the CLI wants to create it itself
+serve_out="$work/serve.txt"
+serve_dir="$work/serve-dir"
+serve_resumed_out="$work/serve-resumed.txt"
 serve_args=(--seed 7 --campaigns 20 --quiet serve --load-profile burst
   --requests 10000 --reporters 2000 --queue-capacity 40)
 python -m repro "${serve_args[@]}" > "$serve_out"
@@ -269,8 +262,7 @@ fi
 echo "serve ok: kill-and-resume fingerprint matches the uninterrupted run"
 
 echo "== trace-export smoke test (--trace-format chrome) =="
-chrome_trace="$(mktemp -t repro-chrome-XXXXXX.json)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace"' EXIT
+chrome_trace="$work/chrome.json"
 python -m repro stats --seed 7 --quiet \
   --trace-out "$chrome_trace" --trace-format chrome > /dev/null
 python - "$chrome_trace" <<'PY'
@@ -293,8 +285,8 @@ print(f"trace-export ok: {len(spans)} chrome events, fields validated")
 PY
 
 echo "== perf-gate smoke test (baseline pin + tampered baseline) =="
-perf_dir="$(mktemp -d -t repro-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir"' EXIT
+perf_dir="$work/perf"
+mkdir "$perf_dir"
 python -m repro stats --seed 7 --quiet --history-dir "$perf_dir" > /dev/null
 python scripts/perf_gate.py --history-dir "$perf_dir" \
   --baseline "$perf_dir/BASELINE.json" --update-baseline > /dev/null
@@ -332,9 +324,8 @@ fi
 echo "perf-gate ok: clean baseline passes, records/sec floor enforced, tampered baseline fails"
 
 echo "== hostile-input smoke test (--hostile poison quarantine) =="
-hostile_out="$(mktemp -t repro-hostile-XXXXXX.txt)"
-hostile_clean_out="$(mktemp -t repro-hostile-clean-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out"' EXIT
+hostile_out="$work/hostile.txt"
+hostile_clean_out="$work/hostile-clean.txt"
 python -m repro --seed 7 --campaigns 10 --quiet --hostile poison stats \
   > "$hostile_out"
 python -m repro --seed 7 --campaigns 10 --quiet stats > "$hostile_clean_out"
@@ -375,13 +366,12 @@ print(f"hostile accounting ok: {s.reports_curated} + {s.quarantined} + "
       f"{s.reports_dropped} == {s.reports_in}")
 PY
 echo "== investigate smoke test (fleet fingerprint + kill-and-resume) =="
-invest_out="$(mktemp -t repro-invest-XXXXXX.txt)"
-invest_proc_out="$(mktemp -t repro-invest-proc-XXXXXX.txt)"
-invest_resumed_out="$(mktemp -t repro-invest-resumed-XXXXXX.txt)"
-invest_dir="$(mktemp -d -t repro-invest-dir-XXXXXX)"
-invest_perf="$(mktemp -d -t repro-invest-perf-XXXXXX)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf"' EXIT
-rmdir "$invest_dir"   # the CLI wants to create it itself
+invest_out="$work/invest.txt"
+invest_proc_out="$work/invest-proc.txt"
+invest_resumed_out="$work/invest-resumed.txt"
+invest_dir="$work/invest-dir"
+invest_perf="$work/invest-perf"
+mkdir "$invest_perf"
 invest_root=(--seed 7 --campaigns 30 --quiet)
 invest_sub=(investigate --playbook full-funnel --sample 120)
 python -m repro "${invest_root[@]}" --history-dir "$invest_perf" \
@@ -456,9 +446,8 @@ echo "== GC smoke test (collector disabled for the whole process) =="
 # The engine freezes the heap for a run; the collector must never change
 # an output, so a run with it off from the first import must print the
 # same report byte for byte.
-gc_on_report="$(mktemp -t repro-gc-on-XXXXXX.txt)"
-gc_off_report="$(mktemp -t repro-gc-off-XXXXXX.txt)"
-trap 'rm -rf "$trace" "$chaos_out" "$par_out" "$proc_report" "$serial_report" "$ck_dir" "$resumed_out" "$full_out" "$ck_hostile" "$clean_dir" "$crash_dir" "$watch_out" "$resume_stream_out" "$serve_out" "$serve_dir" "$serve_resumed_out" "$chrome_trace" "$perf_dir" "$hostile_out" "$hostile_clean_out" "$invest_out" "$invest_proc_out" "$invest_resumed_out" "$invest_dir" "$invest_perf" "$gc_on_report" "$gc_off_report"' EXIT
+gc_on_report="$work/gc-on.txt"
+gc_off_report="$work/gc-off.txt"
 gc_args=(--seed 7 --campaigns 40 --faults flaky --quiet report)
 python -m repro "${gc_args[@]}" > "$gc_on_report"
 python -c "import gc, sys; gc.disable(); from repro.cli import main; sys.exit(main(sys.argv[1:]))" \

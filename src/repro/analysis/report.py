@@ -69,20 +69,9 @@ def generate_paper_report(
     include_case_study: bool = True,
     include_evaluation: bool = True,
     case_study_posts: int = 200,
-    columnar: bool = False,
 ) -> PaperReport:
-    """Build every table and figure from one pipeline run.
-
-    ``columnar=True`` transposes the labelled dataset into a
-    :class:`~repro.analysis.columnar.ColumnarDataset` once and drives
-    the strategy tables (10-13) off its parallel arrays — byte-identical
-    output, one pass instead of five.
-    """
+    """Build every table and figure from one pipeline run."""
     enriched = run.enriched
-    columns = None
-    if columnar:
-        from .columnar import ColumnarDataset
-        columns = ColumnarDataset.from_enriched(enriched)
     report = PaperReport()
     report.tables["table1"] = build_table1(run.collection, run.dataset)
     report.tables["table3"] = build_table3(enriched)
@@ -92,10 +81,10 @@ def generate_paper_report(
     report.tables["table7"] = build_table7(enriched)
     report.tables["table8"] = build_table8(enriched)
     report.tables["table9"] = build_table9(enriched)
-    report.tables["table10"] = build_table10(enriched, columns=columns)
-    report.tables["table11"] = build_table11(enriched, columns=columns)
-    report.tables["table12"] = build_table12(enriched, columns=columns)
-    report.tables["table13"] = build_table13(enriched, columns=columns)
+    report.tables["table10"] = build_table10(enriched)
+    report.tables["table11"] = build_table11(enriched)
+    report.tables["table12"] = build_table12(enriched)
+    report.tables["table13"] = build_table13(enriched)
     report.tables["table14"] = build_table14(enriched)
     report.tables["table15"] = build_table15(run.collection)
     report.tables["table16"] = build_table16(enriched)

@@ -1,26 +1,14 @@
-"""Scammer-strategy analyses: Tables 10-13 and Figure 2 (§5).
-
-Every label-counting function here takes an optional ``columns=``
-argument — a :class:`~repro.analysis.columnar.ColumnarDataset` — and,
-when given one, counts off its parallel arrays instead of re-walking the
-row-oriented dataset. The two paths share the counting structure (same
-visit order, same objects), so the rendered tables are byte-identical;
-the columnar path simply avoids five full dataset passes' worth of
-per-record dict probes.
-"""
+"""Scammer-strategy analyses: Tables 10-13 and Figure 2 (§5)."""
 
 from __future__ import annotations
 
 import datetime as dt
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.dataset import SmishingRecord
 from ..core.enrichment import EnrichedDataset
-
-if TYPE_CHECKING:  # import cycle guard: columnar imports enrichment too
-    from .columnar import ColumnarDataset
 from ..types import LurePrinciple, ScamType
 from ..utils.stats import (
     KsResult,
@@ -156,12 +144,7 @@ def build_figure2_table(enriched: EnrichedDataset) -> Table:
 # Table 10: scam categories; Table 11: languages; Table 12: brands.
 # ---------------------------------------------------------------------------
 
-def scam_category_counts(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Counter:
-    if columns is not None:
-        return Counter(columns.scam_types)
+def scam_category_counts(enriched: EnrichedDataset) -> Counter:
     counts: Counter = Counter()
     for record in enriched.dataset:
         labels = enriched.labels_for(record)
@@ -171,17 +154,9 @@ def scam_category_counts(
 
 
 def scam_language_top(
-    enriched: EnrichedDataset, scam_type: ScamType, top: int = 4, *,
-    columns: Optional["ColumnarDataset"] = None,
+    enriched: EnrichedDataset, scam_type: ScamType, top: int = 4,
 ) -> List[str]:
-    if columns is not None:
-        counts = Counter(
-            language for st, language
-            in zip(columns.scam_types, columns.languages)
-            if st is scam_type
-        )
-        return [code for code, _ in counts.most_common(top)]
-    counts = Counter()
+    counts: Counter = Counter()
     for record in enriched.dataset:
         labels = enriched.labels_for(record)
         if labels is not None and labels.scam_type is scam_type:
@@ -196,12 +171,9 @@ _TABLE10_ORDER = (
 )
 
 
-def build_table10(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Table:
+def build_table10(enriched: EnrichedDataset) -> Table:
     """Table 10: scam-category distribution with top languages."""
-    counts = scam_category_counts(enriched, columns=columns)
+    counts = scam_category_counts(enriched)
     total = sum(counts.values()) or 1
     table = Table(
         title=f"Table 10: Scam categories (n={total:,})",
@@ -211,18 +183,12 @@ def build_table10(
         table.add_row(
             scam_type.value,
             format_count_pct(counts.get(scam_type, 0), total),
-            ", ".join(scam_language_top(enriched, scam_type,
-                                        columns=columns)),
+            ", ".join(scam_language_top(enriched, scam_type)),
         )
     return table
 
 
-def language_counts(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Counter:
-    if columns is not None:
-        return Counter(columns.languages)
+def language_counts(enriched: EnrichedDataset) -> Counter:
     counts: Counter = Counter()
     for record in enriched.dataset:
         labels = enriched.labels_for(record)
@@ -236,11 +202,10 @@ def build_table11(
     *,
     top: int = 10,
     languages: Optional[LanguageRegistry] = None,
-    columns: Optional["ColumnarDataset"] = None,
 ) -> Table:
     """Table 11: dataset languages vs the world's most-spoken languages."""
     languages = languages or default_languages()
-    counts = language_counts(enriched, columns=columns)
+    counts = language_counts(enriched)
     total = sum(counts.values()) or 1
     most_spoken = languages.most_spoken(top)
     table = Table(
@@ -262,12 +227,7 @@ def build_table11(
     return table
 
 
-def brand_counts(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Counter:
-    if columns is not None:
-        return Counter(brand for brand in columns.brands if brand)
+def brand_counts(enriched: EnrichedDataset) -> Counter:
     counts: Counter = Counter()
     for record in enriched.dataset:
         labels = enriched.labels_for(record)
@@ -276,27 +236,18 @@ def brand_counts(
     return counts
 
 
-def build_table12(
-    enriched: EnrichedDataset, top: int = 10, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Table:
+def build_table12(enriched: EnrichedDataset, top: int = 10) -> Table:
     """Table 12: most-impersonated brands."""
-    counts = brand_counts(enriched, columns=columns)
+    counts = brand_counts(enriched)
     scam_by_brand: Dict[str, Counter] = defaultdict(Counter)
-    if columns is not None:
-        total = len(columns) or 1
-        for brand, scam_type in zip(columns.brands, columns.scam_types):
-            if brand:
-                scam_by_brand[brand][scam_type] += 1
-    else:
-        total = len([
-            r for r in enriched.dataset
-            if enriched.labels_for(r) is not None
-        ]) or 1
-        for record in enriched.dataset:
-            labels = enriched.labels_for(record)
-            if labels is not None and labels.brand:
-                scam_by_brand[labels.brand][labels.scam_type] += 1
+    total = len([
+        r for r in enriched.dataset
+        if enriched.labels_for(r) is not None
+    ]) or 1
+    for record in enriched.dataset:
+        labels = enriched.labels_for(record)
+        if labels is not None and labels.brand:
+            scam_by_brand[labels.brand][labels.scam_type] += 1
     table = Table(
         title=f"Table 12: Top brands impersonated (n={total:,})",
         columns=["Brand Name", "Category", "Messages"],
@@ -313,25 +264,18 @@ def build_table12(
 
 def lure_scam_matrix(
     enriched: EnrichedDataset, *, presence_threshold: float = 0.10,
-    columns: Optional["ColumnarDataset"] = None,
 ) -> Dict[LurePrinciple, Dict[ScamType, bool]]:
     """Which lures each scam type uses in ≥ ``presence_threshold`` of
     its messages — the checkmark matrix of Table 13."""
     lure_counts: Dict[ScamType, Counter] = defaultdict(Counter)
     scam_totals: Counter = Counter()
-    if columns is not None:
-        for scam_type, lures in zip(columns.scam_types, columns.lure_sets):
-            scam_totals[scam_type] += 1
-            for lure in lures:
-                lure_counts[scam_type][lure] += 1
-    else:
-        for record in enriched.dataset:
-            labels = enriched.labels_for(record)
-            if labels is None:
-                continue
-            scam_totals[labels.scam_type] += 1
-            for lure in labels.lures:
-                lure_counts[labels.scam_type][lure] += 1
+    for record in enriched.dataset:
+        labels = enriched.labels_for(record)
+        if labels is None:
+            continue
+        scam_totals[labels.scam_type] += 1
+        for lure in labels.lures:
+            lure_counts[labels.scam_type][lure] += 1
     matrix: Dict[LurePrinciple, Dict[ScamType, bool]] = {}
     scam_columns = (
         ScamType.BANKING, ScamType.DELIVERY, ScamType.GOVERNMENT,
@@ -347,17 +291,9 @@ def lure_scam_matrix(
     return matrix
 
 
-def lure_usage_counts(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Counter:
+def lure_usage_counts(enriched: EnrichedDataset) -> Counter:
     """Messages using each lure at least once (§5.5 prose numbers)."""
     counts: Counter = Counter()
-    if columns is not None:
-        for lures in columns.lure_sets:
-            for lure in lures:
-                counts[lure] += 1
-        return counts
     for record in enriched.dataset:
         labels = enriched.labels_for(record)
         if labels is None:
@@ -367,12 +303,9 @@ def lure_usage_counts(
     return counts
 
 
-def build_table13(
-    enriched: EnrichedDataset, *,
-    columns: Optional["ColumnarDataset"] = None,
-) -> Table:
+def build_table13(enriched: EnrichedDataset) -> Table:
     """Table 13: lure principles by scam category (checkmark matrix)."""
-    matrix = lure_scam_matrix(enriched, columns=columns)
+    matrix = lure_scam_matrix(enriched)
     scam_columns = (
         ScamType.BANKING, ScamType.DELIVERY, ScamType.GOVERNMENT,
         ScamType.TELECOM, ScamType.WRONG_NUMBER, ScamType.HEY_MUM_DAD,

@@ -33,9 +33,14 @@ Every command accepts ``--trace-out PATH`` to dump the run's full trace
 and metrics as JSON (``--trace-format chrome`` writes Chrome
 trace-event JSON instead, openable in Perfetto), and emits stage-level
 progress lines on stderr (suppress with ``--quiet``) so long runs are
-not mute. Pass ``--checkpoint-dir DIR`` to journal the run for crash
-recovery (and ``--crash-at SERVICE:INDEX`` to inject a hard crash for
-testing it).
+not mute. The batch commands take ``--checkpoint-dir DIR`` to journal
+the run for crash recovery (and ``--crash-at SERVICE:INDEX`` to inject
+a hard crash for testing it).
+
+Options several commands share are declared once, in
+:data:`SHARED_OPTIONS`, with the commands that read them. They parse
+alike before and after the command; one given to a command that does
+not read it is refused instead of silently dropped.
 
 The performance observatory rides on two more flags: ``--profile``
 adds function-level profiling (cProfile + tracemalloc, observation
@@ -53,7 +58,7 @@ import hashlib
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .analysis.campaign_mining import (
     campaign_summary_table,
@@ -66,6 +71,7 @@ from .checkpoint import (
     MANIFEST_NAME,
     CheckpointSession,
     RunJournal,
+    code_fingerprint,
     resume_pipeline,
 )
 from .checkpoint.identity import policy_from_dict
@@ -123,8 +129,8 @@ def _parse_crash_at(spec: str) -> Tuple[str, int]:
     return service, at_call
 
 
-def _manifest_argv(args: argparse.Namespace) -> List[str]:
-    """The argv `repro resume` replays to rebuild this exact command."""
+def _run_argv(args: argparse.Namespace) -> List[str]:
+    """The world and policy options every recorded argv starts with."""
     argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
             "--faults", args.faults, "--workers", str(args.workers),
             "--pool", args.pool]
@@ -132,13 +138,17 @@ def _manifest_argv(args: argparse.Namespace) -> List[str]:
         argv += ["--hostile", args.hostile]
     if args.no_cache:
         argv.append("--no-cache")
-    if getattr(args, "columnar", False):
-        argv.append("--columnar")
+    return argv
+
+
+def _manifest_argv(args: argparse.Namespace) -> List[str]:
+    """The argv `repro resume` replays to rebuild this exact command."""
+    argv = _run_argv(args)
     if args.quiet:
         argv.append("--quiet")
-    if getattr(args, "profile", False):
+    if args.profile:
         argv.append("--profile")
-    if getattr(args, "history_dir", None) is not None:
+    if args.history_dir is not None:
         argv += ["--history-dir", str(args.history_dir)]
     argv.append(args.command)
     if args.command in ("release", "figures"):
@@ -183,7 +193,7 @@ def _build_run(args: argparse.Namespace) -> PipelineRun:
                             fault_plan=fault_plan,
                             execution=execution, checkpoint=checkpoint)
 
-    if not getattr(args, "profile", False):
+    if not args.profile:
         return _execute()
     profiler = FunctionProfiler()
     with profiler:
@@ -196,7 +206,7 @@ def _profiled_session_run(args: argparse.Namespace,
                           session: StreamSession,
                           action) -> None:
     """Run one stream action, function-profiled when ``--profile``."""
-    if not getattr(args, "profile", False):
+    if not args.profile:
         action()
         return
     profiler = FunctionProfiler()
@@ -217,8 +227,6 @@ def _run_config(args: argparse.Namespace) -> dict:
     }
     if args.hostile != "none":
         config["hostile"] = args.hostile
-    if getattr(args, "columnar", False):
-        config["columnar"] = True
     epochs = getattr(args, "epochs", None)
     if epochs is not None:
         config["epochs"] = epochs
@@ -242,14 +250,14 @@ def _run_config(args: argparse.Namespace) -> dict:
 def _append_history(args: argparse.Namespace, *, telemetry,
                     counts: dict) -> None:
     """Record the finished run in ``--history-dir``/RUNS.jsonl."""
-    history_dir = getattr(args, "history_dir", None)
+    history_dir = args.history_dir
     if history_dir is None:
         return
     record = build_run_record(command=args.command,
                               config=_run_config(args),
                               telemetry=telemetry, counts=counts)
     stored = RunHistory(history_dir).append(record)
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(f"history: recorded run {stored['sequence']} in "
               f"{Path(history_dir) / 'RUNS.jsonl'}", file=sys.stderr)
 
@@ -259,10 +267,10 @@ def _dump_trace(args: argparse.Namespace, telemetry) -> int:
 
     Returns the command exit code: 0 normally, 1 when the dump path is
     unwritable (the run itself already succeeded, so fail cleanly)."""
-    trace_out = getattr(args, "trace_out", None)
+    trace_out = args.trace_out
     if trace_out is None:
         return 0
-    trace_format = getattr(args, "trace_format", "json")
+    trace_format = args.trace_format
     try:
         if trace_format == "chrome":
             telemetry.write_chrome_trace(trace_out)
@@ -297,7 +305,7 @@ def _write_trace(args: argparse.Namespace, run: PipelineRun) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     run = _build_run(args)
-    report = generate_paper_report(run, columnar=args.columnar)
+    report = generate_paper_report(run)
     print(report.render())
     return _write_trace(args, run)
 
@@ -338,7 +346,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if getattr(args, "history", False):
+    if args.history:
         records = RunHistory(args.history_dir).load()
         if not records:
             print(f"no run history in "
@@ -346,8 +354,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             return 0
         print(render_history(records))
         return 0
-    if (getattr(args, "epochs", None) is not None
-            or getattr(args, "epoch_hours", None) is not None):
+    if args.epochs is not None or args.epoch_hours is not None:
         session = _build_stream_session(args, stream_dir=None)
         _profiled_session_run(args, session, session.run)
         run = session.as_pipeline_run()
@@ -386,23 +393,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _stream_argv(args: argparse.Namespace) -> List[str]:
     """Provenance argv recorded in STREAM.json (resume rebuilds the
     session from the manifest itself, not from this)."""
-    argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
-    if args.hostile != "none":
-        argv += ["--hostile", args.hostile]
-    if args.no_cache:
-        argv.append("--no-cache")
-    argv.append(args.command)
-    if getattr(args, "epochs", None) is not None:
+    argv = _run_argv(args) + [args.command]
+    if args.epochs is not None:
         argv += ["--epochs", str(args.epochs)]
-    if getattr(args, "epoch_hours", None) is not None:
+    if args.epoch_hours is not None:
         argv += ["--epoch-hours", str(args.epoch_hours)]
     if getattr(args, "stream_dir", None) is not None:
         argv += ["--stream-dir", str(args.stream_dir)]
-    if getattr(args, "profile", False):
+    if args.profile:
         argv.append("--profile")
-    if getattr(args, "history_dir", None) is not None:
+    if args.history_dir is not None:
         argv += ["--history-dir", str(args.history_dir)]
     return argv
 
@@ -416,9 +416,8 @@ def _telemetry_factory(args: argparse.Namespace):
 def _build_stream_session(args: argparse.Namespace,
                           stream_dir: Optional[Path]) -> StreamSession:
     crash = (_parse_crash_at(args.crash_at)
-             if getattr(args, "crash_at", None) is not None else None)
-    epochs = getattr(args, "epochs", None)
-    epoch_hours = getattr(args, "epoch_hours", None)
+             if args.crash_at is not None else None)
+    epochs, epoch_hours = args.epochs, args.epoch_hours
     if epochs is None and epoch_hours is None:
         epochs = 4
     return StreamSession.create(
@@ -498,31 +497,25 @@ def _cmd_stream_resume(args: argparse.Namespace) -> int:
 def _serve_argv(args: argparse.Namespace) -> List[str]:
     """Provenance argv recorded in SERVE.json (resume rebuilds the
     service from the manifest itself, not from this)."""
-    argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
-    if args.hostile != "none":
-        argv += ["--hostile", args.hostile]
-    if args.no_cache:
-        argv.append("--no-cache")
-    argv += ["serve", "--load-profile", args.load_profile,
-             "--requests", str(args.requests),
-             "--reporters", str(args.reporters),
-             "--queue-capacity", str(args.queue_capacity),
-             "--batch-size", str(args.batch_size),
-             "--drain-interval", str(args.drain_interval),
-             "--commit-every", str(args.commit_every)]
-    if getattr(args, "serve_dir", None) is not None:
+    argv = _run_argv(args) + [
+        "serve", "--load-profile", args.load_profile,
+        "--requests", str(args.requests),
+        "--reporters", str(args.reporters),
+        "--queue-capacity", str(args.queue_capacity),
+        "--batch-size", str(args.batch_size),
+        "--drain-interval", str(args.drain_interval),
+        "--commit-every", str(args.commit_every)]
+    if args.serve_dir is not None:
         argv += ["--serve-dir", str(args.serve_dir)]
     return argv
 
 
 def _build_serve(args: argparse.Namespace) -> IntakeService:
-    if getattr(args, "resume", False):
+    if args.resume:
         return IntakeService.load(
             args.serve_dir,
             telemetry_factory=_telemetry_factory(args),
-            kill_at=getattr(args, "kill_at", None),
+            kill_at=args.kill_at,
         )
     return IntakeService.create(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
@@ -536,8 +529,8 @@ def _build_serve(args: argparse.Namespace) -> IntakeService:
         fault_plan=build_fault_plan(args.faults, seed=args.seed),
         execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
-        serve_dir=getattr(args, "serve_dir", None),
-        kill_at=getattr(args, "kill_at", None),
+        serve_dir=args.serve_dir,
+        kill_at=args.kill_at,
         cli={"argv": _serve_argv(args)},
     )
 
@@ -601,9 +594,9 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
         execution=_execution_policy(args),
         fault_profile=args.faults,
         fault_seed=args.seed,
-        invest_dir=getattr(args, "invest_dir", None),
-        resume=getattr(args, "resume", False),
-        kill_at=getattr(args, "kill_at", None),
+        invest_dir=args.invest_dir,
+        resume=args.resume,
+        kill_at=args.kill_at,
         commit_every=args.commit_every,
         telemetry=telemetry,
     )
@@ -622,7 +615,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
           f"scans={len(report.verdicts)} scan_gaps={report.scan_gaps}")
     print()
     print(telemetry.summary())
-    evidence_dir = getattr(args, "evidence_dir", None)
+    evidence_dir = args.evidence_dir
     if evidence_dir is not None:
         manifest_path = write_packages(evidence_dir, report.packages)
         print()
@@ -644,58 +637,74 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
     return _dump_trace(args, telemetry)
 
 
-def _add_run_options(sub: argparse.ArgumentParser) -> None:
-    """Run-shaping flags accepted after the subcommand too (``repro stats
-    --seed 7``); SUPPRESS keeps root-level values when absent."""
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                     help="world seed")
-    sub.add_argument("--campaigns", type=int, default=argparse.SUPPRESS,
-                     help="number of simulated campaigns")
-    sub.add_argument("--trace-out", type=Path, default=argparse.SUPPRESS,
-                     help="write the run's trace + metrics JSON here")
-    sub.add_argument("--quiet", action="store_true",
-                     default=argparse.SUPPRESS,
-                     help="suppress stage progress lines on stderr")
-    sub.add_argument("--faults", choices=FAULT_PROFILES,
-                     default=argparse.SUPPRESS,
-                     help="chaos profile to inject during the run")
-    sub.add_argument("--hostile", choices=HOSTILE_PROFILES,
-                     default=argparse.SUPPRESS,
-                     help="adversarial reporter profile for the world")
-    sub.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                     help="worker count for the parallel execution phases")
-    sub.add_argument("--pool", choices=POOL_KINDS,
-                     default=argparse.SUPPRESS,
-                     help="pool backend for the parallel phases (process "
-                          "= true multi-core for the pure precompute)")
-    sub.add_argument("--columnar", action="store_true",
-                     default=argparse.SUPPRESS,
-                     help="drive the strategy tables off the columnar "
-                          "dataset layout (byte-identical output)")
-    sub.add_argument("--no-cache", action="store_true",
-                     default=argparse.SUPPRESS,
-                     help="disable the per-(service, subject) "
-                          "enrichment cache")
-    sub.add_argument("--checkpoint-dir", type=Path,
-                     default=argparse.SUPPRESS,
-                     help="journal the run here for crash recovery")
-    sub.add_argument("--crash-at", metavar="SERVICE:CALL_INDEX",
-                     default=argparse.SUPPRESS,
-                     help="inject a hard crash at the Nth call to a "
-                          "service (testing aid for checkpointing)")
-    sub.add_argument("--trace-format", choices=("json", "chrome"),
-                     default=argparse.SUPPRESS,
-                     help="format for --trace-out (chrome = Chrome "
-                          "trace-event JSON, openable in Perfetto)")
-    sub.add_argument("--profile", action="store_true",
-                     default=argparse.SUPPRESS,
-                     help="add function-level profiling (cProfile + "
-                          "tracemalloc); observation only, results are "
-                          "byte-identical")
-    sub.add_argument("--history-dir", type=Path,
-                     default=argparse.SUPPRESS,
-                     help="append a summarized run record to "
-                          "DIR/RUNS.jsonl for trend tracking")
+#: Every command; the batch commands that report on one pipeline run;
+#: and every command that builds its world from --seed/--campaigns.
+COMMANDS = ("report", "release", "casestudy", "mine", "figures", "stats",
+            "watch", "ingest", "serve", "investigate", "resume")
+_BATCH = ("report", "release", "casestudy", "mine", "figures")
+_WORLD = _BATCH + ("stats", "watch", "serve", "investigate")
+
+#: The options several commands share, each declared once: flag, the
+#: commands that read it, and its ``add_argument`` keywords. The root
+#: parser takes every one with its default, each command the ones it
+#: reads, so they parse alike before and after the command;
+#: :func:`parse_args` refuses one given to a command that ignores it.
+SHARED_OPTIONS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, Any]], ...] = (
+    ("--seed", _WORLD,
+     dict(type=int, default=7726, help="world seed (default 7726)")),
+    ("--campaigns", _WORLD,
+     dict(type=int, default=120,
+          help="number of simulated campaigns (default 120)")),
+    ("--trace-out", COMMANDS,
+     dict(type=Path, default=None,
+          help="write the run's trace + metrics JSON here")),
+    ("--quiet", COMMANDS,
+     dict(action="store_true", default=False,
+          help="suppress stage progress lines on stderr")),
+    ("--faults", _WORLD,
+     dict(choices=FAULT_PROFILES, default="none",
+          help="chaos profile to inject during the run (default: none)")),
+    ("--hostile", _WORLD,
+     dict(choices=HOSTILE_PROFILES, default="none",
+          help="adversarial reporter profile: mutate a seeded fraction of "
+               "reports into hostile shapes (noisy) plus coordinated "
+               "floods and poison clusters (poison); clean results are "
+               "provably unaffected (default: none)")),
+    ("--workers", _WORLD,
+     dict(type=int, default=1,
+          help="worker count for the parallel execution phases (default "
+               "1; any count is byte-identical to serial)")),
+    ("--pool", _WORLD,
+     dict(choices=POOL_KINDS, default="thread",
+          help="pool backend for the parallel execution phases (default "
+               "thread; process runs the pure precompute in "
+               "multiprocessing workers — any choice is byte-identical)")),
+    ("--no-cache", _BATCH + ("stats", "watch", "serve"),
+     dict(action="store_true", default=False,
+          help="disable the per-(service, subject) enrichment cache (on "
+               "by default; caching never changes results)")),
+    ("--checkpoint-dir", _BATCH + ("stats", "resume"),
+     dict(type=Path, default=None,
+          help="journal the run here for crash recovery; `repro resume "
+               "--checkpoint-dir DIR` finishes it")),
+    ("--crash-at", _BATCH + ("stats", "watch"),
+     dict(metavar="SERVICE:CALL_INDEX", default=None,
+          help="inject a hard crash at the Nth call to a service (testing "
+               "aid for checkpointing)")),
+    ("--trace-format", COMMANDS,
+     dict(choices=("json", "chrome"), default="json",
+          help="format for --trace-out (default json; chrome = Chrome "
+               "trace-event JSON, openable in Perfetto / chrome://tracing)")),
+    ("--profile", _BATCH + ("stats", "watch", "ingest", "resume"),
+     dict(action="store_true", default=False,
+          help="add function-level profiling (cProfile + tracemalloc) to "
+               "the telemetry; observation only — profiled runs are "
+               "byte-identical")),
+    ("--history-dir", COMMANDS,
+     dict(type=Path, default=None,
+          help="append a summarized record of the run to DIR/RUNS.jsonl "
+               "(view trends with `repro stats --history`)")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,90 +712,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Fishing-for-Smishing reproduction toolkit",
     )
-    parser.add_argument("--seed", type=int, default=7726,
-                        help="world seed (default 7726)")
-    parser.add_argument("--campaigns", type=int, default=120,
-                        help="number of simulated campaigns (default 120)")
-    parser.add_argument("--trace-out", type=Path, default=None,
-                        help="write the run's trace + metrics JSON here")
-    parser.add_argument("--quiet", action="store_true", default=False,
-                        help="suppress stage progress lines on stderr")
-    parser.add_argument("--faults", choices=FAULT_PROFILES, default="none",
-                        help="chaos profile to inject during the run "
-                             "(default: none)")
-    parser.add_argument("--hostile", choices=HOSTILE_PROFILES,
-                        default="none",
-                        help="adversarial reporter profile: mutate a "
-                             "seeded fraction of reports into hostile "
-                             "shapes (noisy) plus coordinated floods and "
-                             "poison clusters (poison); clean results "
-                             "are provably unaffected (default: none)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count for the parallel execution "
-                             "phases (default 1; any count is "
-                             "byte-identical to serial)")
-    parser.add_argument("--pool", choices=POOL_KINDS, default="thread",
-                        help="pool backend for the parallel execution "
-                             "phases (default thread; process runs the "
-                             "pure precompute in multiprocessing workers "
-                             "— any choice is byte-identical)")
-    parser.add_argument("--columnar", action="store_true", default=False,
-                        help="drive the strategy tables off the columnar "
-                             "dataset layout (one batched normalisation "
-                             "pass; output is byte-identical)")
-    parser.add_argument("--no-cache", action="store_true", default=False,
-                        help="disable the per-(service, subject) "
-                             "enrichment cache (on by default; caching "
-                             "never changes results)")
-    parser.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="journal the run here for crash recovery "
-                             "(resume with `repro resume`)")
-    parser.add_argument("--crash-at", metavar="SERVICE:CALL_INDEX",
-                        default=None,
-                        help="inject a hard crash at the Nth call to a "
-                             "service (testing aid for checkpointing)")
-    parser.add_argument("--trace-format", choices=("json", "chrome"),
-                        default="json",
-                        help="format for --trace-out (default json; "
-                             "chrome = Chrome trace-event JSON, openable "
-                             "in Perfetto / chrome://tracing)")
-    parser.add_argument("--profile", action="store_true", default=False,
-                        help="add function-level profiling (cProfile + "
-                             "tracemalloc) to the telemetry; observation "
-                             "only — profiled runs are byte-identical")
-    parser.add_argument("--history-dir", type=Path, default=None,
-                        help="append a summarized record of the run to "
-                             "DIR/RUNS.jsonl (view trends with "
-                             "`repro stats --history`)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser("report", help="regenerate all tables/figures")
     report.set_defaults(func=_cmd_report)
-    _add_run_options(report)
 
     release = sub.add_parser("release", help="write the anonymised dataset")
     release.add_argument("output", type=Path, nargs="?",
                          default=Path("smishing_release.jsonl"))
     release.set_defaults(func=_cmd_release)
-    _add_run_options(release)
 
     casestudy = sub.add_parser("casestudy",
                                help="run the §6 malware case study")
     casestudy.add_argument("--sample", type=int, default=200)
     casestudy.set_defaults(func=_cmd_casestudy)
-    _add_run_options(casestudy)
 
     mine = sub.add_parser("mine", help="cluster records into campaigns")
     mine.add_argument("--threshold", type=float, default=0.7)
     mine.add_argument("--top", type=int, default=10)
     mine.set_defaults(func=_cmd_mine)
-    _add_run_options(mine)
 
     figures = sub.add_parser("figures", help="export figure CSVs")
     figures.add_argument("output", type=Path, nargs="?",
                          default=Path("figures"))
     figures.set_defaults(func=_cmd_figures)
-    _add_run_options(figures)
 
     stats = sub.add_parser(
         "stats", help="run the pipeline and print its telemetry"
@@ -800,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render the run-history trend tables from "
                             "--history-dir instead of running the pipeline")
     stats.set_defaults(func=_cmd_stats)
-    _add_run_options(stats)
 
     watch = sub.add_parser(
         "watch", help="continuous incremental ingestion over epochs"
@@ -818,7 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--crash-epoch", type=int, default=None,
                        help="which epoch --crash-at applies to (default 0)")
     watch.set_defaults(func=_cmd_watch)
-    _add_run_options(watch)
 
     ingest = sub.add_parser(
         "ingest", help="run follow-on epochs against a stream directory"
@@ -829,21 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--epochs", type=int, default=1,
                         help="how many additional epochs to ingest "
                              "(default 1)")
-    ingest.add_argument("--trace-out", type=Path, default=argparse.SUPPRESS,
-                        help="write the run's trace + metrics JSON here")
-    ingest.add_argument("--trace-format", choices=("json", "chrome"),
-                        default=argparse.SUPPRESS,
-                        help="format for --trace-out")
-    ingest.add_argument("--quiet", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="suppress stage progress lines on stderr")
-    ingest.add_argument("--profile", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="add function-level profiling to the epochs")
-    ingest.add_argument("--history-dir", type=Path,
-                        default=argparse.SUPPRESS,
-                        help="append a summarized run record to "
-                             "DIR/RUNS.jsonl")
     ingest.set_defaults(func=_cmd_ingest)
 
     serve = sub.add_parser(
@@ -880,7 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inject a hard crash before this arrival index "
                             "(testing aid for the resume protocol)")
     serve.set_defaults(func=_cmd_serve)
-    _add_run_options(serve)
 
     investigate = sub.add_parser(
         "investigate",
@@ -912,34 +843,42 @@ def build_parser() -> argparse.ArgumentParser:
                              help="write per-campaign evidence packages "
                                   "(content-hashed JSON) here")
     investigate.set_defaults(func=_cmd_investigate)
-    _add_run_options(investigate)
 
     resume = sub.add_parser(
         "resume", help="finish a crashed checkpointed or stream run"
     )
-    resume.add_argument("--checkpoint-dir", type=Path, default=None,
-                        help="the journal directory of a crashed batch run")
     resume.add_argument("--stream-dir", type=Path, default=None,
                         help="the stream directory of a crashed "
                              "`repro watch` run")
-    resume.add_argument("--trace-out", type=Path, default=argparse.SUPPRESS,
-                        help="write the resumed run's trace JSON here")
-    resume.add_argument("--trace-format", choices=("json", "chrome"),
-                        default=argparse.SUPPRESS,
-                        help="format for --trace-out")
-    resume.add_argument("--quiet", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="suppress stage progress lines on stderr")
-    resume.add_argument("--profile", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="add function-level profiling to the "
-                             "resumed run")
-    resume.add_argument("--history-dir", type=Path,
-                        default=argparse.SUPPRESS,
-                        help="append a summarized run record to "
-                             "DIR/RUNS.jsonl")
     resume.set_defaults(func=_cmd_resume)
+
+    for flag, readers, spec in SHARED_OPTIONS:
+        parser.add_argument(flag, **spec)
+        for command in readers:
+            sub.choices[command].add_argument(
+                flag, **dict(spec, default=argparse.SUPPRESS))
     return parser
+
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Parse ``argv``, refusing a shared option its command ignores.
+
+    After the command such an option is unknown to the command's parser;
+    before it, it holds a value other than its default. Either way the
+    run would drop it, so it raises :class:`ConfigurationError`.
+    """
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    given = {token.partition("=")[0] for token in extras}
+    for flag, readers, spec in SHARED_OPTIONS:
+        dest = flag[2:].replace("-", "_")
+        if args.command not in readers and (
+                flag in given or getattr(args, dest) != spec["default"]):
+            raise ConfigurationError(
+                f"{flag} does not apply to `repro {args.command}`")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _writable_dir(path: Path) -> bool:
@@ -955,20 +894,19 @@ def _writable_dir(path: Path) -> bool:
 
 def _validate_args(args: argparse.Namespace) -> None:
     """Fail fast on bad run-shaping inputs, before any work starts."""
-    if getattr(args, "workers", 1) < 1:
-        raise ConfigurationError(
-            f"--workers must be >= 1, got {args.workers}"
-        )
-    if getattr(args, "crash_at", None) is not None:
+    for option in ("workers", "campaigns", "epochs", "sample", "top",
+                   "commit_every"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            raise ConfigurationError(
+                f"--{option.replace('_', '-')} must be >= 1, got {value}")
+    if args.crash_at is not None:
         _parse_crash_at(args.crash_at)
-    if getattr(args, "epochs", None) is not None and args.epochs < 1:
-        raise ConfigurationError(f"--epochs must be >= 1, got {args.epochs}")
-    if (getattr(args, "trace_format", "json") == "chrome"
-            and getattr(args, "trace_out", None) is None):
+    if args.trace_format == "chrome" and args.trace_out is None:
         raise ConfigurationError(
             "--trace-format chrome needs --trace-out PATH to write to"
         )
-    history_dir = getattr(args, "history_dir", None)
+    history_dir = args.history_dir
     if getattr(args, "history", False) and history_dir is None:
         raise ConfigurationError(
             "stats --history wants --history-dir DIR to read from"
@@ -983,8 +921,14 @@ def _validate_args(args: argparse.Namespace) -> None:
             raise ConfigurationError(
                 f"--history-dir {history_dir} is not writable"
             )
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
+    checkpoint_dir = args.checkpoint_dir
     stream_dir = getattr(args, "stream_dir", None)
+    if (args.command == "stats" and checkpoint_dir is not None
+            and (args.epochs is not None or args.epoch_hours is not None)):
+        raise ConfigurationError(
+            "--checkpoint-dir does not apply to `repro stats --epochs`; "
+            "journal a stream run with `repro watch --stream-dir`"
+        )
     if args.command == "serve":
         serve_dir = getattr(args, "serve_dir", None)
         if getattr(args, "resume", False):
@@ -1015,15 +959,6 @@ def _validate_args(args: argparse.Namespace) -> None:
             )
     if args.command == "investigate":
         invest_dir = getattr(args, "invest_dir", None)
-        if getattr(args, "sample", None) is not None and args.sample < 1:
-            raise ConfigurationError(
-                f"investigate --sample must be >= 1, got {args.sample}"
-            )
-        if getattr(args, "commit_every", 1) < 1:
-            raise ConfigurationError(
-                f"investigate --commit-every must be >= 1, "
-                f"got {args.commit_every}"
-            )
         if getattr(args, "resume", False):
             if invest_dir is None:
                 raise ConfigurationError(
@@ -1062,11 +997,6 @@ def _validate_args(args: argparse.Namespace) -> None:
                 "resume wants exactly one of --checkpoint-dir (batch "
                 "journal) or --stream-dir (stream session)"
             )
-    if args.command in ("watch", "ingest") and checkpoint_dir is not None:
-        raise ConfigurationError(
-            f"`repro {args.command}` journals per-epoch under its "
-            f"--stream-dir; --checkpoint-dir does not apply"
-        )
     if stream_dir is not None:
         if args.command in ("ingest", "resume"):
             if not (stream_dir / STREAM_MANIFEST_NAME).is_file():
@@ -1114,7 +1044,7 @@ def _validate_args(args: argparse.Namespace) -> None:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    if getattr(args, "stream_dir", None) is not None:
+    if args.stream_dir is not None:
         return _cmd_stream_resume(args)
     manifest = RunJournal.read_manifest(args.checkpoint_dir)
     cli = manifest.get("cli") or {}
@@ -1124,18 +1054,25 @@ def _cmd_resume(args: argparse.Namespace) -> int:
             f"journal at {args.checkpoint_dir} was not recorded by the "
             f"CLI; resume it with repro.checkpoint.resume_pipeline()"
         )
-    new_args = build_parser().parse_args([str(a) for a in argv])
+    # Before the replay: an argv recorded by other code may not parse
+    # here, and resume_pipeline refuses that journal in any case.
+    if manifest.get("code") != code_fingerprint():
+        raise CheckpointError(
+            f"journal at {args.checkpoint_dir} was recorded by other "
+            f"code; only the code that recorded it can resume it"
+        )
+    new_args = parse_args([str(a) for a in argv])
     _validate_args(new_args)
     new_args._resume_dir = args.checkpoint_dir
-    if getattr(args, "quiet", False):
+    if args.quiet:
         new_args.quiet = True
-    if getattr(args, "trace_out", None) is not None:
+    if args.trace_out is not None:
         new_args.trace_out = args.trace_out
-    if getattr(args, "trace_format", "json") != "json":
+    if args.trace_format != "json":
         new_args.trace_format = args.trace_format
-    if getattr(args, "profile", False):
+    if args.profile:
         new_args.profile = True
-    if getattr(args, "history_dir", None) is not None:
+    if args.history_dir is not None:
         new_args.history_dir = args.history_dir
     if not new_args.quiet:
         policy = policy_from_dict(manifest.get("execution"))
@@ -1145,9 +1082,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         _validate_args(args)
         return args.func(args)
     except (ConfigurationError, CheckpointError) as exc:
@@ -1156,7 +1092,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SimulatedCrash as exc:
         print(f"repro: crashed: {exc}", file=sys.stderr)
         stream_dir = getattr(args, "stream_dir", None)
-        checkpoint_dir = getattr(args, "checkpoint_dir", None)
+        checkpoint_dir = args.checkpoint_dir
         serve_dir = getattr(args, "serve_dir", None)
         invest_dir = getattr(args, "invest_dir", None)
         if serve_dir is not None and args.command == "serve":

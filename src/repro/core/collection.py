@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import QuotaExhausted, ServiceError, ServiceUnavailable
-from ..exec.pool import WorkerPool
 from ..forums.base import Post
 from ..forums.pastebin import ANALYST_USER, PastebinService
 from ..forums.reddit import RedditService
@@ -370,41 +369,21 @@ def collect_all(
     forums: Dict[Forum, object],
     config: Optional[PipelineConfig] = None,
     telemetry: Optional[Telemetry] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> CollectionResult:
     """Run every collector against a world's forums.
 
-    With telemetry enabled, each forum gets one ``collect/<forum>`` span
-    plus per-forum counters (posts seen, reports kept, limitations hit).
-
-    ``pool`` shards the run per-forum: each forum is an independent
-    simulator (own meter, own fault-proxy counter, clock read-only), so
-    shards cannot observe each other, and results always merge in the
-    canonical ``_COLLECTORS`` order regardless of completion order —
-    a parallel collection is byte-identical to a serial one. With more
-    than one worker the shards run off the main thread, so the
-    ``collect/<forum>`` spans are emitted at merge time (the tracer's
-    span stack is main-thread-only) and carry counts but no useful wall
-    time; the serial path keeps the spans wrapping the actual work.
+    Collection runs forum by forum, in the canonical ``_COLLECTORS``
+    order, on the calling thread. With telemetry enabled, each forum
+    gets one ``collect/<forum>`` span wrapping its work, plus per-forum
+    counters (posts seen, reports kept, limitations hit).
     """
     config = config or PipelineConfig()
     telemetry = ensure_telemetry(telemetry)
     tracer, metrics = telemetry.tracer, telemetry.metrics
     result = CollectionResult()
-
-    def _collect(item) -> CollectionResult:
-        forum, collector_cls = item
-        return collector_cls(forums[forum], config).collect()
-
-    if pool is not None and pool.workers > 1:
-        shards = pool.map(_collect, _COLLECTORS)
-    else:
-        shards = None
-
-    for position, (forum, collector_cls) in enumerate(_COLLECTORS):
+    for forum, collector_cls in _COLLECTORS:
         with tracer.span(f"collect/{forum.value}") as span:
-            sub = (shards[position] if shards is not None
-                   else _collect((forum, collector_cls)))
+            sub = collector_cls(forums[forum], config).collect()
             span.set(posts_seen=sub.posts_seen, reports=len(sub.reports),
                      images=sub.image_count, limitations=len(sub.limitations))
         metrics.counter("collection.posts_seen",

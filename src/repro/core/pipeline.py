@@ -174,11 +174,7 @@ def run_pipeline(
                 with telemetry.tracer.span("collect") as collect_span:
                     collection = checkpoint.restore_stage("collection")
                     if collection is None:
-                        collection = collect_all(
-                            forums, config, telemetry,
-                            pool=engine.collection_pool(
-                                fault_plan, [f.value for f in forums]),
-                        )
+                        collection = collect_all(forums, config, telemetry)
                         checkpoint.stage_barrier("collection", collection)
                     else:
                         collect_span.set(resumed=1)

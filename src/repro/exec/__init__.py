@@ -1,7 +1,7 @@
 """Deterministic parallel execution: pools, memoisation, and the engine.
 
-``repro.exec`` lets the pipeline shard collection per-forum and
-enrichment per-unique-subject across a :class:`WorkerPool`, and memoise
+``repro.exec`` lets the pipeline shard the enrichment precompute
+per-unique-subject across a :class:`WorkerPool`, and memoise
 per-(service, subject) lookups in an :class:`EnrichmentCache`, while
 guaranteeing the resulting :class:`~repro.core.pipeline.PipelineRun`
 is byte-identical to the sequential uncached run — the argument lives

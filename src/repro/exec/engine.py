@@ -15,12 +15,7 @@ count, the :class:`~repro.core.pipeline.PipelineRun` is byte-identical
 to the sequential uncached run. The engine earns that by splitting work
 into two phases with very different rules:
 
-* **Parallel phases are pure.** Collection shards per-forum: each forum
-  is an independent simulator with its own meter, its own fault-proxy
-  call counter, and a clock it only *reads* (forum meters never advance
-  the shared :class:`~repro.services.base.SimClock`), so forum order
-  cannot leak between shards; results merge in the fixed ``_COLLECTORS``
-  order regardless of completion order. Enrichment precompute shards
+* **Parallel phases are pure.** Enrichment precompute shards
   per-unique-subject and calls only the *uncharged, unfaulted* compute
   paths of the deterministic simulators — no meter, no clock, no fault
   proxy, no retries — filling the cache with values any schedule would
@@ -28,17 +23,11 @@ into two phases with very different rules:
 * **Effectful phases are serial.** Everything that charges a meter,
   consults a fault rule, advances the clock, retries, or trips a
   breaker runs on the main thread in exactly the order the sequential
-  pipeline uses. A cached value changes *what is computed* inside a
-  service call, never whether the call happens, so call indices, meter
-  charges, backoff, and gap timestamps are untouched.
-
-The one scheduling hazard is an :class:`~repro.faults.InjectedLatency`
-rule targeting a *forum*: it advances the shared clock from inside a
-collection shard, so worker interleaving would change the clock
-trajectory other rules observe. :meth:`ExecutionEngine.collection_pool`
-detects that case and degrades collection to the serial pool (the run
-stays correct, just unsharded); enrichment precompute is unaffected
-because it never touches the clock at all.
+  pipeline uses. Collection is one of them: it runs forum by forum, in
+  the canonical ``_COLLECTORS`` order, on the calling thread under every
+  policy. A cached value changes *what is computed* inside a service
+  call, never whether the call happens, so call indices, meter charges,
+  backoff, and gap timestamps are untouched.
 
 Locks live here (well, in the cache the engine builds) — the simulated
 services themselves stay lock-free and concurrency-unaware.
@@ -85,12 +74,11 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan, InjectedLatency
 from .cache import EnrichmentCache
-from .pool import POOL_KINDS, SerialPool, WorkerPool, make_pool
+from .pool import POOL_KINDS, WorkerPool, make_pool
 
 
 @dataclass(frozen=True)
@@ -111,8 +99,7 @@ class ExecutionPolicy:
     #: Which pool backs the parallel phases: ``serial`` forces inline
     #: execution regardless of ``workers``; ``thread`` is the classic
     #: shared-memory pool; ``process`` runs the pure enrichment
-    #: precompute in ``multiprocessing`` workers (collection stays on
-    #: threads — its shards mutate parent-side forum meters).
+    #: precompute in ``multiprocessing`` workers.
     pool: str = "thread"
 
     def __post_init__(self) -> None:
@@ -164,37 +151,12 @@ class ExecutionEngine:
             return None
         return EnrichmentCache(max_entries=self.policy.cache_max_entries)
 
-    def _pool(self, workers: int, label: str,
-              kind: Optional[str] = None) -> WorkerPool:
-        pool = make_pool(workers, kind if kind is not None else self.policy.pool)
-        pool.label = label
-        self._pools.append(pool)
-        return pool
-
-    def collection_pool(self, fault_plan: Optional[FaultPlan],
-                        forum_names: Iterable[str]) -> WorkerPool:
-        """The pool for the per-forum collection shards.
-
-        Degrades to serial when the fault plan injects latency into a
-        forum — that rule advances the shared clock from inside a shard,
-        and a deterministic clock trajectory requires the shards to run
-        in canonical order (see the module docstring). Under
-        ``pool=process`` collection runs on *threads*: each forum shard
-        mutates its parent-side forum meter and fault-proxy counters,
-        which must stay in the parent's memory.
-        """
-        workers = self.policy.workers
-        if workers > 1 and fault_plan is not None:
-            names = set(forum_names)
-            if any(isinstance(rule, InjectedLatency) and rule.service in names
-                   for rule in fault_plan.rules):
-                workers = 1
-        kind = "thread" if self.policy.pool == "process" else self.policy.pool
-        return self._pool(workers, "collection", kind)
-
     def enrichment_pool(self) -> WorkerPool:
         """The pool for the per-unique-subject precompute shards."""
-        return self._pool(self.policy.workers, "enrichment")
+        pool = make_pool(self.policy.workers, self.policy.pool)
+        pool.label = "enrichment"
+        self._pools.append(pool)
+        return pool
 
     # -- observability --------------------------------------------------------
 

@@ -52,7 +52,7 @@ class WorkerPool:
 
     #: How many tasks may run concurrently (1 for serial pools).
     workers: int = 1
-    #: Display label set by the engine ("collection", "enrichment", ...).
+    #: Display label set by its owner ("enrichment", "investigate", ...).
     label: str = "pool"
 
     def __init__(self) -> None:

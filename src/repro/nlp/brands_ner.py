@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..world.brands import BrandRegistry, default_brands
-from .normalize import (MAX_NORMALIZE_CHARS, batch_squash, has_letters,
-                        normalize_token, squash, undisguise)
+from .normalize import (MAX_NORMALIZE_CHARS, has_letters, normalize_token,
+                        squash, undisguise)
 from .tokenize import tokenize
 
 #: Pathological-input budget: the n-gram walk scans at most this many
@@ -46,12 +46,8 @@ class BrandRecognizer:
         #: squashed alias -> (canonical name, original alias, token length)
         self._lexicon: Dict[str, Tuple[str, str, int]] = {}
         self._max_tokens = 1
-        # One batched squash pass over the whole alias lexicon instead of
-        # a per-alias call — every annotator construction pays this cost.
-        alias_forms = self._registry.all_alias_forms()
-        aliases = list(alias_forms)
-        for alias, key in zip(aliases, batch_squash(aliases)):
-            canonical = alias_forms[alias]
+        for alias, canonical in self._registry.all_alias_forms().items():
+            key = squash(alias)
             if not key:
                 continue
             token_count = max(1, len(alias.split()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from typing import Dict, List, Sequence
+from typing import Dict
 
 #: Look-alike characters and the letters they stand in for.
 LEET_MAP: Dict[str, str] = {
@@ -32,9 +32,7 @@ _TOKEN_RE = re.compile(r"\S+")
 #: characters per text. Real SMS bodies are under a kilobyte; anything a
 #: megabyte long is hostile, and the quarantine layer has usually
 #: diverted it already — this cap is the backstop that keeps the regex
-#: walk bounded even for inputs that reach the hot path directly. The
-#: batch variants apply the identical truncation, preserving the
-#: batch ≡ per-record equality the property tests enforce.
+#: walk bounded even for inputs that reach the hot path directly.
 MAX_NORMALIZE_CHARS = 65_536
 
 
@@ -95,58 +93,3 @@ def squash(text: str) -> str:
     """
     return "".join(ch for ch in normalize_text(text) if ch.isalnum())
 
-
-# -- batched (columnar) normalisation ----------------------------------------
-#
-# Per-record `squash` dominates the analysis hot path: ten-thousand-plus
-# calls each pay the regex-engine entry cost and re-normalise tokens the
-# corpus repeats endlessly ("your", "parcel", brand names). The batch
-# variants below make ONE compiled-regex pass over the whole corpus
-# joined on a sentinel, memoising normalize_token per distinct token —
-# and are proven token-for-token identical to the per-record functions
-# by the property tests in ``tests/test_properties.py``.
-
-#: Joins texts for the single-pass batch walk. U+001E (record separator)
-#: cannot be produced by normalisation (NFKD never emits it and the
-#: mapping tables do not contain it), and as a standalone token it
-#: normalises to itself, so it survives the pass as a split point.
-BATCH_SENTINEL = "\n\x1e\n"
-
-
-def batch_normalize(texts: Sequence[str]) -> List[str]:
-    """``[normalize_text(t) for t in texts]`` in one regex pass.
-
-    Texts that themselves contain the sentinel character (possible only
-    in adversarial input; no generator emits it) fall back to the
-    per-record function — correctness over batching.
-    """
-    if not texts:
-        return []
-    # Identical truncation to normalize_text, BEFORE the sentinel join —
-    # required for batch ≡ per-record equality on oversized inputs.
-    texts = [t if len(t) <= MAX_NORMALIZE_CHARS
-             else t[:MAX_NORMALIZE_CHARS] for t in texts]
-    fallback = {i: normalize_text(t)
-                for i, t in enumerate(texts) if "\x1e" in t}
-    if len(fallback) == len(texts):
-        return [fallback[i] for i in range(len(texts))]
-    batched = [t for i, t in enumerate(texts) if i not in fallback]
-    memo: Dict[str, str] = {}
-
-    def _token(match: "re.Match[str]") -> str:
-        token = match.group(0)
-        normalized = memo.get(token)
-        if normalized is None:
-            normalized = memo[token] = normalize_token(token)
-        return normalized
-
-    joined = _TOKEN_RE.sub(_token, BATCH_SENTINEL.join(batched))
-    pieces = iter(joined.split(BATCH_SENTINEL))
-    return [fallback[i] if i in fallback else next(pieces)
-            for i in range(len(texts))]
-
-
-def batch_squash(texts: Sequence[str]) -> List[str]:
-    """``[squash(t) for t in texts]`` via the single-pass batch walk."""
-    return ["".join(ch for ch in piece if ch.isalnum())
-            for piece in batch_normalize(texts)]

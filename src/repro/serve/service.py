@@ -94,6 +94,8 @@ class ServeConfig:
     reporter_burst: float = 4.0
 
     def __post_init__(self) -> None:
+        if self.queue_capacity < 1:
+            raise ConfigurationError("queue capacity must be at least 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch size must be at least 1")
         if self.drain_interval <= 0:

@@ -282,11 +282,7 @@ class StreamSession:
             ) as span:
                 collection = checkpoint.restore_stage("collection")
                 if collection is None:
-                    collection = collect_all(
-                        forums, config, self.telemetry,
-                        pool=self._engine.collection_pool(
-                            plan, [f.value for f in forums]),
-                    )
+                    collection = collect_all(forums, config, self.telemetry)
                     checkpoint.stage_barrier("collection", collection)
                 filtered = self.watermarks.filter_epoch(collection, epoch)
                 restored = checkpoint.restore_stage("curation")

@@ -428,6 +428,25 @@ def test_cli_crash_then_resume_round_trip(tmp_path, capsys):
     assert resumed_report == capsys.readouterr().out
 
 
+def test_cli_resume_refuses_a_journal_from_other_code(tmp_path, capsys):
+    """Other code may record an argv this parser refuses; resume must
+    name the journal instead of printing usage for a command the user
+    never typed."""
+    d = tmp_path / "ck"
+    crash = _CLI + ["--checkpoint-dir", str(d), "--crash-at", "whois:3",
+                    "stats"]
+    assert main(crash) == 75
+    manifest = json.loads((d / MANIFEST_NAME).read_text())
+    manifest["cli"]["argv"].insert(0, "--no-such-flag")
+    manifest["code"] = "0" * 64
+    (d / MANIFEST_NAME).write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["resume", "--checkpoint-dir", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and str(d) in err
+    assert "usage:" not in err
+
+
 def test_execution_policy_describe():
     assert (ExecutionPolicy(workers=4).describe()
             == "workers=4 cache=on pool=thread")

@@ -2,7 +2,20 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, SHARED_OPTIONS, build_parser, main, parse_args
+
+#: A non-default value for each shared option.
+_VALUES = {
+    "--seed": ["5"], "--campaigns": ["9"], "--trace-out": ["t.json"],
+    "--quiet": [], "--faults": ["flaky"], "--hostile": ["noisy"],
+    "--workers": ["3"], "--pool": ["process"], "--no-cache": [],
+    "--checkpoint-dir": ["ck"], "--crash-at": ["whois:1"],
+    "--trace-format": ["chrome"], "--profile": [], "--history-dir": ["hist"],
+}
+#: What a command needs besides the option to parse at all.
+_REQUIRED = {"ingest": ["--stream-dir", "sv"]}
+_PLACEMENTS = [(option, command) for option in SHARED_OPTIONS
+               for command in COMMANDS]
 
 
 class TestParser:
@@ -15,12 +28,44 @@ class TestParser:
         assert args.seed == 7726
         assert args.campaigns == 120
 
-    def test_global_flags(self):
-        args = build_parser().parse_args(
-            ["--seed", "5", "--campaigns", "9", "report"]
-        )
-        assert args.seed == 5
-        assert args.campaigns == 9
+
+@pytest.mark.parametrize(
+    "option,command", _PLACEMENTS,
+    ids=[f"{flag[2:]}-{command}" for (flag, _, _), command in _PLACEMENTS])
+def test_shared_option_placement(option, command, tmp_path, monkeypatch,
+                                 capsys):
+    """A command that reads a shared option parses it alike before and
+    after the command; any other refuses it in both places, before doing
+    anything."""
+    flag, readers, spec = option
+    given = [flag] + _VALUES[flag]
+    tail = [command] + _REQUIRED.get(command, [])
+    before, after = given + tail, tail + given
+    if command in readers:
+        dest = flag[2:].replace("-", "_")
+        value = getattr(parse_args(before), dest)
+        assert value != spec["default"]
+        assert getattr(parse_args(after), dest) == value
+        return
+    monkeypatch.chdir(tmp_path)
+    for argv in (before, after):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"repro: error: {flag} does not apply to "
+                f"`repro {command}`") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--campaigns", "-3", "stats"],
+    ["serve", "--queue-capacity", "0"],
+    ["casestudy", "--sample", "-1"],
+    ["mine", "--top", "-1"],
+])
+def test_bad_numbers_are_refused(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and "Traceback" not in err
 
 
 class TestCommands:
@@ -59,12 +104,6 @@ class TestCommands:
         assert "Service telemetry" in out
         assert "collect/Twitter" in out
         assert "enrich/openai" in out
-
-    def test_stats_flags_after_subcommand(self, capsys):
-        # The acceptance shape: run-shaping flags given after `stats`.
-        assert main(["stats", "--seed", "3", "--campaigns", "25",
-                     "--quiet"]) == 0
-        assert "seed=3 campaigns=25" in capsys.readouterr().out
 
     def test_trace_out_writes_json(self, tmp_path, capsys):
         import json

@@ -23,8 +23,6 @@ from repro.exec import (
     canonical_merge,
     make_pool,
 )
-from repro.faults import FaultPlan
-from repro.faults.plan import ErrorRate, InjectedLatency
 from repro.obs import Telemetry
 
 
@@ -239,22 +237,6 @@ class TestExecutionEngine:
     def test_pools_match_worker_count(self):
         with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
             assert engine.enrichment_pool().workers == 4
-            assert engine.collection_pool(None, ["Twitter"]).workers == 4
-
-    def test_collection_degrades_on_forum_latency_injection(self):
-        plan = FaultPlan(seed=1, rules=(InjectedLatency("Reddit", 0.5),))
-        with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
-            pool = engine.collection_pool(plan, ["Twitter", "Reddit"])
-            assert pool.workers == 1
-            # Enrichment precompute never touches the clock: unaffected.
-            assert engine.enrichment_pool().workers == 4
-
-    def test_collection_keeps_workers_for_service_latency(self):
-        plan = FaultPlan(seed=1, rules=(InjectedLatency("openai", 0.5),
-                                        ErrorRate("Reddit", 0.5)))
-        with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
-            pool = engine.collection_pool(plan, ["Twitter", "Reddit"])
-            assert pool.workers == 4
 
     def test_close_shuts_down_pools(self):
         engine = ExecutionEngine(ExecutionPolicy(workers=2))

@@ -8,8 +8,8 @@ same final simulated-clock position. These tests run the full pipeline
 grid (3 seeds × {none, flaky, outage} × serial/workers∈{2,4} ×
 cache-on/off) on a small world and compare fingerprints, plus the
 cross-pool differential matrix (2 seeds × {none, flaky} ×
-{serial, thread, process} × workers∈{1,4}), columnar-vs-row report
-identity, and crash-at-boundary resume under the process pool.
+{serial, thread, process} × workers∈{1,4}), and crash-at-boundary
+resume under the process pool.
 
 The fingerprint deliberately covers more than the run's outputs: meter
 snapshots and ``clock.now`` prove the *effects* (charges, backoff,
@@ -19,7 +19,6 @@ retries) were replayed identically, not just that the answers agree.
 import pytest
 
 import repro.cli as cli
-from repro.analysis.report import generate_paper_report
 from repro.core.pipeline import run_pipeline
 from repro.exec import POOL_KINDS, SEQUENTIAL, ExecutionPolicy
 from repro.faults import build_fault_plan
@@ -86,22 +85,6 @@ def test_pool_matrix_equivalent_to_sequential(seed, profile):
                 f"seed={seed} faults={profile} pool={pool} "
                 f"workers={workers} diverged from the sequential run"
             )
-
-
-@pytest.mark.parametrize("seed", MATRIX_SEEDS)
-def test_columnar_report_equivalent_to_row_report(seed):
-    """``--columnar`` table building must be byte-identical, run by run.
-
-    The case study is excluded on both sides because generating it
-    twice against the same live world would charge meters twice; the
-    columnar flag only drives tables 10-13 regardless.
-    """
-    world = build_world(ScenarioConfig(seed=seed, n_campaigns=_CAMPAIGNS))
-    run = run_pipeline(world, execution=SEQUENTIAL)
-    row = generate_paper_report(run, include_case_study=False).render()
-    columnar = generate_paper_report(
-        run, include_case_study=False, columnar=True).render()
-    assert columnar == row
 
 
 def test_process_pool_crash_resume_matches_uninterrupted(tmp_path, capsys):

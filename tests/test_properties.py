@@ -42,8 +42,6 @@ from repro.nlp.normalize import (
     HOMOGLYPH_MAP,
     LEET_MAP,
     MAX_NORMALIZE_CHARS,
-    batch_normalize,
-    batch_squash,
     normalize_text,
     normalize_token,
     squash,
@@ -373,61 +371,17 @@ class TestExecutionEngineProperties:
         assert len(computes) == first_pass  # second pass: zero computes
 
 
-class TestBatchNormalizeProperties:
-    """The columnar hot path's one-pass normalisation must agree with
-    the per-record reference on arbitrary unicode — including inputs
-    containing the batch sentinel's record separator, which take the
-    per-record fallback."""
-
-    texts = st.lists(st.text(max_size=80), max_size=25)
-
-    @given(texts)
-    def test_batch_normalize_matches_per_record(self, texts):
-        assert batch_normalize(texts) == [normalize_text(t) for t in texts]
-
-    @given(texts)
-    def test_batch_squash_matches_per_record(self, texts):
-        assert batch_squash(texts) == [squash(t) for t in texts]
-
-    @given(st.lists(st.text(max_size=40), min_size=1, max_size=10),
-           st.data())
-    def test_sentinel_bearing_inputs_take_the_fallback(self, texts, data):
-        # Splice the record separator into a random subset of inputs;
-        # equality with the per-record path must survive regardless.
-        spiked = []
-        for text in texts:
-            if data.draw(st.booleans()):
-                cut = data.draw(st.integers(min_value=0,
-                                            max_value=len(text)))
-                text = text[:cut] + "\x1e" + text[cut:]
-            spiked.append(text)
-        assert batch_normalize(spiked) == [normalize_text(t)
-                                           for t in spiked]
-        assert batch_squash(spiked) == [squash(t) for t in spiked]
-
-
 class TestHostileUnicodeProperties:
-    """Quarantine-era guarantees on the NLP hot paths: the batch and
-    per-record normalisers agree on *adversarial* unicode (zero-width
-    splices, RTL overrides, replacement-char mojibake), and the length
-    budgets keep even megabyte single-token inputs bounded."""
+    """Quarantine-era guarantees on the NLP hot paths: the length
+    budgets keep even megabyte single-token inputs bounded, and the
+    sanitizer never raises on *adversarial* unicode (zero-width splices,
+    RTL overrides, replacement-char mojibake)."""
 
     _HOSTILE_ALPHABET = (string.ascii_letters + " .!?"
                          + "​‌‍⁠"   # zero-width
                          + "‪‫‭‮"   # bidi overrides
                          + "⁦⁧⁩"         # bidi isolates
                          + "�﻿")              # mojibake, BOM
-    hostile_texts = st.lists(
-        st.text(alphabet=_HOSTILE_ALPHABET, max_size=120), max_size=15)
-
-    @given(hostile_texts)
-    def test_batch_normalize_matches_per_record_on_hostile_unicode(
-            self, texts):
-        assert batch_normalize(texts) == [normalize_text(t) for t in texts]
-
-    @given(hostile_texts)
-    def test_batch_squash_matches_per_record_on_hostile_unicode(self, texts):
-        assert batch_squash(texts) == [squash(t) for t in texts]
 
     @given(st.integers(min_value=MAX_NORMALIZE_CHARS - 2,
                        max_value=MAX_NORMALIZE_CHARS + 2))
@@ -435,16 +389,11 @@ class TestHostileUnicodeProperties:
         text = "a" * length
         expected = normalize_text(text[:MAX_NORMALIZE_CHARS])
         assert normalize_text(text) == expected
-        assert batch_normalize([text]) == [expected]
 
     def test_megabyte_single_token_is_bounded_and_consistent(self):
         """A 1MB whitespace-free token — the classic regex-budget bomb —
-        must terminate under the truncation cap on both paths, with the
-        batch path agreeing with the reference."""
+        must terminate under the truncation cap."""
         bomb = "x" * 1_000_000
-        texts = [bomb, "verify your account at example.com", bomb + " tail"]
-        assert batch_normalize(texts) == [normalize_text(t) for t in texts]
-        assert batch_squash(texts) == [squash(t) for t in texts]
         assert len(normalize_text(bomb)) <= MAX_NORMALIZE_CHARS
 
     def test_brand_scan_token_budget_is_enforced(self):

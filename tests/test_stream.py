@@ -475,8 +475,8 @@ class TestStreamCli:
         assert code == 75
         assert f"repro resume --stream-dir {crash_dir}" in err
 
-        assert main(self.ARGS + [
-            "resume", "--stream-dir", str(crash_dir)]) == 0
+        assert main(["--quiet", "resume", "--stream-dir",
+                     str(crash_dir)]) == 0
         resumed = self._fingerprint(capsys.readouterr().out)
         assert resumed == clean
 
@@ -498,5 +498,9 @@ class TestStreamCli:
         assert main(self.ARGS + [
             "--checkpoint-dir", str(tmp_path / "ckpt"),
             "watch", "--epochs", "2"]) == 2
+        for stream in (["--epochs", "2"], ["--epoch-hours", "24"]):
+            assert main(self.ARGS + ["stats"] + stream + [
+                "--checkpoint-dir", str(tmp_path / "ckpt")]) == 2
+        assert not (tmp_path / "ckpt").exists()
         assert main(["ingest", "--stream-dir", str(missing)]) == 2
         capsys.readouterr()
