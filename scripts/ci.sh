@@ -23,23 +23,61 @@
 # the pipeline under the `flaky` fault profile and asserts it exits 0
 # with a non-empty enrichment-gap report. The parallel smoke test runs
 # with --workers 4 and asserts a clean exit with a non-zero enrichment
-# cache hit rate in the stats output. The crash-resume smoke test kills
-# a checkpointed flaky run mid-enrichment (--crash-at), resumes it with
-# `repro resume`, and diffs the resumed report against an uninterrupted
-# run's — they must be byte-identical; a second leg does the same for a
-# `--hostile poison` run crashed before its collection barrier. The
-# watch smoke test runs a 2-epoch incremental ingest (`repro watch`) on
-# a 2-worker process pool, crashes a second copy mid-epoch-2, resumes it
-# from its stream directory, and compares the stream fingerprints —
-# crash/resume must not change what was ingested. The GC smoke test runs
-# one report normally and once with the collector disabled for the whole
-# process, and diffs the two byte for byte.
+# cache hit rate in the stats output. Five kill/resume legs share one
+# routine (kill_resume): each runs a command uninterrupted, then with
+# --run-dir DIR --kill-at PHASE:N (exit 75), finishes it with `repro
+# resume DIR`, and compares the two — a flaky batch report killed
+# mid-enrichment and a `--hostile poison` report killed before its
+# collection barrier (byte-identical reports), a 2-epoch `repro watch`
+# on a 2-worker process pool killed mid-epoch-2 (stream fingerprint),
+# a burst `repro serve` and an investigation fleet (fingerprint and
+# header line). The GC smoke test runs one report normally and once with
+# the collector disabled for the whole process, and diffs the two byte
+# for byte.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Every smoke leg writes under one scratch directory, removed on exit.
 work="$(mktemp -d -t repro-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
+
+# kill_resume NAME PHASE:N COMPARE ARGS...: run `repro ARGS` to
+# $work/NAME/full.txt, run it again with --run-dir $work/NAME/run
+# --kill-at PHASE:N (must exit 75), finish it with `repro resume`, and
+# compare the resumed output with the uninterrupted one. COMPARE is
+# `report` (byte-identical output), `fingerprint` (the fingerprint line)
+# or `header` (the fingerprint line and the header line).
+kill_resume() {
+  local name="$1" kill="$2" compare="$3"
+  shift 3
+  local dir="$work/$name"
+  mkdir "$dir"
+  python -m repro "$@" > "$dir/full.txt"
+  local rc=0
+  python -m repro --run-dir "$dir/run" --kill-at "$kill" "$@" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 75 ]; then
+    echo "$name FAILED: expected exit 75 from the run killed at $kill, got $rc" >&2
+    exit 1
+  fi
+  python -m repro --quiet resume "$dir/run" > "$dir/resumed.txt"
+  local full="$dir/full.txt" resumed="$dir/resumed.txt"
+  if [ "$compare" != report ]; then
+    grep " fingerprint=" "$dir/full.txt" > "$dir/full.cmp"
+    grep " fingerprint=" "$dir/resumed.txt" > "$dir/resumed.cmp"
+    if [ "$compare" = header ]; then
+      head -n 1 "$dir/full.txt" >> "$dir/full.cmp"
+      head -n 1 "$dir/resumed.txt" >> "$dir/resumed.cmp"
+    fi
+    full="$dir/full.cmp" resumed="$dir/resumed.cmp"
+  fi
+  if ! diff -q "$full" "$resumed" > /dev/null; then
+    echo "$name FAILED: resumed output differs from the uninterrupted run ($compare)" >&2
+    diff "$full" "$resumed" | head -20 >&2
+    exit 1
+  fi
+  echo "$name ok: killed at $kill, resumed $compare identical to the uninterrupted run"
+}
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
@@ -136,88 +174,28 @@ if ! diff -q "$proc_report" "$serial_report" > /dev/null; then
 fi
 echo "process-pool ok: 4-worker process-pool report byte-identical to serial run"
 
-echo "== crash-resume smoke test (checkpoint journal) =="
-ck_dir="$work/ck"
-resumed_out="$work/resumed.txt"
-full_out="$work/full.txt"
-crash_rc=0
-python -m repro --seed 7 --campaigns 40 --quiet --faults flaky \
-  --checkpoint-dir "$ck_dir" --crash-at whois:5 report \
-  > /dev/null 2>&1 || crash_rc=$?
-if [ "$crash_rc" -ne 75 ]; then
-  echo "crash-resume FAILED: expected exit 75 from the killed run, got $crash_rc" >&2
-  exit 1
-fi
-python -m repro resume --checkpoint-dir "$ck_dir" --quiet > "$resumed_out"
-python -m repro --seed 7 --campaigns 40 --quiet --faults flaky report > "$full_out"
-if ! diff -q "$resumed_out" "$full_out" > /dev/null; then
-  echo "crash-resume FAILED: resumed report differs from uninterrupted run" >&2
-  diff "$resumed_out" "$full_out" | head -20 >&2
-  exit 1
-fi
-echo "crash-resume ok: resumed report byte-identical to uninterrupted run"
-# Hostile leg: a crash before the collection barrier must resume on the
-# poisoned world the manifest names, not on a clean one.
-ck_hostile="$work/ck-hostile"
-mkdir "$ck_hostile"
-crash_rc=0
-python -m repro --seed 7 --campaigns 10 --quiet --hostile poison \
-  --checkpoint-dir "$ck_hostile/ck" --crash-at Reddit:1 report \
-  > /dev/null 2>&1 || crash_rc=$?
-if [ "$crash_rc" -ne 75 ]; then
-  echo "crash-resume FAILED: expected exit 75 from the killed hostile run, got $crash_rc" >&2
-  exit 1
-fi
-python -m repro resume --checkpoint-dir "$ck_hostile/ck" --quiet \
-  > "$ck_hostile/resumed.txt"
-python -m repro --seed 7 --campaigns 10 --quiet --hostile poison report \
-  > "$ck_hostile/full.txt"
-if ! diff -q "$ck_hostile/resumed.txt" "$ck_hostile/full.txt" > /dev/null; then
-  echo "crash-resume FAILED: resumed hostile report differs from uninterrupted hostile run" >&2
-  diff "$ck_hostile/resumed.txt" "$ck_hostile/full.txt" | head -20 >&2
-  exit 1
-fi
-echo "crash-resume ok: resumed --hostile poison report byte-identical to uninterrupted run"
+echo "== crash-resume smoke test (batch journal) =="
+kill_resume batch-flaky whois:5 report \
+  --seed 7 --campaigns 40 --quiet --faults flaky report
+# A crash before the collection barrier must resume on the poisoned
+# world the manifest names, not on a clean one.
+kill_resume batch-hostile Reddit:1 report \
+  --seed 7 --campaigns 10 --quiet --hostile poison report
 
 echo "== watch smoke test (incremental ingestion) =="
-clean_dir="$work/stream-clean"
-crash_dir="$work/stream-crash"
-watch_out="$work/watch.txt"
-resume_stream_out="$work/watch-resumed.txt"
-watch_pool=(--workers 2 --pool process)
-python -m repro --seed 7 --campaigns 40 --quiet "${watch_pool[@]}" \
-  watch --epochs 2 --stream-dir "$clean_dir" > "$watch_out"
-grep -q "^stream fingerprint=" "$watch_out" || {
+kill_resume watch whois:5@1 fingerprint \
+  --seed 7 --campaigns 40 --quiet --workers 2 --pool process \
+  watch --epochs 2
+grep -q "^stream fingerprint=" "$work/watch/full.txt" || {
   echo "watch FAILED: no stream fingerprint in watch output" >&2; exit 1; }
-grep -q "(ledger)" "$watch_out" || {
+grep -q "(ledger)" "$work/watch/full.txt" || {
   echo "watch FAILED: no ledger row in the Stream table" >&2; exit 1; }
-watch_rc=0
-python -m repro --seed 7 --campaigns 40 --quiet "${watch_pool[@]}" \
-  --crash-at whois:5 watch --epochs 2 --crash-epoch 1 \
-  --stream-dir "$crash_dir" > /dev/null 2>&1 || watch_rc=$?
-if [ "$watch_rc" -ne 75 ]; then
-  echo "watch FAILED: expected exit 75 from the mid-epoch crash, got $watch_rc" >&2
-  exit 1
-fi
-python -m repro --quiet resume --stream-dir "$crash_dir" > "$resume_stream_out"
-clean_fp="$(grep "^stream fingerprint=" "$watch_out")"
-resumed_fp="$(grep "^stream fingerprint=" "$resume_stream_out")"
-if [ "$clean_fp" != "$resumed_fp" ]; then
-  echo "watch FAILED: resumed stream fingerprint differs from clean run" >&2
-  echo "  clean:   $clean_fp" >&2
-  echo "  resumed: $resumed_fp" >&2
-  exit 1
-fi
-echo "watch ok: process-pool crash/resume stream fingerprint matches the clean 2-epoch run"
 
 echo "== serve smoke test (burst load + kill-and-resume) =="
-serve_out="$work/serve.txt"
-serve_dir="$work/serve-dir"
-serve_resumed_out="$work/serve-resumed.txt"
-serve_args=(--seed 7 --campaigns 20 --quiet serve --load-profile burst
-  --requests 10000 --reporters 2000 --queue-capacity 40)
-python -m repro "${serve_args[@]}" > "$serve_out"
-python - "$serve_out" <<'PY'
+kill_resume serve arrival:5000 header \
+  --seed 7 --campaigns 20 --quiet serve --load-profile burst \
+  --requests 10000 --reporters 2000 --queue-capacity 40
+python - "$work/serve/full.txt" <<'PY'
 import re, sys
 
 out = open(sys.argv[1]).read()
@@ -237,29 +215,6 @@ print(f"serve ok: {submitted} submitted, depth {depth.group(1)}/"
       f"{depth.group(2)}, shed and recovered, "
       f"p50/p99={latency.group(1)}/{latency.group(2)}s")
 PY
-serve_rc=0
-python -m repro "${serve_args[@]}" --serve-dir "$serve_dir" \
-  --kill-at 5000 > /dev/null 2>&1 || serve_rc=$?
-if [ "$serve_rc" -ne 75 ]; then
-  echo "serve FAILED: expected exit 75 from the killed run, got $serve_rc" >&2
-  exit 1
-fi
-python -m repro --quiet serve --resume --serve-dir "$serve_dir" \
-  > "$serve_resumed_out"
-serve_fp="$(grep '^serve fingerprint=' "$serve_out")"
-resumed_serve_fp="$(grep '^serve fingerprint=' "$serve_resumed_out")"
-if [ -z "$serve_fp" ] || [ "$serve_fp" != "$resumed_serve_fp" ]; then
-  echo "serve FAILED: resumed fingerprint differs from uninterrupted run" >&2
-  echo "  clean:   $serve_fp" >&2
-  echo "  resumed: $resumed_serve_fp" >&2
-  exit 1
-fi
-if [ "$(head -n 1 "$serve_out")" != "$(head -n 1 "$serve_resumed_out")" ]; then
-  echo "serve FAILED: resumed header counts differ from uninterrupted run" >&2
-  diff <(head -n 1 "$serve_out") <(head -n 1 "$serve_resumed_out") >&2
-  exit 1
-fi
-echo "serve ok: kill-and-resume fingerprint matches the uninterrupted run"
 
 echo "== trace-export smoke test (--trace-format chrome) =="
 chrome_trace="$work/chrome.json"
@@ -366,16 +321,16 @@ print(f"hostile accounting ok: {s.reports_curated} + {s.quarantined} + "
       f"{s.reports_dropped} == {s.reports_in}")
 PY
 echo "== investigate smoke test (fleet fingerprint + kill-and-resume) =="
-invest_out="$work/invest.txt"
 invest_proc_out="$work/invest-proc.txt"
-invest_resumed_out="$work/invest-resumed.txt"
-invest_dir="$work/invest-dir"
 invest_perf="$work/invest-perf"
 mkdir "$invest_perf"
 invest_root=(--seed 7 --campaigns 30 --quiet)
 invest_sub=(investigate --playbook full-funnel --sample 120)
-python -m repro "${invest_root[@]}" --history-dir "$invest_perf" \
-  "${invest_sub[@]}" > "$invest_out"
+# The uninterrupted run records the perf history; the killed run dies
+# before it could.
+kill_resume investigate scan:2 header \
+  "${invest_root[@]}" --history-dir "$invest_perf" "${invest_sub[@]}"
+invest_out="$work/investigate/full.txt"
 python - "$invest_out" <<'PY'
 import re, sys
 
@@ -400,27 +355,6 @@ if [ -z "$serial_invest_fp" ] || [ "$serial_invest_fp" != "$proc_invest_fp" ]; t
   echo "investigate FAILED: process-pool fingerprint differs from serial run" >&2
   echo "  serial:  $serial_invest_fp" >&2
   echo "  process: $proc_invest_fp" >&2
-  exit 1
-fi
-invest_rc=0
-python -m repro "${invest_root[@]}" "${invest_sub[@]}" \
-  --invest-dir "$invest_dir" --kill-at 2 > /dev/null 2>&1 || invest_rc=$?
-if [ "$invest_rc" -ne 75 ]; then
-  echo "investigate FAILED: expected exit 75 from the killed fleet, got $invest_rc" >&2
-  exit 1
-fi
-python -m repro --quiet investigate --resume --invest-dir "$invest_dir" \
-  > "$invest_resumed_out"
-resumed_invest_fp="$(grep '^investigate fingerprint=' "$invest_resumed_out")"
-if [ "$serial_invest_fp" != "$resumed_invest_fp" ]; then
-  echo "investigate FAILED: resumed fingerprint differs from uninterrupted run" >&2
-  echo "  clean:   $serial_invest_fp" >&2
-  echo "  resumed: $resumed_invest_fp" >&2
-  exit 1
-fi
-if [ "$(head -n 1 "$invest_out")" != "$(head -n 1 "$invest_resumed_out")" ]; then
-  echo "investigate FAILED: resumed header counts differ from uninterrupted run" >&2
-  diff <(head -n 1 "$invest_out") <(head -n 1 "$invest_resumed_out") >&2
   exit 1
 fi
 python scripts/perf_gate.py --history-dir "$invest_perf" \

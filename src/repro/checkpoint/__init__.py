@@ -1,8 +1,8 @@
 """Durable checkpoint/resume: crash-safe pipeline runs.
 
 A checkpointed run writes a **run journal** — an fsync'd append-only
-JSONL write-ahead log plus per-stage snapshot files — under a
-``--checkpoint-dir``. After a hard process death (a real one, or a
+JSONL write-ahead log plus per-stage snapshot files — under a batch
+run's ``--run-dir``. After a hard process death (a real one, or a
 :class:`~repro.faults.CrashPoint` / journal kill-point injecting
 :class:`~repro.errors.SimulatedCrash`), ``repro resume`` /
 :func:`resume_pipeline` completes the run with **byte-identical**

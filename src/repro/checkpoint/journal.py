@@ -1,6 +1,6 @@
 """The durable run journal: manifest + JSONL write-ahead log + snapshots.
 
-Layout of a ``--checkpoint-dir``::
+Layout of a batch run's ``--run-dir``::
 
     MANIFEST.json     run identity: format, scenario, config/fault/code
                       fingerprints, execution policy, CLI argv
@@ -151,7 +151,7 @@ class RunJournal:
             if MANIFEST_NAME in existing:
                 raise ConfigurationError(
                     f"checkpoint dir {path} already contains a run journal; "
-                    f"resume it with `repro resume --checkpoint-dir {path}` "
+                    f"resume it with `repro resume {path}` "
                     f"or choose an empty directory"
                 )
             raise ConfigurationError(

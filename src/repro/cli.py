@@ -11,31 +11,34 @@ Commands mirror the library's main workflows:
   per-service request/retry/backoff counters, run counters). With
   ``--epochs``/``--epoch-hours`` the run is an in-memory incremental
   ingestion and the summary gains the per-epoch Stream table.
-* ``watch``    — continuous incremental ingestion: run N epochs over a
-  durable stream directory (``repro.stream``), printing the per-epoch
-  table and a final stream fingerprint.
-* ``ingest``   — run one (or more) follow-on epochs against an existing
-  stream directory.
+* ``watch``    — continuous incremental ingestion: run N epochs over one
+  world (``repro.stream``), printing the per-epoch table and a final
+  stream fingerprint.
+* ``ingest DIR`` — run one (or more) follow-on epochs against an
+  existing stream directory.
 * ``serve``    — drive the overload-safe report-intake service
   (``repro.serve``) under a deterministic simulated load: bounded
-  queue, per-reporter rate limits, load shedding, degraded modes, and
-  (with ``--serve-dir``) a durable exactly-once session resumable via
-  ``repro serve --resume``.
+  queue, per-reporter rate limits, load shedding, degraded modes.
 * ``investigate`` — run a declarative playbook over every URL-bearing
   record as an investigation fleet (``repro.investigate``): funnel
-  navigation through the simulated web hosts, per-campaign evidence
-  packages, and (with ``--invest-dir``) a durable charged phase
-  resumable via ``repro investigate --resume``.
-* ``resume``   — finish a crashed run: ``--checkpoint-dir`` for a batch
-  journal, ``--stream-dir`` for a stream session.
+  navigation through the simulated web hosts and per-campaign evidence
+  packages.
+* ``resume DIR`` — finish a crashed durable run of any kind.
 
 Every command accepts ``--trace-out PATH`` to dump the run's full trace
 and metrics as JSON (``--trace-format chrome`` writes Chrome
 trace-event JSON instead, openable in Perfetto), and emits stage-level
 progress lines on stderr (suppress with ``--quiet``) so long runs are
-not mute. The batch commands take ``--checkpoint-dir DIR`` to journal
-the run for crash recovery (and ``--crash-at SERVICE:INDEX`` to inject
-a hard crash for testing it).
+not mute.
+
+Every run command — the batch commands, ``stats``, ``watch``, ``serve``
+and ``investigate`` — is made durable the same way: ``--run-dir DIR``
+journals a batch run, persists a stream, serve or investigation
+session, and ``repro resume DIR`` finishes whichever kind DIR holds.
+``--kill-at PHASE:N`` injects a hard crash for testing that (exit 75):
+before the Nth call to a service or forum (``whois:5``, ``Reddit:1``;
+``whois:5@1`` for stream epoch 1), the Nth serve arrival
+(``arrival:N``) or the Nth investigation scan (``scan:N``).
 
 Options several commands share are declared once, in
 :data:`SHARED_OPTIONS`, with the commands that read them. They parse
@@ -80,7 +83,7 @@ from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
 from .errors import CheckpointError, ConfigurationError, SimulatedCrash
 from .exec import POOL_KINDS, ExecutionPolicy
-from .faults import FAULT_PROFILES, CrashPoint, build_fault_plan
+from .faults import FAULT_PROFILES, CrashPoint, FaultPlan, build_fault_plan
 from .investigate import (
     INVESTIGATE_MANIFEST_NAME,
     PLAYBOOKS,
@@ -105,28 +108,53 @@ from .serve import (
     serve_fingerprint,
 )
 from .stream import STREAM_MANIFEST_NAME, StreamSession
+from .types import Forum
 from .world.adversarial import HOSTILE_PROFILES
 from .world.scenario import ScenarioConfig, build_world
 
 
-def _parse_crash_at(spec: str) -> Tuple[str, int]:
-    service, sep, index = spec.partition(":")
-    if not sep or not service or not index:
-        raise ConfigurationError(
-            f"--crash-at wants SERVICE:CALL_INDEX (e.g. whois:5), "
-            f"got {spec!r}"
-        )
+#: What ``--kill-at PHASE:N`` counts, per command: the Nth call to an
+#: enrichment service (by meter name) or a forum in batch and stream
+#: runs, the Nth arrival of a serve run, the Nth scan of an
+#: investigation.
+_CALL_PHASES = ("crtsh", "gsb", "hlr", "ipinfo", "openai", "spamhaus-pdns",
+                "virustotal", "whois") + tuple(forum.value for forum in Forum)
+_KILL_PHASES = {"serve": ("arrival",), "investigate": ("scan",)}
+
+
+def _crash_point(args: argparse.Namespace) -> CrashPoint:
+    """``--kill-at PHASE:N[@E]`` as the crash point its command counts."""
+    spec = args.kill_at
+    phase, _, rest = spec.partition(":")
+    count, at, epoch = rest.partition("@")
     try:
-        at_call = int(index)
+        point = CrashPoint(phase, int(count), int(epoch) if at else 0)
     except ValueError:
+        point = None
+    if point is None or not phase or point.at_call < 0 or point.epoch < 0:
         raise ConfigurationError(
-            f"--crash-at call index must be an integer, got {index!r}"
+            f"--kill-at wants PHASE:N with N >= 0 (e.g. whois:5), or "
+            f"PHASE:N@E for stream epoch E >= 0; got {spec!r}"
         )
-    if at_call < 0:
+    phases = _KILL_PHASES.get(args.command, _CALL_PHASES)
+    if phase not in phases:
         raise ConfigurationError(
-            f"--crash-at call index must be >= 0, got {at_call}"
+            f"--kill-at {spec}: `repro {args.command}` counts no "
+            f"{phase!r}; choose from {', '.join(phases)}"
         )
-    return service, at_call
+    if at and args.command != "watch":
+        raise ConfigurationError(
+            f"--kill-at {spec}: only `repro watch` runs epochs (@E)"
+        )
+    return point
+
+
+def _fault_plan(args: argparse.Namespace) -> FaultPlan:
+    """The ``--faults`` profile plus the ``--kill-at`` crash point."""
+    plan = build_fault_plan(args.faults, seed=args.seed)
+    if args.kill_at is None:
+        return plan
+    return plan.extended(_crash_point(args))
 
 
 def _run_argv(args: argparse.Namespace) -> List[str]:
@@ -180,18 +208,14 @@ def _build_run(args: argparse.Namespace) -> PipelineRun:
                                            n_campaigns=args.campaigns,
                                            hostile=args.hostile))
         telemetry = Telemetry.create(clock=world.clock, progress=progress)
-        fault_plan = build_fault_plan(args.faults, seed=args.seed)
-        if args.crash_at is not None:
-            service, at_call = _parse_crash_at(args.crash_at)
-            fault_plan = fault_plan.extended(CrashPoint(service, at_call))
-        execution = _execution_policy(args)
         checkpoint = None
-        if args.checkpoint_dir is not None:
+        if args.run_dir is not None:
             checkpoint = CheckpointSession.record(
-                args.checkpoint_dir, cli={"argv": _manifest_argv(args)})
+                args.run_dir, cli={"argv": _manifest_argv(args)})
         return run_pipeline(world, telemetry=telemetry,
-                            fault_plan=fault_plan,
-                            execution=execution, checkpoint=checkpoint)
+                            fault_plan=_fault_plan(args),
+                            execution=_execution_policy(args),
+                            checkpoint=checkpoint)
 
     if not args.profile:
         return _execute()
@@ -355,7 +379,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(render_history(records))
         return 0
     if args.epochs is not None or args.epoch_hours is not None:
-        session = _build_stream_session(args, stream_dir=None)
+        session = _build_stream_session(args)
         _profiled_session_run(args, session, session.run)
         run = session.as_pipeline_run()
         epochs = f" epochs={session.state.committed_epochs}"
@@ -398,8 +422,8 @@ def _stream_argv(args: argparse.Namespace) -> List[str]:
         argv += ["--epochs", str(args.epochs)]
     if args.epoch_hours is not None:
         argv += ["--epoch-hours", str(args.epoch_hours)]
-    if getattr(args, "stream_dir", None) is not None:
-        argv += ["--stream-dir", str(args.stream_dir)]
+    if args.run_dir is not None:
+        argv += ["--run-dir", str(args.run_dir)]
     if args.profile:
         argv.append("--profile")
     if args.history_dir is not None:
@@ -413,10 +437,7 @@ def _telemetry_factory(args: argparse.Namespace):
                                           progress=progress)
 
 
-def _build_stream_session(args: argparse.Namespace,
-                          stream_dir: Optional[Path]) -> StreamSession:
-    crash = (_parse_crash_at(args.crash_at)
-             if args.crash_at is not None else None)
+def _build_stream_session(args: argparse.Namespace) -> StreamSession:
     epochs, epoch_hours = args.epochs, args.epoch_hours
     if epochs is None and epoch_hours is None:
         epochs = 4
@@ -425,12 +446,10 @@ def _build_stream_session(args: argparse.Namespace,
                        hostile=args.hostile),
         epochs=epochs,
         epoch_hours=epoch_hours,
-        fault_plan=build_fault_plan(args.faults, seed=args.seed),
+        fault_plan=_fault_plan(args),
         execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
-        stream_dir=stream_dir,
-        crash_at=crash,
-        crash_epoch=getattr(args, "crash_epoch", None),
+        stream_dir=args.run_dir,
         cli={"argv": _stream_argv(args)},
     )
 
@@ -469,25 +488,25 @@ def _print_stream(args: argparse.Namespace,
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    session = _build_stream_session(args, stream_dir=args.stream_dir)
+    session = _build_stream_session(args)
     _profiled_session_run(args, session, session.run)
     return _print_stream(args, session)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     session = StreamSession.load(
-        args.stream_dir, telemetry_factory=_telemetry_factory(args))
+        args.directory, telemetry_factory=_telemetry_factory(args))
     _profiled_session_run(args, session,
                           lambda: session.ingest(args.epochs))
     return _print_stream(args, session)
 
 
-def _cmd_stream_resume(args: argparse.Namespace) -> int:
+def _resume_stream(args: argparse.Namespace, directory: Path) -> int:
     session = StreamSession.load(
-        args.stream_dir, telemetry_factory=_telemetry_factory(args))
+        directory, telemetry_factory=_telemetry_factory(args))
     if not args.quiet:
         pending = session.scheduler.target - session.state.committed_epochs
-        print(f"resuming stream from {args.stream_dir} "
+        print(f"resuming stream from {directory} "
               f"({pending} epoch(s) pending, "
               f"{session.policy.describe()})", file=sys.stderr)
     _profiled_session_run(args, session, session.run)
@@ -505,19 +524,13 @@ def _serve_argv(args: argparse.Namespace) -> List[str]:
         "--batch-size", str(args.batch_size),
         "--drain-interval", str(args.drain_interval),
         "--commit-every", str(args.commit_every)]
-    if args.serve_dir is not None:
-        argv += ["--serve-dir", str(args.serve_dir)]
+    if args.run_dir is not None:
+        argv += ["--run-dir", str(args.run_dir)]
     return argv
 
 
-def _build_serve(args: argparse.Namespace) -> IntakeService:
-    if args.resume:
-        return IntakeService.load(
-            args.serve_dir,
-            telemetry_factory=_telemetry_factory(args),
-            kill_at=args.kill_at,
-        )
-    return IntakeService.create(
+def _cmd_serve(args: argparse.Namespace) -> int:
+    service = IntakeService.create(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
                        hostile=args.hostile),
         load=LoadSpec(profile=args.load_profile, requests=args.requests,
@@ -526,18 +539,24 @@ def _build_serve(args: argparse.Namespace) -> IntakeService:
                            batch_size=args.batch_size,
                            drain_interval=args.drain_interval,
                            commit_every=args.commit_every),
-        fault_plan=build_fault_plan(args.faults, seed=args.seed),
+        fault_plan=_fault_plan(args),
         execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
-        serve_dir=args.serve_dir,
-        kill_at=args.kill_at,
+        serve_dir=args.run_dir,
         cli={"argv": _serve_argv(args)},
     )
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    service = _build_serve(args)
     service.run()
+    return _print_serve(args, service)
+
+
+def _resume_serve(args: argparse.Namespace, directory: Path) -> int:
+    service = IntakeService.load(directory,
+                                 telemetry_factory=_telemetry_factory(args))
+    service.run()
+    return _print_serve(args, service)
+
+
+def _print_serve(args: argparse.Namespace, service: IntakeService) -> int:
     stats = service.stats()
     load = stats["load"]
     queue = stats["queue"]
@@ -592,14 +611,24 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
         playbook=args.playbook,
         sample=args.sample,
         execution=_execution_policy(args),
-        fault_profile=args.faults,
-        fault_seed=args.seed,
-        invest_dir=args.invest_dir,
-        resume=args.resume,
-        kill_at=args.kill_at,
+        fault_plan=_fault_plan(args),
+        invest_dir=args.run_dir,
         commit_every=args.commit_every,
         telemetry=telemetry,
     )
+    return _print_investigation(args, outcome, telemetry)
+
+
+def _resume_investigation(args: argparse.Namespace, directory: Path) -> int:
+    progress = None if args.quiet else stderr_sink
+    telemetry = Telemetry.create(progress=progress)
+    outcome = run_investigation(invest_dir=directory, resume=True,
+                                telemetry=telemetry)
+    return _print_investigation(args, outcome, telemetry)
+
+
+def _print_investigation(args: argparse.Namespace, outcome,
+                         telemetry: Telemetry) -> int:
     report = outcome.report
     world = outcome.world
     fault_profile = (outcome.session.fault_profile
@@ -615,7 +644,7 @@ def _cmd_investigate(args: argparse.Namespace) -> int:
           f"scans={len(report.verdicts)} scan_gaps={report.scan_gaps}")
     print()
     print(telemetry.summary())
-    evidence_dir = args.evidence_dir
+    evidence_dir = getattr(args, "evidence_dir", None)
     if evidence_dir is not None:
         manifest_path = write_packages(evidence_dir, report.packages)
         print()
@@ -683,14 +712,16 @@ SHARED_OPTIONS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, Any]], ...] = (
      dict(action="store_true", default=False,
           help="disable the per-(service, subject) enrichment cache (on "
                "by default; caching never changes results)")),
-    ("--checkpoint-dir", _BATCH + ("stats", "resume"),
-     dict(type=Path, default=None,
-          help="journal the run here for crash recovery; `repro resume "
-               "--checkpoint-dir DIR` finishes it")),
-    ("--crash-at", _BATCH + ("stats", "watch"),
-     dict(metavar="SERVICE:CALL_INDEX", default=None,
-          help="inject a hard crash at the Nth call to a service (testing "
-               "aid for checkpointing)")),
+    ("--run-dir", _WORLD,
+     dict(type=Path, default=None, metavar="DIR",
+          help="make the run durable in this missing or empty directory; "
+               "`repro resume DIR` finishes it after a crash")),
+    ("--kill-at", _WORLD,
+     dict(metavar="PHASE:N", default=None,
+          help="inject a hard crash (exit 75) before the Nth event the "
+               "command counts: a service or forum call (whois:5; "
+               "whois:5@E in stream epoch E), a serve arrival (arrival:N) "
+               "or an investigation scan (scan:N); needs --run-dir")),
     ("--trace-format", COMMANDS,
      dict(choices=("json", "chrome"), default="json",
           help="format for --trace-out (default json; chrome = Chrome "
@@ -759,20 +790,14 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--epoch-hours", type=float, default=None,
                        help="epoch window width in hours (default: divide "
                             "the global window into --epochs equal slices)")
-    watch.add_argument("--stream-dir", type=Path, default=None,
-                       help="persist watermarks, dedup ledger, and merged "
-                            "state here (resumable with `repro resume "
-                            "--stream-dir`)")
-    watch.add_argument("--crash-epoch", type=int, default=None,
-                       help="which epoch --crash-at applies to (default 0)")
     watch.set_defaults(func=_cmd_watch)
 
     ingest = sub.add_parser(
         "ingest", help="run follow-on epochs against a stream directory"
     )
-    ingest.add_argument("--stream-dir", type=Path, required=True,
+    ingest.add_argument("directory", type=Path, metavar="DIR",
                         help="an existing stream directory (`repro watch "
-                             "--stream-dir`)")
+                             "--run-dir DIR`)")
     ingest.add_argument("--epochs", type=int, default=1,
                         help="how many additional epochs to ingest "
                              "(default 1)")
@@ -801,16 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sim-seconds between batch drains (default 20)")
     serve.add_argument("--commit-every", type=int, default=500,
                        help="arrivals between durable commits with "
-                            "--serve-dir (default 500)")
-    serve.add_argument("--serve-dir", type=Path, default=None,
-                       help="persist the session here (resumable with "
-                            "`repro serve --resume --serve-dir DIR`)")
-    serve.add_argument("--resume", action="store_true", default=False,
-                       help="reopen an existing --serve-dir and finish its "
-                            "schedule from the last commit")
-    serve.add_argument("--kill-at", type=int, default=None,
-                       help="inject a hard crash before this arrival index "
-                            "(testing aid for the resume protocol)")
+                            "--run-dir (default 500)")
     serve.set_defaults(func=_cmd_serve)
 
     investigate = sub.add_parser(
@@ -825,31 +841,19 @@ def build_parser() -> argparse.ArgumentParser:
     investigate.add_argument("--sample", type=int, default=None,
                              help="investigate only the first N "
                                   "URL-bearing records (default: all)")
-    investigate.add_argument("--invest-dir", type=Path, default=None,
-                             help="persist the charged phase here "
-                                  "(resumable with `repro investigate "
-                                  "--resume --invest-dir DIR`)")
-    investigate.add_argument("--resume", action="store_true", default=False,
-                             help="reopen an existing --invest-dir and "
-                                  "finish its scans from the last commit")
-    investigate.add_argument("--kill-at", type=int, default=None,
-                             help="inject a hard crash before this scan "
-                                  "index (testing aid for the resume "
-                                  "protocol)")
     investigate.add_argument("--commit-every", type=int, default=1,
                              help="scans between durable commits with "
-                                  "--invest-dir (default 1)")
+                                  "--run-dir (default 1)")
     investigate.add_argument("--evidence-dir", type=Path, default=None,
                              help="write per-campaign evidence packages "
                                   "(content-hashed JSON) here")
     investigate.set_defaults(func=_cmd_investigate)
 
     resume = sub.add_parser(
-        "resume", help="finish a crashed checkpointed or stream run"
+        "resume", help="finish a crashed durable run"
     )
-    resume.add_argument("--stream-dir", type=Path, default=None,
-                        help="the stream directory of a crashed "
-                             "`repro watch` run")
+    resume.add_argument("directory", type=Path, metavar="DIR",
+                        help="the --run-dir of a crashed run of any kind")
     resume.set_defaults(func=_cmd_resume)
 
     for flag, readers, spec in SHARED_OPTIONS:
@@ -858,6 +862,18 @@ def build_parser() -> argparse.ArgumentParser:
             sub.choices[command].add_argument(
                 flag, **dict(spec, default=argparse.SUPPRESS))
     return parser
+
+
+def _unread_option(args: argparse.Namespace, command: str,
+                   given=frozenset()) -> Optional[str]:
+    """The first shared option set in ``args`` (or named in ``given``)
+    that ``command`` does not read, or None."""
+    for flag, readers, spec in SHARED_OPTIONS:
+        dest = flag[2:].replace("-", "_")
+        if command not in readers and (
+                flag in given or getattr(args, dest) != spec["default"]):
+            return flag
+    return None
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
@@ -869,13 +885,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    given = {token.partition("=")[0] for token in extras}
-    for flag, readers, spec in SHARED_OPTIONS:
-        dest = flag[2:].replace("-", "_")
-        if args.command not in readers and (
-                flag in given or getattr(args, dest) != spec["default"]):
-            raise ConfigurationError(
-                f"{flag} does not apply to `repro {args.command}`")
+    flag = _unread_option(args, args.command,
+                          {token.partition("=")[0] for token in extras})
+    if flag is not None:
+        raise ConfigurationError(
+            f"{flag} does not apply to `repro {args.command}`")
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
@@ -892,6 +906,27 @@ def _writable_dir(path: Path) -> bool:
     return os.access(probe, os.W_OK)
 
 
+#: The manifest each durable kind writes before any work: a batch
+#: journal, then the stream, serve and investigation sessions.
+RUN_MANIFESTS = (MANIFEST_NAME, STREAM_MANIFEST_NAME, SERVE_MANIFEST_NAME,
+                 INVESTIGATE_MANIFEST_NAME)
+
+
+def _validate_run_dir(run_dir: Path) -> None:
+    """A fresh run's directory is missing or empty, and writable."""
+    if run_dir.exists() and not run_dir.is_dir():
+        raise ConfigurationError(
+            f"--run-dir {run_dir} exists and is not a directory")
+    if not _writable_dir(run_dir):
+        raise ConfigurationError(f"--run-dir {run_dir} is not writable")
+    if run_dir.is_dir() and any(run_dir.iterdir()):
+        if any((run_dir / name).is_file() for name in RUN_MANIFESTS):
+            raise ConfigurationError(
+                f"--run-dir {run_dir} already holds a run; finish it with "
+                f"`repro resume {run_dir}`")
+        raise ConfigurationError(f"--run-dir {run_dir} is not empty")
+
+
 def _validate_args(args: argparse.Namespace) -> None:
     """Fail fast on bad run-shaping inputs, before any work starts."""
     for option in ("workers", "campaigns", "epochs", "sample", "top",
@@ -900,17 +935,29 @@ def _validate_args(args: argparse.Namespace) -> None:
         if value is not None and value < 1:
             raise ConfigurationError(
                 f"--{option.replace('_', '-')} must be >= 1, got {value}")
-    if args.crash_at is not None:
-        _parse_crash_at(args.crash_at)
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not 0 < threshold <= 1:
+        raise ConfigurationError(
+            f"--threshold must lie in (0, 1], got {threshold}")
     if args.trace_format == "chrome" and args.trace_out is None:
         raise ConfigurationError(
             "--trace-format chrome needs --trace-out PATH to write to"
         )
     history_dir = args.history_dir
-    if getattr(args, "history", False) and history_dir is None:
-        raise ConfigurationError(
-            "stats --history wants --history-dir DIR to read from"
-        )
+    if getattr(args, "history", False):
+        if history_dir is None:
+            raise ConfigurationError(
+                "stats --history wants --history-dir DIR to read from"
+            )
+        # The history view runs nothing, so any run option would be
+        # dropped.
+        defaults = vars(build_parser().parse_args(["stats"]))
+        for dest, value in vars(args).items():
+            if (dest not in ("history", "history_dir", "quiet")
+                    and value != defaults[dest]):
+                raise ConfigurationError(
+                    f"--{dest.replace('_', '-')} does not apply to "
+                    f"`repro stats --history`")
     if history_dir is not None:
         if history_dir.exists() and not history_dir.is_dir():
             raise ConfigurationError(
@@ -921,149 +968,48 @@ def _validate_args(args: argparse.Namespace) -> None:
             raise ConfigurationError(
                 f"--history-dir {history_dir} is not writable"
             )
-    checkpoint_dir = args.checkpoint_dir
-    stream_dir = getattr(args, "stream_dir", None)
-    if (args.command == "stats" and checkpoint_dir is not None
-            and (args.epochs is not None or args.epoch_hours is not None)):
+    if args.kill_at is not None:
+        _crash_point(args)
+        if args.run_dir is None:
+            raise ConfigurationError(
+                "--kill-at wants --run-dir DIR (a kill without a durable "
+                "run loses the run)"
+            )
+    if args.run_dir is not None:
+        if args.command == "stats" and (args.epochs is not None
+                                        or args.epoch_hours is not None):
+            raise ConfigurationError(
+                "--run-dir does not apply to `repro stats --epochs`; make "
+                "a stream durable with `repro watch --run-dir`"
+            )
+        _validate_run_dir(args.run_dir)
+    evidence_dir = getattr(args, "evidence_dir", None)
+    if evidence_dir is not None and not _writable_dir(evidence_dir):
         raise ConfigurationError(
-            "--checkpoint-dir does not apply to `repro stats --epochs`; "
-            "journal a stream run with `repro watch --stream-dir`"
-        )
-    if args.command == "serve":
-        serve_dir = getattr(args, "serve_dir", None)
-        if getattr(args, "resume", False):
-            if serve_dir is None:
-                raise ConfigurationError(
-                    "serve --resume wants --serve-dir DIR to reopen"
-                )
-            if not (serve_dir / SERVE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} has no {SERVE_MANIFEST_NAME}; "
-                    f"start one with `repro serve --serve-dir {serve_dir}`"
-                )
-        elif serve_dir is not None:
-            if (serve_dir / SERVE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} already holds a serve "
-                    f"session; finish it with `repro serve --resume "
-                    f"--serve-dir {serve_dir}`"
-                )
-            if not _writable_dir(serve_dir):
-                raise ConfigurationError(
-                    f"--serve-dir {serve_dir} is not writable"
-                )
-        if getattr(args, "kill_at", None) is not None and serve_dir is None:
-            raise ConfigurationError(
-                "serve --kill-at wants --serve-dir DIR (a kill without a "
-                "durable session loses the run)"
-            )
-    if args.command == "investigate":
-        invest_dir = getattr(args, "invest_dir", None)
-        if getattr(args, "resume", False):
-            if invest_dir is None:
-                raise ConfigurationError(
-                    "investigate --resume wants --invest-dir DIR to reopen"
-                )
-            if not (invest_dir / INVESTIGATE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} has no "
-                    f"{INVESTIGATE_MANIFEST_NAME}; start one with "
-                    f"`repro investigate --invest-dir {invest_dir}`"
-                )
-        elif invest_dir is not None:
-            if (invest_dir / INVESTIGATE_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} already holds an "
-                    f"investigation session; finish it with `repro "
-                    f"investigate --resume --invest-dir {invest_dir}`"
-                )
-            if not _writable_dir(invest_dir):
-                raise ConfigurationError(
-                    f"--invest-dir {invest_dir} is not writable"
-                )
-        if getattr(args, "kill_at", None) is not None and invest_dir is None:
-            raise ConfigurationError(
-                "investigate --kill-at wants --invest-dir DIR (a kill "
-                "without a durable session loses the run)"
-            )
-        evidence_dir = getattr(args, "evidence_dir", None)
-        if evidence_dir is not None and not _writable_dir(evidence_dir):
-            raise ConfigurationError(
-                f"--evidence-dir {evidence_dir} is not writable"
-            )
-    if args.command == "resume":
-        if (checkpoint_dir is None) == (stream_dir is None):
-            raise ConfigurationError(
-                "resume wants exactly one of --checkpoint-dir (batch "
-                "journal) or --stream-dir (stream session)"
-            )
-    if stream_dir is not None:
-        if args.command in ("ingest", "resume"):
-            if not (stream_dir / STREAM_MANIFEST_NAME).is_file():
-                raise ConfigurationError(
-                    f"--stream-dir {stream_dir} has no "
-                    f"{STREAM_MANIFEST_NAME}; start one with `repro watch "
-                    f"--stream-dir {stream_dir}`"
-                )
-        elif not _writable_dir(stream_dir):
-            raise ConfigurationError(
-                f"--stream-dir {stream_dir} is not writable"
-            )
-    if checkpoint_dir is None:
-        return
-    if args.command == "resume":
-        if not checkpoint_dir.is_dir():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} is not a directory"
-            )
-        if not (checkpoint_dir / MANIFEST_NAME).is_file():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} has no {MANIFEST_NAME}; "
-                f"nothing to resume"
-            )
-        return
-    if checkpoint_dir.exists() and not checkpoint_dir.is_dir():
-        raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} exists and is not "
-            f"a directory"
-        )
-    if not _writable_dir(checkpoint_dir):
-        raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} is not writable"
-        )
-    if checkpoint_dir.is_dir() and any(checkpoint_dir.iterdir()):
-        if (checkpoint_dir / MANIFEST_NAME).is_file():
-            raise ConfigurationError(
-                f"--checkpoint-dir {checkpoint_dir} already contains a "
-                f"run journal; use `repro resume --checkpoint-dir "
-                f"{checkpoint_dir}` to finish it"
-            )
-        raise ConfigurationError(
-            f"--checkpoint-dir {checkpoint_dir} is not empty"
+            f"--evidence-dir {evidence_dir} is not writable"
         )
 
 
-def _cmd_resume(args: argparse.Namespace) -> int:
-    if args.stream_dir is not None:
-        return _cmd_stream_resume(args)
-    manifest = RunJournal.read_manifest(args.checkpoint_dir)
+def _resume_batch(args: argparse.Namespace, directory: Path) -> int:
+    """Replay the argv the journal recorded, resuming from its journal."""
+    manifest = RunJournal.read_manifest(directory)
     cli = manifest.get("cli") or {}
     argv = cli.get("argv")
     if not argv:
         raise ConfigurationError(
-            f"journal at {args.checkpoint_dir} was not recorded by the "
-            f"CLI; resume it with repro.checkpoint.resume_pipeline()"
+            f"journal at {directory} was not recorded by the CLI; resume "
+            f"it with repro.checkpoint.resume_pipeline()"
         )
     # Before the replay: an argv recorded by other code may not parse
     # here, and resume_pipeline refuses that journal in any case.
     if manifest.get("code") != code_fingerprint():
         raise CheckpointError(
-            f"journal at {args.checkpoint_dir} was recorded by other "
-            f"code; only the code that recorded it can resume it"
+            f"journal at {directory} was recorded by other code; only the "
+            f"code that recorded it can resume it"
         )
     new_args = parse_args([str(a) for a in argv])
     _validate_args(new_args)
-    new_args._resume_dir = args.checkpoint_dir
+    new_args._resume_dir = directory
     if args.quiet:
         new_args.quiet = True
     if args.trace_out is not None:
@@ -1076,9 +1022,36 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         new_args.history_dir = args.history_dir
     if not new_args.quiet:
         policy = policy_from_dict(manifest.get("execution"))
-        print(f"resuming run from {args.checkpoint_dir} "
-              f"({policy.describe()})", file=sys.stderr)
+        print(f"resuming run from {directory} ({policy.describe()})",
+              file=sys.stderr)
     return new_args.func(new_args)
+
+
+#: Each session kind's manifest, the command whose options and output
+#: its resume shares, and the resume itself.
+_SESSION_RESUMES = {
+    STREAM_MANIFEST_NAME: ("watch", _resume_stream),
+    SERVE_MANIFEST_NAME: ("serve", _resume_serve),
+    INVESTIGATE_MANIFEST_NAME: ("investigate", _resume_investigation),
+}
+
+
+def _cmd_resume(args: argparse.Namespace) -> int:
+    directory = args.directory
+    if (directory / MANIFEST_NAME).is_file():
+        return _resume_batch(args, directory)
+    for name, (command, resume) in _SESSION_RESUMES.items():
+        if (directory / name).is_file():
+            flag = _unread_option(args, command)
+            if flag is not None:
+                raise ConfigurationError(
+                    f"{flag} does not apply to the `repro {command}` run "
+                    f"in {directory}")
+            return resume(args, directory)
+    raise ConfigurationError(
+        f"{directory} holds no run manifest ({', '.join(RUN_MANIFESTS)}); "
+        f"nothing to resume"
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1091,22 +1064,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except SimulatedCrash as exc:
         print(f"repro: crashed: {exc}", file=sys.stderr)
-        stream_dir = getattr(args, "stream_dir", None)
-        checkpoint_dir = args.checkpoint_dir
-        serve_dir = getattr(args, "serve_dir", None)
-        invest_dir = getattr(args, "invest_dir", None)
-        if serve_dir is not None and args.command == "serve":
-            print(f"repro: resume with: repro serve --resume --serve-dir "
-                  f"{serve_dir}", file=sys.stderr)
-        elif invest_dir is not None and args.command == "investigate":
-            print(f"repro: resume with: repro investigate --resume "
-                  f"--invest-dir {invest_dir}", file=sys.stderr)
-        elif stream_dir is not None and args.command != "resume":
-            print(f"repro: resume with: repro resume --stream-dir "
-                  f"{stream_dir}", file=sys.stderr)
-        elif checkpoint_dir is not None and args.command != "resume":
-            print(f"repro: resume with: repro resume --checkpoint-dir "
-                  f"{checkpoint_dir}", file=sys.stderr)
+        if args.run_dir is not None:
+            print(f"repro: resume with: repro resume {args.run_dir}",
+                  file=sys.stderr)
         return 75
 
 

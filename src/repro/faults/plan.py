@@ -102,7 +102,14 @@ class InjectedLatency:
 
 @dataclass(frozen=True)
 class CrashPoint:
-    """Hard process death at the service's call ``at_call`` (0-based).
+    """Hard process death at event ``at_call`` (0-based) of a phase.
+
+    Every durable run takes its injected kill as one of these rules.
+    The phase, ``service``, names what the run counts: a service's or a
+    forum's calls in batch and stream runs (``whois``, ``Reddit``, ...,
+    counted by the fault proxy), ``arrival`` in a serve run and ``scan``
+    in an investigation. Only a stream reads ``epoch``: each epoch runs
+    under the crash points whose ``epoch`` is its index.
 
     Unlike every other rule this raises
     :class:`~repro.errors.SimulatedCrash` — a ``BaseException`` that no
@@ -115,11 +122,12 @@ class CrashPoint:
 
     service: str
     at_call: int
+    epoch: int = 0
 
     def check(self, plan: "FaultPlan", index: int, clock) -> None:
         if index == self.at_call:
             raise SimulatedCrash(
-                f"{self.service}: simulated process crash at call {index}",
+                f"simulated process crash at {self.service}:{index}",
                 service=self.service,
                 at_call=index,
             )
@@ -226,7 +234,7 @@ class FaultPlan:
         """A new plan with ``extra`` rules appended (same seed/profile).
 
         The CLI uses this to graft a :class:`CrashPoint` onto a named
-        profile (``--crash-at``) without disturbing the profile's rules.
+        profile (``--kill-at``) without disturbing the profile's rules.
         """
         return FaultPlan(seed=self.seed, rules=self.rules + tuple(extra),
                          profile=self.profile)
@@ -243,6 +251,14 @@ class FaultPlan:
         if len(kept) == len(self.rules):
             return self
         return FaultPlan(seed=self.seed, rules=kept, profile=self.profile)
+
+    def crash_points(self) -> Tuple[CrashPoint, ...]:
+        return tuple(r for r in self.rules if isinstance(r, CrashPoint))
+
+    def crash_point(self, phase: str) -> Optional[CrashPoint]:
+        """The first crash point on ``phase``, or None."""
+        return next((r for r in self.crash_points() if r.service == phase),
+                    None)
 
     def describe(self) -> str:
         """One-line summary for span attributes and logs."""

@@ -20,8 +20,8 @@ into engineering:
   the pure-probe/serial-charged-effects split, so results are
   byte-identical for any pool kind and worker count.
 * :mod:`repro.investigate.session` / :mod:`repro.investigate.harness`
-  — durable commit/resume for the charged phase and the differential
-  kill/resume proof kit (zero duplicate charges).
+  — durable commit/resume for the charged phase (zero duplicate
+  charges) and the fleet fingerprint that proves it.
 """
 
 from .evidence import (
@@ -48,7 +48,6 @@ from .harness import (
     charged_calls,
     fleet_fingerprint,
     run_investigation,
-    run_killed_then_resumed,
 )
 from .investigator import (
     SYNTHETIC_PII,
@@ -102,7 +101,6 @@ __all__ = [
     "run_case_study_playbook",
     "run_fleet",
     "run_investigation",
-    "run_killed_then_resumed",
     "step_latency_ms",
     "to_url_investigation",
     "verify_package",

@@ -14,7 +14,8 @@ uses everywhere else:
    the fleet's only meter charges — in sorted-hash order, under a retry
    policy, a circuit breaker, and whatever ``--faults`` proxies the plan
    demands. A durable session commits after each scan so a killed fleet
-   resumes at the cursor with zero duplicate charges.
+   resumes at the cursor with zero duplicate charges; a
+   ``CrashPoint("scan", N)`` in the plan kills the fleet before scan N.
 
 The §6 case study is the degenerate fleet: the ``case-study`` playbook
 over the §6 Twitter sample; :func:`run_case_study_playbook` reproduces
@@ -39,7 +40,7 @@ from ..checkpoint.state import (
 from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
 from ..core.pipeline import _observed_meters
-from ..errors import ServiceError, SimulatedCrash
+from ..errors import ServiceError
 from ..exec import make_pool, shard
 from ..faults import FaultPlan
 from ..faults.proxy import FaultProxy, wrap_if_planned
@@ -201,9 +202,12 @@ class InvestigationFleet:
         self.sample = sample
         self.workers = max(1, int(workers))
         self.pool_kind = pool_kind
-        # Crash injection goes through an explicit --kill-at, exactly
-        # like serve: soft-fault profiles never carry crash points here.
-        self._plan = (fault_plan or FaultPlan()).without_crash_points()
+        plan = fault_plan or FaultPlan()
+        self._plan = plan.without_crash_points()
+        #: The injected kill, and the scan index it fires before (-1,
+        #: which no scan has, when there is none).
+        self._crash = plan.crash_point("scan")
+        self._kill_at = self._crash.at_call if self._crash else -1
         self.telemetry = telemetry or NULL_TELEMETRY
         self._retry = retry_policy or DEFAULT_RETRY_POLICY
         self._unifier = unifier or EuphonyUnifier()
@@ -243,7 +247,6 @@ class InvestigationFleet:
         self,
         *,
         session: Optional[InvestigationSession] = None,
-        kill_at: Optional[int] = None,
     ) -> FleetReport:
         items = fleet_items(self.dataset, self.sample)
         probes = self.run_probes(items)
@@ -290,13 +293,8 @@ class InvestigationFleet:
                     for index, sha in enumerate(shas):
                         if index < len(scan_results):
                             continue  # committed by the crashed run
-                        if kill_at is not None and index == kill_at:
-                            raise SimulatedCrash(
-                                f"investigate: injected kill before "
-                                f"scan {index}",
-                                service="investigate",
-                                at_call=index,
-                            )
+                        if index == self._kill_at:
+                            self._crash.check(self._plan, index, clock)
                         verdict = self._scan_one(virustotal, breaker, sha)
                         scan_results.append((sha, verdict, clock.now))
                         if session is not None:
@@ -457,7 +455,6 @@ def run_fleet(
     fault_plan: Optional[FaultPlan] = None,
     telemetry: Optional[Telemetry] = None,
     session: Optional[InvestigationSession] = None,
-    kill_at: Optional[int] = None,
 ) -> FleetReport:
     """Convenience wrapper: build a fleet and run it end to end."""
     fleet = InvestigationFleet(
@@ -469,7 +466,7 @@ def run_fleet(
         fault_plan=fault_plan,
         telemetry=telemetry,
     )
-    return fleet.run(session=session, kill_at=kill_at)
+    return fleet.run(session=session)
 
 
 # ---------------------------------------------------------------------------

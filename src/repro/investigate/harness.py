@@ -1,7 +1,6 @@
-"""Investigation harness: build-run-fingerprint, plus the kill/resume kit.
+"""Investigation harness: build, run and fingerprint a fleet.
 
-Everything the CLI, the equivalence suite, and the CI smoke leg share
-lives here:
+Everything the CLI and the equivalence suites share lives here:
 
 * :func:`run_investigation` — scenario → world → pipeline → fleet, with
   optional durability (``invest_dir``), resume, and crash injection.
@@ -9,8 +8,6 @@ lives here:
   as one canonical JSON string. Two runs are equivalent iff these
   strings are equal, which is how the pool-matrix and kill/resume
   guarantees are stated and tested.
-* :func:`run_killed_then_resumed` — the differential harness's crashed
-  arm: run durably with an injected kill, die, reopen, finish.
 
 The enrichment pipeline always runs clean here: a ``--faults`` profile
 shapes the *investigation's* charged phase only, so the dataset under
@@ -26,9 +23,8 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..core.pipeline import run_pipeline
-from ..errors import SimulatedCrash
 from ..exec import ExecutionPolicy
-from ..faults import build_fault_plan
+from ..faults import FaultPlan, build_fault_plan
 from ..obs import Telemetry
 from ..world.scenario import ScenarioConfig, World, build_world
 from .fleet import FleetReport, InvestigationFleet
@@ -102,11 +98,9 @@ def run_investigation(
     playbook: str = "full-funnel",
     sample: Optional[int] = None,
     execution: Optional[ExecutionPolicy] = None,
-    fault_profile: Optional[str] = None,
-    fault_seed: int = 0,
+    fault_plan: Optional[FaultPlan] = None,
     invest_dir: Optional[Path] = None,
     resume: bool = False,
-    kill_at: Optional[int] = None,
     commit_every: int = 1,
     telemetry: Optional[Telemetry] = None,
 ) -> InvestigationOutcome:
@@ -114,11 +108,11 @@ def run_investigation(
 
     With ``invest_dir`` the charged phase commits durably; ``resume``
     reopens a crashed directory (run parameters, the execution policy
-    included, come from its manifest, not the arguments). ``kill_at``
-    injects a crash before that scan index — it propagates
-    :class:`~repro.errors.SimulatedCrash` after the last commit, leaving
-    the directory resumable. ``execution`` defaults to one serial
-    worker.
+    included, come from its manifest, not the arguments). A
+    ``CrashPoint("scan", N)`` in ``fault_plan`` injects a crash before
+    scan N — it propagates :class:`~repro.errors.SimulatedCrash` after
+    the last commit, leaving the directory resumable. ``execution``
+    defaults to one serial worker.
     """
     session: Optional[InvestigationSession] = None
     if resume:
@@ -132,7 +126,7 @@ def run_investigation(
         policy = session.policy
     else:
         scenario = scenario or ScenarioConfig()
-        plan = build_fault_plan(fault_profile or "none", seed=fault_seed)
+        plan = fault_plan or build_fault_plan("none")
         policy = execution or ExecutionPolicy(pool="serial")
         if invest_dir is not None:
             session = InvestigationSession.create(
@@ -156,32 +150,6 @@ def run_investigation(
         fault_plan=plan,
         telemetry=telemetry,
     )
-    report = fleet.run(session=session, kill_at=kill_at)
+    report = fleet.run(session=session)
     return InvestigationOutcome(report=report, world=world, policy=policy,
                                 session=session)
-
-
-def run_killed_then_resumed(
-    invest_dir: Path,
-    *,
-    kill_at: int,
-    scenario: Optional[ScenarioConfig] = None,
-    **kwargs: Any,
-) -> InvestigationOutcome:
-    """The differential harness's crashed arm.
-
-    Runs a durable investigation with an injected kill before scan
-    ``kill_at``, lets it die, then reopens the directory and finishes.
-    Raises if the kill never fired (a harness that silently ran
-    uninterrupted proves nothing).
-    """
-    try:
-        run_investigation(scenario, invest_dir=invest_dir,
-                          kill_at=kill_at, **kwargs)
-    except SimulatedCrash:
-        pass
-    else:
-        raise AssertionError(
-            f"kill point at scan {kill_at} never fired "
-            f"(fewer payloads than the kill index?)")
-    return run_investigation(invest_dir=invest_dir, resume=True)

@@ -100,8 +100,7 @@ class InvestigationSession:
         )
         # Persist before any charged work: a kill during the very first
         # scan must still leave a loadable session behind.
-        session.store.create(session._manifest(),
-                             resume_hint="pass --resume to continue it")
+        session.store.create(session._manifest())
         return session
 
     @classmethod

@@ -16,12 +16,7 @@ from .admission import (
     ReporterBucket,
 )
 from .degrade import DegradationController, ModeTransition, ServeMode
-from .harness import (
-    charged_calls,
-    run_killed_then_resumed,
-    run_to_completion,
-    serve_fingerprint,
-)
+from .harness import charged_calls, serve_fingerprint
 from .load import LOAD_PROFILES, Arrival, LoadSpec, generate_schedule
 from .queue import BoundedQueue, QueueItem
 from .service import (
@@ -57,7 +52,5 @@ __all__ = [
     "ServeState",
     "charged_calls",
     "generate_schedule",
-    "run_killed_then_resumed",
-    "run_to_completion",
     "serve_fingerprint",
 ]

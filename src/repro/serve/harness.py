@@ -1,25 +1,21 @@
-"""Differential chaos-under-load helpers: the exactly-once proof kit.
+"""Observable state of a finished serve run: the exactly-once proof kit.
 
 The serve layer's core guarantee is that a killed server, resumed from
 its last commit, converges on *byte-identical* observable state to a
 server that was never killed — same dataset rows, same annotations,
 same gap/rejection ledgers, same per-service charged-call totals, same
 final clock. :func:`serve_fingerprint` serialises all of that down to
-one canonical JSON string; :func:`run_killed_then_resumed` drives the
-kill/resume choreography the equivalence suite and the CI smoke leg
-share. Faults, worker counts, and kill points are all parameters, so
-the matrix in ``tests/test_serve_equivalence.py`` is a few lines per
-cell.
+one canonical JSON string and :func:`charged_calls` reads the charged
+totals; the kill/resume differential tests and ``repro serve`` compare
+runs through them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..errors import SimulatedCrash
 from .service import IntakeService
 
 
@@ -75,34 +71,3 @@ def serve_fingerprint(service: IntakeService) -> str:
         "clock_now": service.clock.now,
     }
     return json.dumps(payload, sort_keys=True, default=str)
-
-
-def run_to_completion(**create_kwargs: Any) -> IntakeService:
-    """Build a service, play its whole schedule, drain, return it."""
-    service = IntakeService.create(**create_kwargs)
-    service.run()
-    return service
-
-
-def run_killed_then_resumed(serve_dir: Path, *, kill_at: int,
-                            **create_kwargs: Any) -> IntakeService:
-    """The differential harness's crashed arm.
-
-    Starts a durable service with an injected kill before arrival
-    ``kill_at``, lets it die, then reopens the directory and runs the
-    resumed service to completion. Raises if the kill never fired (a
-    harness that silently ran uninterrupted proves nothing).
-    """
-    first = IntakeService.create(serve_dir=serve_dir, kill_at=kill_at,
-                                 **create_kwargs)
-    try:
-        first.run()
-    except SimulatedCrash:
-        pass
-    else:
-        raise AssertionError(
-            f"kill point at arrival {kill_at} never fired "
-            f"(schedule has {len(first._schedule)} arrivals)")
-    resumed = IntakeService.load(serve_dir)
-    resumed.run()
-    return resumed

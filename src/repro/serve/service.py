@@ -49,9 +49,9 @@ from ..core.dataset import SmishingDataset
 from ..core.quarantine import Sanitizer
 from ..core.enrichment import Enricher, EnrichedDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
-from ..errors import ConfigurationError, SimulatedCrash
+from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import FaultPlan, inject_faults
+from ..faults import CrashPoint, FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
 from ..resilience import CircuitBreaker, RetryPolicy
@@ -152,7 +152,6 @@ class IntakeService:
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
                  store: Optional[SnapshotStore] = None,
-                 kill_at: Optional[int] = None,
                  cli: Optional[Dict[str, Any]] = None):
         self.world = world
         self.clock = world.clock
@@ -162,10 +161,15 @@ class IntakeService:
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.tracer.bind_clock(world.clock)
         self._store = store
-        self._kill_at = kill_at
         self._cli = dict(cli) if cli else {}
         self._plan = (fault_plan.without_crash_points()
                       if fault_plan is not None else None)
+        #: The injected kill, and the arrival index it fires before (-1,
+        #: which no arrival has, when there is none): the arrival loop
+        #: pays one comparison per arrival for it.
+        self._crash = (fault_plan.crash_point("arrival")
+                       if fault_plan is not None else None)
+        self._kill_at = self._crash.at_call if self._crash else -1
         if (store is not None and self._plan is not None
                 and not self._plan.is_empty and self._plan.profile is None):
             raise ConfigurationError(
@@ -246,13 +250,14 @@ class IntakeService:
                execution: Optional[ExecutionPolicy] = None,
                telemetry_factory=None,
                serve_dir: Optional[Path] = None,
-               kill_at: Optional[int] = None,
                cli: Optional[Dict[str, Any]] = None) -> "IntakeService":
         """Start a fresh service (``repro serve``).
 
         With a ``serve_dir`` the directory must not already hold a
         session; the manifest is persisted before the first arrival so
-        even an immediate crash leaves a resumable directory.
+        even an immediate crash leaves a resumable directory. A
+        ``CrashPoint("arrival", N)`` in ``fault_plan`` kills the service
+        before arrival N.
         """
         scenario = scenario or ScenarioConfig()
         world = build_world(scenario)
@@ -262,16 +267,14 @@ class IntakeService:
         store = _serve_store(serve_dir) if serve_dir is not None else None
         service = cls(world, load=spec, config=config, fault_plan=fault_plan,
                       execution=execution, telemetry=telemetry,
-                      store=store, kill_at=kill_at, cli=cli)
+                      store=store, cli=cli)
         if store is not None:
-            store.create(service._manifest(), resume_hint=(
-                f"continue it with `repro serve --resume --serve-dir "
-                f"{store.directory}`"))
+            store.create(service._manifest())
         return service
 
     @classmethod
     def load(cls, serve_dir: Path, *, telemetry_factory=None,
-             kill_at: Optional[int] = None) -> "IntakeService":
+             kill_at: Optional[CrashPoint] = None) -> "IntakeService":
         """Reopen a killed (or drained) service from its last commit.
 
         Rebuilds the world and the deterministic load schedule from the
@@ -279,11 +282,15 @@ class IntakeService:
         admission buckets, controller history, dedup ledger, and the
         clock/meter/breaker/fault-proxy registry — and is then ready to
         continue from ``arrival_index + 1``. Injected kills are never
-        inherited: a resume only crashes again if *this* call asks to.
+        inherited: a resume only crashes again if *this* call passes an
+        ``arrival`` crash point as ``kill_at``.
         """
         store = _serve_store(serve_dir)
         manifest, payload = store.load()
         scenario, fault_plan, execution = identity_from_dict(manifest)
+        if kill_at is not None:
+            fault_plan = (fault_plan or FaultPlan(seed=scenario.seed)
+                          ).extended(kill_at)
         world = build_world(scenario)
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
@@ -295,7 +302,6 @@ class IntakeService:
             execution=execution,
             telemetry=telemetry,
             store=store,
-            kill_at=kill_at,
             cli=manifest.get("cli") or {},
         )
         if payload is not None:
@@ -427,10 +433,8 @@ class IntakeService:
         for arrival in self._schedule:
             if arrival.index <= self.state.arrival_index:
                 continue  # committed by a previous life of this service
-            if self._kill_at is not None and arrival.index == self._kill_at:
-                raise SimulatedCrash(
-                    f"serve: injected kill before arrival {arrival.index}",
-                    service="serve", at_call=arrival.index)
+            if arrival.index == self._kill_at:
+                self._crash.check(self._plan, arrival.index, self.clock)
             if arrival.at > self.clock.now:
                 self.clock.advance(arrival.at - self.clock.now)
             self._drain_due()

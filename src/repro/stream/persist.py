@@ -107,11 +107,12 @@ class SnapshotStore:
         #: the first commit.
         self.state_sha256: Optional[str] = None
 
-    def create(self, fields: Dict[str, Any], *, resume_hint: str) -> None:
+    def create(self, fields: Dict[str, Any]) -> None:
         if (self.directory / self.manifest_name).exists():
             raise ConfigurationError(
                 f"{self.directory} already holds a session "
-                f"({self.manifest_name}); {resume_hint}"
+                f"({self.manifest_name}); finish it with `repro resume "
+                f"{self.directory}`"
             )
         self.directory.mkdir(parents=True, exist_ok=True)
         self.write_manifest(fields)

@@ -51,7 +51,7 @@ from ..core.dataset import SmishingDataset
 from ..core.pipeline import _observed_meters, build_enrichment_services
 from ..errors import ConfigurationError
 from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import CrashPoint, FaultPlan, inject_faults
+from ..faults import FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..obs import Telemetry, ensure_telemetry
 from ..resilience import CircuitBreaker, RetryPolicy
@@ -78,8 +78,6 @@ class StreamSession:
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
                  store: Optional[SnapshotStore] = None,
-                 crash_at: Optional[tuple] = None,
-                 crash_epoch: Optional[int] = None,
                  cli: Optional[Dict[str, Any]] = None):
         self.world = world
         self.scheduler = scheduler
@@ -90,8 +88,8 @@ class StreamSession:
         self.config = replace(base, stable_vision=True)
         self._survivable = (fault_plan.without_crash_points()
                             if fault_plan is not None else None)
-        self._crash_at = crash_at
-        self._crash_epoch = crash_epoch if crash_epoch is not None else 0
+        self._crash_points = (fault_plan.crash_points()
+                              if fault_plan is not None else ())
         self.policy = execution or ExecutionPolicy()
         self.telemetry = ensure_telemetry(telemetry)
         self.telemetry.tracer.bind_clock(world.clock)
@@ -139,21 +137,29 @@ class StreamSession:
                telemetry_factory: Optional[Callable[[World], Telemetry]] = None,
                stream_dir: Optional[Path] = None,
                idle_seconds: float = 0.0,
-               crash_at: Optional[tuple] = None,
-               crash_epoch: Optional[int] = None,
                cli: Optional[Dict[str, Any]] = None) -> "StreamSession":
         """Start a fresh session (``repro watch``).
 
         With a ``stream_dir``, the directory must not already hold a
         stream; the session manifest is persisted immediately so even a
-        crash inside epoch 0 leaves a resumable directory behind.
+        crash inside epoch 0 leaves a resumable directory behind. A
+        crash point in ``fault_plan`` must name one of the planned
+        epochs: one past them would never fire.
         """
         scenario = scenario or ScenarioConfig()
-        world = build_world(scenario)
         base = config or PipelineConfig()
         plan = plan_epochs(base.windows, epochs=epochs,
                            epoch_hours=epoch_hours)
         target = epochs if epochs is not None else len(plan)
+        for crash in (fault_plan.crash_points()
+                      if fault_plan is not None else ()):
+            if not 0 <= crash.epoch < target:
+                raise ConfigurationError(
+                    f"crash point {crash.service}:{crash.at_call} names "
+                    f"epoch {crash.epoch}, but the session plans epochs "
+                    f"0..{target - 1}"
+                )
+        world = build_world(scenario)
         scheduler = EpochScheduler(plan, target=target,
                                    idle_seconds=idle_seconds)
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
@@ -161,19 +167,15 @@ class StreamSession:
         store = _stream_store(stream_dir) if stream_dir is not None else None
         session = cls(world, scheduler=scheduler, config=base,
                       fault_plan=fault_plan, execution=execution,
-                      telemetry=telemetry, store=store,
-                      crash_at=crash_at, crash_epoch=crash_epoch, cli=cli)
+                      telemetry=telemetry, store=store, cli=cli)
         if store is not None:
-            store.create(session._manifest(), resume_hint=(
-                f"continue it with `repro resume --stream-dir "
-                f"{store.directory}` or `repro ingest`"))
+            store.create(session._manifest())
         return session
 
     @classmethod
     def load(cls, stream_dir: Path, *,
              telemetry_factory: Optional[Callable[[World], Telemetry]] = None,
-             crash_at: Optional[tuple] = None,
-             crash_epoch: Optional[int] = None) -> "StreamSession":
+             ) -> "StreamSession":
         """Reopen a durable session (``repro resume`` / ``repro ingest``).
 
         Rebuilds the world from the persisted scenario, reloads the
@@ -198,7 +200,6 @@ class StreamSession:
         session = cls(world, scheduler=scheduler,
                       fault_plan=fault_plan, execution=execution,
                       telemetry=telemetry, store=store,
-                      crash_at=crash_at, crash_epoch=crash_epoch,
                       cli=manifest.get("cli") or {})
         if payload is not None:
             session.state = StreamState.from_payload(payload)
@@ -393,13 +394,12 @@ class StreamSession:
                                              epoch.start, epoch.end))
 
     def _plan_for_epoch(self, epoch: EpochWindow) -> Optional[FaultPlan]:
-        plan = self._survivable
-        if self._crash_at is not None and epoch.index == self._crash_epoch:
-            service, at_call = self._crash_at
-            base = plan if plan is not None else FaultPlan(
-                seed=self.world.config.seed)
-            plan = base.extended(CrashPoint(service, at_call))
-        return plan
+        crashes = [crash for crash in self._crash_points
+                   if crash.epoch == epoch.index]
+        if not crashes:
+            return self._survivable
+        base = self._survivable or FaultPlan(seed=self.world.config.seed)
+        return base.extended(*crashes)
 
     def _open_epoch_checkpoint(self, epoch: EpochWindow):
         if self._store is None:

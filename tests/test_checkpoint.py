@@ -163,7 +163,7 @@ def test_registry_rejects_objects_without_the_protocol():
 def test_registry_restore_unknown_key():
     registry = StateRegistry()
     registry.register("meter:a", _Cell(1))
-    # proxy: keys may legitimately vanish on resume (a --crash-at rule
+    # proxy: keys may legitimately vanish on resume (a --kill-at rule
     # wrapped a service the crash-free resumed plan leaves bare).
     registry.restore({"proxy:ghost": {"calls": 5}})
     with pytest.raises(CheckpointError):
@@ -383,14 +383,14 @@ def test_cli_rejects_zero_workers(capsys):
 @pytest.mark.parametrize("spec", ["whois", "whois:", ":5", "whois:x",
                                   "whois:-1"])
 def test_cli_rejects_bad_crash_at(spec, capsys):
-    assert main(_CLI + ["--crash-at", spec, "stats"]) == 2
-    assert "--crash-at" in capsys.readouterr().err
+    assert main(_CLI + ["--kill-at", spec, "stats"]) == 2
+    assert "--kill-at" in capsys.readouterr().err
 
 
 def test_cli_rejects_checkpoint_dir_that_is_a_file(tmp_path, capsys):
     target = tmp_path / "file"
     target.write_text("x")
-    assert main(_CLI + ["--checkpoint-dir", str(target), "stats"]) == 2
+    assert main(_CLI + ["--run-dir", str(target), "stats"]) == 2
     assert "not a directory" in capsys.readouterr().err
 
 
@@ -398,7 +398,7 @@ def test_cli_rejects_non_empty_checkpoint_dir(tmp_path, capsys):
     d = tmp_path / "full"
     d.mkdir()
     (d / "stray.txt").write_text("x")
-    assert main(_CLI + ["--checkpoint-dir", str(d), "stats"]) == 2
+    assert main(_CLI + ["--run-dir", str(d), "stats"]) == 2
     assert "not empty" in capsys.readouterr().err
 
 
@@ -406,26 +406,13 @@ def test_cli_points_existing_journal_at_resume(tmp_path, capsys):
     d = tmp_path / "ck"
     d.mkdir()
     (d / MANIFEST_NAME).write_text("{}")
-    assert main(_CLI + ["--checkpoint-dir", str(d), "stats"]) == 2
-    assert "repro resume" in capsys.readouterr().err
+    assert main(_CLI + ["--run-dir", str(d), "stats"]) == 2
+    assert f"`repro resume {d}`" in capsys.readouterr().err
 
 
 def test_cli_resume_requires_a_journal(tmp_path, capsys):
-    assert main(["resume", "--checkpoint-dir", str(tmp_path)]) == 2
+    assert main(["resume", str(tmp_path)]) == 2
     assert MANIFEST_NAME in capsys.readouterr().err
-
-
-def test_cli_crash_then_resume_round_trip(tmp_path, capsys):
-    d = tmp_path / "ck"
-    crash = _CLI + ["--faults", "flaky", "--checkpoint-dir", str(d),
-                    "--crash-at", "whois:3", "report"]
-    assert main(crash) == 75
-    err = capsys.readouterr().err
-    assert "repro: crashed" in err and "repro resume" in err
-    assert main(["resume", "--checkpoint-dir", str(d), "--quiet"]) == 0
-    resumed_report = capsys.readouterr().out
-    assert main(_CLI + ["--faults", "flaky", "report"]) == 0
-    assert resumed_report == capsys.readouterr().out
 
 
 def test_cli_resume_refuses_a_journal_from_other_code(tmp_path, capsys):
@@ -433,7 +420,7 @@ def test_cli_resume_refuses_a_journal_from_other_code(tmp_path, capsys):
     name the journal instead of printing usage for a command the user
     never typed."""
     d = tmp_path / "ck"
-    crash = _CLI + ["--checkpoint-dir", str(d), "--crash-at", "whois:3",
+    crash = _CLI + ["--run-dir", str(d), "--kill-at", "whois:3",
                     "stats"]
     assert main(crash) == 75
     manifest = json.loads((d / MANIFEST_NAME).read_text())
@@ -441,7 +428,7 @@ def test_cli_resume_refuses_a_journal_from_other_code(tmp_path, capsys):
     manifest["code"] = "0" * 64
     (d / MANIFEST_NAME).write_text(json.dumps(manifest))
     capsys.readouterr()
-    assert main(["resume", "--checkpoint-dir", str(d)]) == 2
+    assert main(["resume", str(d)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro: error:") and str(d) in err
     assert "usage:" not in err

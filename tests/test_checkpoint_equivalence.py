@@ -17,20 +17,28 @@ immediately after the Nth durable append), which places a kill point at
 every boundary a real ``kill -9`` could land on. One tiny world is
 killed at *every* write; a seeds × fault-profiles × worker-counts grid
 is killed at sampled boundaries (first writes, mid-journal, the last
-two writes) to keep wall time sane.
+two writes) to keep wall time sane. Runs go through the batch row of
+the shared differential harness (``tests.differential``), which caches
+each uninterrupted baseline once per test session.
 """
+
+import json
 
 import pytest
 
-from repro.checkpoint import CheckpointSession, resume_pipeline
-from repro.core.pipeline import run_pipeline
+from repro.checkpoint import MANIFEST_NAME
 from repro.errors import SimulatedCrash
 from repro.exec import ExecutionPolicy
 from repro.faults import CrashPoint, build_fault_plan
 from repro.obs import Telemetry
-from repro.world.scenario import ScenarioConfig, build_world
+from repro.world.scenario import ScenarioConfig
 
-from tests.fingerprints import fingerprint_run
+from tests.differential import (
+    BATCH,
+    baseline,
+    journal_writes,
+    kill_then_resume,
+)
 
 #: Dense config: small enough to kill at every single journal write.
 _TINY = ScenarioConfig(seed=3, n_campaigns=2, include_sbi_burst=False)
@@ -40,6 +48,7 @@ _GRID = ScenarioConfig(seed=0, n_campaigns=3, include_sbi_burst=False)
 SEEDS = (3, 11)
 PROFILES = ("flaky", "outage")
 POLICIES = (ExecutionPolicy(workers=1), ExecutionPolicy(workers=4))
+_SERIAL = POLICIES[0]
 
 _SERVICES = ("hlr", "whois", "crtsh", "passivedns", "ipinfo",
              "virustotal", "gsb", "openai")
@@ -50,35 +59,14 @@ def _scenario(seed: int) -> ScenarioConfig:
                           include_sbi_burst=_GRID.include_sbi_burst)
 
 
+def _faults(scenario, profile):
+    return build_fault_plan(profile, seed=scenario.seed)
+
+
 def _baseline(scenario, profile, policy):
     """Fingerprint of the uninterrupted, *uncheckpointed* run."""
-    run = run_pipeline(build_world(scenario),
-                       fault_plan=build_fault_plan(profile,
-                                                   seed=scenario.seed),
-                       execution=policy)
-    return fingerprint_run(run)
-
-
-def _journal_writes(scenario, profile, policy, directory):
-    """Run checkpointed to completion; return (fingerprint, writes)."""
-    session = CheckpointSession.record(directory)
-    run = run_pipeline(build_world(scenario),
-                       fault_plan=build_fault_plan(profile,
-                                                   seed=scenario.seed),
-                       execution=policy, checkpoint=session)
-    return fingerprint_run(run), session.journal.writes
-
-
-def _crash_then_resume(scenario, profile, policy, kill_at, directory):
-    """Kill the run after journal write ``kill_at``; resume; fingerprint."""
-    session = CheckpointSession.record(directory,
-                                       kill_after_writes=kill_at)
-    with pytest.raises(SimulatedCrash):
-        run_pipeline(build_world(scenario),
-                     fault_plan=build_fault_plan(profile,
-                                                 seed=scenario.seed),
-                     execution=policy, checkpoint=session)
-    return fingerprint_run(resume_pipeline(directory))
+    return BATCH.fingerprint(baseline(BATCH, scenario,
+                                      _faults(scenario, profile), policy))
 
 
 def _sampled_kill_points(writes):
@@ -89,24 +77,24 @@ def _sampled_kill_points(writes):
 
 def test_record_mode_changes_nothing(tmp_path):
     """Journaling a run must not perturb it."""
-    policy = ExecutionPolicy(workers=1)
-    base = _baseline(_TINY, "flaky", policy)
-    checkpointed, writes = _journal_writes(_TINY, "flaky", policy,
-                                           tmp_path / "full")
-    assert checkpointed == base
+    checkpointed, writes = journal_writes(
+        _TINY, _faults(_TINY, "flaky"), _SERIAL, tmp_path / "full")
+    assert BATCH.fingerprint(checkpointed) == _baseline(_TINY, "flaky",
+                                                        _SERIAL)
     assert writes > 3          # two barriers + lookups + complete
 
 
 def test_kill_at_every_journal_write(tmp_path):
     """The dense proof: no write boundary exists where a crash loses
     or duplicates anything."""
-    policy = ExecutionPolicy(workers=1)
-    base = _baseline(_TINY, "flaky", policy)
-    _, writes = _journal_writes(_TINY, "flaky", policy, tmp_path / "full")
+    plan = _faults(_TINY, "flaky")
+    base = _baseline(_TINY, "flaky", _SERIAL)
+    _, writes = journal_writes(_TINY, plan, _SERIAL, tmp_path / "full")
     for kill_at in range(1, writes + 1):
-        resumed = _crash_then_resume(_TINY, "flaky", policy, kill_at,
-                                     tmp_path / f"kill{kill_at}")
-        assert resumed == base, f"diverged after crash at write {kill_at}"
+        resumed = kill_then_resume(BATCH, tmp_path / f"kill{kill_at}",
+                                   _TINY, plan, _SERIAL, kill=kill_at)
+        assert BATCH.fingerprint(resumed) == base, (
+            f"diverged after crash at write {kill_at}")
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -116,13 +104,13 @@ def test_kill_at_every_journal_write(tmp_path):
 def test_kill_grid_seeds_profiles_workers(seed, profile, policy, tmp_path):
     """Sampled kill points across the seeds × profiles × workers grid."""
     scenario = _scenario(seed)
+    plan = _faults(scenario, profile)
     base = _baseline(scenario, profile, policy)
-    _, writes = _journal_writes(scenario, profile, policy,
-                                tmp_path / "full")
+    _, writes = journal_writes(scenario, plan, policy, tmp_path / "full")
     for kill_at in _sampled_kill_points(writes):
-        resumed = _crash_then_resume(scenario, profile, policy, kill_at,
-                                     tmp_path / f"kill{kill_at}")
-        assert resumed == base, (
+        resumed = kill_then_resume(BATCH, tmp_path / f"kill{kill_at}",
+                                   scenario, plan, policy, kill=kill_at)
+        assert BATCH.fingerprint(resumed) == base, (
             f"diverged: seed={seed} profile={profile} "
             f"workers={policy.workers} crash at write {kill_at}")
 
@@ -140,22 +128,13 @@ def test_resume_performs_zero_duplicate_charged_calls(tmp_path):
     them. (Meter-state equality is already inside the fingerprint; this
     checks the *process-local* work, which state restoration could
     otherwise hide.)"""
-    profile, kill_at = "flaky", 15
-    plan = build_fault_plan(profile, seed=_TINY.seed)
-
-    uninterrupted = Telemetry.create()
-    run_pipeline(build_world(_TINY), telemetry=uninterrupted,
-                 fault_plan=plan)
-
-    crashed = Telemetry.create()
-    session = CheckpointSession.record(tmp_path / "ck",
-                                       kill_after_writes=kill_at)
+    plan = _faults(_TINY, "flaky")
+    uninterrupted, crashed, resumed = (Telemetry.create() for _ in range(3))
+    BATCH.start(_TINY, plan, None, telemetry=uninterrupted)
     with pytest.raises(SimulatedCrash):
-        run_pipeline(build_world(_TINY), telemetry=crashed,
-                     fault_plan=plan, checkpoint=session)
-
-    resumed = Telemetry.create()
-    resume_pipeline(tmp_path / "ck", telemetry=resumed)
+        BATCH.start(_TINY, plan, None, tmp_path / "ck",
+                    kill_after_writes=15, telemetry=crashed)
+    BATCH.resume(tmp_path / "ck", telemetry=resumed)
 
     full = _live_requests(uninterrupted)
     crash_part = _live_requests(crashed)
@@ -168,14 +147,11 @@ def test_resume_performs_zero_duplicate_charged_calls(tmp_path):
 
 
 def test_resumed_telemetry_reports_replays(tmp_path):
-    session = CheckpointSession.record(tmp_path / "ck",
-                                       kill_after_writes=10)
     with pytest.raises(SimulatedCrash):
-        run_pipeline(build_world(_TINY),
-                     fault_plan=build_fault_plan("flaky", seed=_TINY.seed),
-                     checkpoint=session)
+        BATCH.start(_TINY, _faults(_TINY, "flaky"), None, tmp_path / "ck",
+                    kill_after_writes=10)
     telemetry = Telemetry.create()
-    resume_pipeline(tmp_path / "ck", telemetry=telemetry)
+    BATCH.resume(tmp_path / "ck", telemetry=telemetry)
     snapshot = telemetry.checkpoint_snapshot
     assert snapshot["mode"] == "resume"
     assert snapshot["stages_restored"] == ["collection", "curation"]
@@ -188,18 +164,15 @@ def test_hostile_run_resumes_on_its_hostile_world(tmp_path):
     manifest's scenario carries every ScenarioConfig field, ``hostile``
     included, so the resumed world is rebuilt with the same pack."""
     scenario = ScenarioConfig(seed=7, n_campaigns=10, hostile="poison")
-    plan = build_fault_plan("none", seed=scenario.seed)
-    base = run_pipeline(build_world(scenario), fault_plan=plan)
-
-    session = CheckpointSession.record(tmp_path / "ck")
-    with pytest.raises(SimulatedCrash):
-        run_pipeline(build_world(scenario),
-                     fault_plan=plan.extended(CrashPoint("Reddit", 1)),
-                     checkpoint=session)
-    assert session.manifest["scenario"]["hostile"] == "poison"
-    resumed = resume_pipeline(tmp_path / "ck")
-
+    plan = _faults(scenario, "none")
+    policy = ExecutionPolicy()
+    base = baseline(BATCH, scenario, plan, policy)
+    resumed = kill_then_resume(BATCH, tmp_path / "ck", scenario, plan,
+                               policy, kill=CrashPoint("Reddit", 1))
+    manifest = json.loads((tmp_path / "ck" / MANIFEST_NAME).read_text())
+    assert manifest["scenario"]["hostile"] == "poison"
     assert resumed.world.config == scenario
     assert (len(resumed.collection.reports),
             resumed.curation_stats.quarantined) == (1598, 43)
-    assert fingerprint_run(resumed) == fingerprint_run(base)
+    assert BATCH.fingerprint(resumed) == BATCH.fingerprint(base)
+    assert BATCH.charged(resumed) == BATCH.charged(base)

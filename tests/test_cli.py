@@ -2,18 +2,28 @@
 
 import pytest
 
-from repro.cli import COMMANDS, SHARED_OPTIONS, build_parser, main, parse_args
+from repro.cli import (
+    _CALL_PHASES,
+    COMMANDS,
+    RUN_MANIFESTS,
+    SHARED_OPTIONS,
+    build_parser,
+    main,
+    parse_args,
+)
+from repro.core.pipeline import build_enrichment_services
+from repro.types import Forum
 
 #: A non-default value for each shared option.
 _VALUES = {
     "--seed": ["5"], "--campaigns": ["9"], "--trace-out": ["t.json"],
     "--quiet": [], "--faults": ["flaky"], "--hostile": ["noisy"],
     "--workers": ["3"], "--pool": ["process"], "--no-cache": [],
-    "--checkpoint-dir": ["ck"], "--crash-at": ["whois:1"],
+    "--run-dir": ["ck"], "--kill-at": ["whois:1"],
     "--trace-format": ["chrome"], "--profile": [], "--history-dir": ["hist"],
 }
 #: What a command needs besides the option to parse at all.
-_REQUIRED = {"ingest": ["--stream-dir", "sv"]}
+_REQUIRED = {"ingest": ["sv"], "resume": ["sv"]}
 _PLACEMENTS = [(option, command) for option in SHARED_OPTIONS
                for command in COMMANDS]
 
@@ -61,11 +71,95 @@ def test_shared_option_placement(option, command, tmp_path, monkeypatch,
     ["serve", "--queue-capacity", "0"],
     ["casestudy", "--sample", "-1"],
     ["mine", "--top", "-1"],
+    ["mine", "--threshold", "7"],
+    ["mine", "--threshold", "0"],
+    ["mine", "--threshold", "-0.5"],
 ])
 def test_bad_numbers_are_refused(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", [
+    ["--run-dir", "x"], ["--kill-at", "whois:1"], ["--profile"],
+    ["--seed", "5"], ["--trace-out", "t.json"], ["--faults", "flaky"],
+    ["--epochs", "2"],
+])
+def test_stats_history_refuses_the_run_options_it_ignores(
+        option, tmp_path, monkeypatch, capsys):
+    """The history view runs nothing: a run option would be dropped."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["stats", "--history", "--history-dir", "h"] + option) == 2
+    assert (f"repro: error: {option[0]} does not apply to `repro stats "
+            f"--history`") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: Every ``--kill-at``/``--run-dir`` refusal: before any work, and with
+#: no directory left behind. ``new`` is a missing directory; ``file``,
+#: ``stray`` (not empty), ``SERVE.json`` etc. (a run's manifest) exist.
+_REFUSALS = {
+    "negative-arrival": ["serve", "--run-dir", "new", "--kill-at", "-5"],
+    "negative-scan": ["investigate", "--run-dir", "new", "--kill-at", "-1"],
+    "negative-call": ["--run-dir", "new", "--kill-at", "whois:-1", "report"],
+    "malformed": ["--run-dir", "new", "--kill-at", "whois", "report"],
+    "unknown-service": ["--run-dir", "new", "--kill-at", "whoiss:1",
+                        "report"],
+    "arrival-on-report": ["--run-dir", "new", "--kill-at", "arrival:5",
+                          "report"],
+    "service-on-serve": ["--run-dir", "new", "--kill-at", "whois:5",
+                         "serve"],
+    "scan-on-watch": ["--run-dir", "new", "--kill-at", "scan:1", "watch"],
+    "epoch-on-report": ["--run-dir", "new", "--kill-at", "whois:5@0",
+                        "report"],
+    "epoch-on-serve": ["--run-dir", "new", "--kill-at", "arrival:5@1",
+                       "serve"],
+    "epoch-past-plan": ["--run-dir", "new", "--kill-at", "whois:1@7",
+                        "watch", "--epochs", "2"],
+    "epoch-at-plan": ["--run-dir", "new", "--kill-at", "whois:1@2",
+                      "watch", "--epochs", "2"],
+    "negative-epoch": ["--run-dir", "new", "--kill-at", "whois:1@-1",
+                       "watch", "--epochs", "2"],
+    "kill-without-dir-batch": ["--kill-at", "whois:1", "report"],
+    "kill-without-dir-watch": ["--kill-at", "whois:1@1", "watch"],
+    "kill-without-dir-serve": ["--kill-at", "arrival:1", "serve"],
+    "kill-without-dir-investigate": ["--kill-at", "scan:1", "investigate"],
+    "stats-epochs": ["--run-dir", "new", "stats", "--epochs", "2"],
+    "stats-epoch-hours": ["--run-dir", "new", "stats", "--epoch-hours", "24"],
+    "dir-is-a-file": ["--run-dir", "file", "report"],
+    "dir-not-empty": ["--run-dir", "stray", "report"],
+    **{f"dir-holds-{name}": ["--run-dir", name, "report"]
+       for name in RUN_MANIFESTS},
+    "resume-without-manifest": ["resume", "stray"],
+    "resume-option-the-kind-ignores": ["--profile", "resume",
+                                       "SERVE.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSALS.values()),
+                         ids=list(_REFUSALS))
+def test_durable_run_refusals(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "stray").mkdir()
+    (tmp_path / "stray" / "notes.txt").write_text("x")
+    for name in RUN_MANIFESTS:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / name).write_text("{}")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["--seed", "3", "--campaigns", "2", "--quiet"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and "Traceback" not in err
+    if argv[1] in RUN_MANIFESTS:
+        assert f"`repro resume {argv[1]}`" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_kill_phases_name_every_meter_and_forum(world):
+    services = set(build_enrichment_services(world).meters())
+    forums = {forum.value for forum in Forum}
+    assert set(_CALL_PHASES) == services | forums
 
 
 class TestCommands:

@@ -93,13 +93,12 @@ def test_process_pool_crash_resume_matches_uninterrupted(tmp_path, capsys):
     run byte-for-byte (the manifest round-trips the pool kind)."""
     base = ["--seed", "7", "--campaigns", "6", "--quiet",
             "--faults", "flaky", "--workers", "4", "--pool", "process"]
-    checkpoint_dir = tmp_path / "ck"
-    crash = base + ["--checkpoint-dir", str(checkpoint_dir),
-                    "--crash-at", "whois:3", "report"]
+    run_dir = tmp_path / "ck"
+    crash = base + ["--run-dir", str(run_dir), "--kill-at", "whois:3",
+                    "report"]
     assert cli.main(crash) == 75
     capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint-dir",
-                     str(checkpoint_dir), "--quiet"]) == 0
+    assert cli.main(["resume", str(run_dir), "--quiet"]) == 0
     resumed_report = capsys.readouterr().out
     assert cli.main(base + ["report"]) == 0
     assert resumed_report == capsys.readouterr().out

@@ -27,7 +27,7 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import SimulatedCrash
 from repro.exec import ExecutionEngine
 from repro.faults import build_fault_plan
-from repro.faults.plan import CrashPoint
+from repro.faults.plan import CrashPoint, FaultPlan
 from repro.stream import StreamSession
 from repro.world.scenario import ScenarioConfig, build_world
 
@@ -154,8 +154,9 @@ class TestEngineOwnsTheFreeze:
         assert gc.get_freeze_count() == 0
 
     def test_a_crash_escaping_a_stream_thaws(self):
-        session = StreamSession.create(_SCENARIO, epochs=2,
-                                       crash_at=("whois", 2), crash_epoch=1)
+        session = StreamSession.create(
+            _SCENARIO, epochs=2,
+            fault_plan=FaultPlan().extended(CrashPoint("whois", 2, epoch=1)))
         with pytest.raises(SimulatedCrash):
             session.run()
         assert session.state.committed_epochs == 1

@@ -43,7 +43,7 @@ from repro.faults import CorruptPayload, FaultPlan
 from repro.imaging.vision_openai import OpenAiVisionExtractor
 from repro.net.url import Url, extract_urls, try_parse_url
 from repro.obs import Telemetry
-from repro.serve import LoadSpec, ServeConfig, run_to_completion
+from repro.serve import IntakeService, LoadSpec, ServeConfig
 from repro.types import Forum
 from repro.utils.rng import derive
 from repro.world.adversarial import (
@@ -378,11 +378,12 @@ def test_serve_hostile_smoke_quarantines_and_recovers():
     serve stage, a hostile burst pushes the degradation controller into
     ``degraded`` with an explicit hostile-input reason, and the service
     recovers to drain cleanly."""
-    service = run_to_completion(
+    service = IntakeService.create(
         scenario=ScenarioConfig(seed=7, n_campaigns=10, hostile="poison"),
         load=LoadSpec(profile="steady", requests=2000, reporters=500, seed=1),
         config=ServeConfig(queue_capacity=256, batch_size=32),
     )
+    service.run()
     stats = service.stats()
     assert stats["quarantined"] > 0
     assert service.state.quarantined == stats["quarantined"]
@@ -398,11 +399,12 @@ def test_serve_hostile_smoke_quarantines_and_recovers():
 
 
 def test_serve_clean_world_quarantines_nothing():
-    service = run_to_completion(
+    service = IntakeService.create(
         scenario=ScenarioConfig(seed=7726, n_campaigns=8),
         load=LoadSpec(profile="steady", requests=300, reporters=60, seed=1),
         config=ServeConfig(queue_capacity=128, batch_size=16),
     )
+    service.run()
     assert service.stats()["quarantined"] == 0
     assert not any("hostile" in t.reason
                    for t in service.controller.transitions)

@@ -9,7 +9,8 @@ Covers the acceptance guarantees end to end:
   same fingerprint, with and without fault profiles,
 * evidence-package integrity (verification, tamper detection, on-disk
   round trips),
-* durable sessions: kill/resume with zero duplicate charges.
+* durable sessions: kill/resume with zero duplicate charges, through
+  the shared differential harness (``tests.differential``).
 """
 
 import datetime as dt
@@ -22,6 +23,7 @@ from repro.core.active import run_case_study
 from repro.core.pipeline import run_pipeline
 from repro.errors import CheckpointError, ConfigurationError
 from repro.exec import ExecutionPolicy
+from repro.faults import CrashPoint
 from repro.investigate import (
     EvidencePackage,
     InvestigationSession,
@@ -37,17 +39,22 @@ from repro.investigate import (
     run_case_study_playbook,
     run_fleet,
     run_investigation,
-    run_killed_then_resumed,
     verify_package,
     verify_package_dict,
     write_packages,
 )
 from repro.world.scenario import ScenarioConfig, build_world
 
+from tests.differential import INVESTIGATE, baseline, kill_then_resume
+
 #: A small scenario with enough droppers that the charged scan phase
 #: actually runs (several unique APK payloads in the §6 sample window).
 FLEET_SCENARIO = dict(seed=7, n_campaigns=12, apk_campaign_fraction=0.5)
 FLEET_SAMPLE = 80
+#: The durable fleet's (scenario, faults, policy) and shape for the
+#: differential harness: the default serial policy, no faults.
+_FLEET_RUN = (ScenarioConfig(**FLEET_SCENARIO), None, None)
+_FLEET_SHAPE = dict(sample=FLEET_SAMPLE)
 
 
 def _fleet_scenario() -> ScenarioConfig:
@@ -304,36 +311,35 @@ class TestEvidencePackages:
 
 class TestDurableSessions:
     def test_kill_and_resume_matches_uninterrupted(self, tmp_path):
-        base = run_investigation(_fleet_scenario(), sample=FLEET_SAMPLE)
+        base = baseline(INVESTIGATE, *_FLEET_RUN, **_FLEET_SHAPE)
         assert len(base.report.payloads) >= 2, (
             "need at least two payloads so a kill can land between scans"
         )
-        resumed = run_killed_then_resumed(
-            tmp_path / "sess", kill_at=1,
-            scenario=_fleet_scenario(), sample=FLEET_SAMPLE,
-        )
+        resumed = kill_then_resume(INVESTIGATE, tmp_path / "sess",
+                                   *_FLEET_RUN, kill=CrashPoint("scan", 1),
+                                   **_FLEET_SHAPE)
         assert fleet_fingerprint(resumed.report, resumed.world) == \
             fleet_fingerprint(base.report, base.world)
         # Zero duplicate charges: crash + resume spend exactly what one
         # uninterrupted run spends.
-        assert charged_calls(resumed.world) == charged_calls(base.world)
+        assert INVESTIGATE.charged(resumed) == INVESTIGATE.charged(base)
         assert resumed.session is not None
         assert resumed.session.resuming
 
     def test_resume_takes_its_policy_from_the_manifest(self, tmp_path):
         policy = ExecutionPolicy(workers=2, pool="thread")
-        resumed = run_killed_then_resumed(
-            tmp_path / "sess", kill_at=1, scenario=_fleet_scenario(),
-            sample=FLEET_SAMPLE, execution=policy,
-        )
+        scenario, faults, _ = _FLEET_RUN
+        resumed = kill_then_resume(INVESTIGATE, tmp_path / "sess", scenario,
+                                   faults, policy,
+                                   kill=CrashPoint("scan", 1),
+                                   **_FLEET_SHAPE)
         assert resumed.session.policy == resumed.policy == policy
 
     def test_kill_that_never_fires_is_an_error(self, tmp_path):
-        with pytest.raises(AssertionError):
-            run_killed_then_resumed(
-                tmp_path / "sess", kill_at=10_000,
-                scenario=_fleet_scenario(), sample=FLEET_SAMPLE,
-            )
+        with pytest.raises(AssertionError, match="never fired"):
+            kill_then_resume(INVESTIGATE, tmp_path / "sess", *_FLEET_RUN,
+                             kill=CrashPoint("scan", 10_000),
+                             **_FLEET_SHAPE)
 
     def test_create_refuses_existing_session(self, tmp_path):
         directory = tmp_path / "sess"

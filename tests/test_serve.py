@@ -26,7 +26,6 @@ from repro.serve import (
     ServeConfig,
     ServeMode,
     generate_schedule,
-    run_to_completion,
 )
 from repro.services.base import ServiceMeter, SimClock
 from repro.resilience import CircuitBreaker
@@ -270,7 +269,7 @@ class TestBurstLoadSmoke:
 
     @pytest.fixture(scope="class")
     def service(self):
-        return run_to_completion(
+        service = IntakeService.create(
             scenario=SCENARIO,
             load=LoadSpec(profile="burst", requests=10_000, reporters=2000,
                           seed=7726),
@@ -280,6 +279,8 @@ class TestBurstLoadSmoke:
             telemetry_factory=lambda world: Telemetry.create(
                 clock=world.clock),
         )
+        service.run()
+        return service
 
     def test_queue_depth_never_exceeds_bound(self, service):
         stats = service.stats()
@@ -327,7 +328,7 @@ class TestDegradedOperation:
     def test_outage_faults_push_service_degraded(self):
         from repro.faults import build_fault_plan
 
-        service = run_to_completion(
+        service = IntakeService.create(
             scenario=SCENARIO,
             load=LoadSpec(profile="burst", requests=800, reporters=150,
                           seed=11),
@@ -335,6 +336,7 @@ class TestDegradedOperation:
                                drain_interval=20.0, commit_every=400),
             fault_plan=build_fault_plan("outage", seed=7726),
         )
+        service.run()
         stats = service.stats()
         assert stats["degraded_batches"] > 0
         modes = {t["to_mode"] for t in stats["transitions"]}
@@ -343,7 +345,7 @@ class TestDegradedOperation:
         assert stats["processed"] + stats["timed_out"] == stats["accepted"]
 
     def test_tight_budgets_time_out_in_queue(self):
-        service = run_to_completion(
+        service = IntakeService.create(
             scenario=SCENARIO,
             load=LoadSpec(profile="burst", requests=800, reporters=150,
                           seed=11, budget_range=(0.5, 2.0)),
@@ -351,6 +353,7 @@ class TestDegradedOperation:
                                drain_interval=20.0, commit_every=400),
             fault_plan=None,
         )
+        service.run()
         stats = service.stats()
         assert stats["timed_out"] > 0
         assert stats["processed"] + stats["timed_out"] == stats["accepted"]

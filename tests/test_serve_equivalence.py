@@ -9,24 +9,28 @@ lineage, mode-transition history, latency digests, final clock, and
 matrix here crosses fault profiles × kill points × worker counts and
 asserts `serve_fingerprint` equality for every cell, plus the shed
 accounting invariants that make "no report lost, none double-processed"
-checkable from the outside.
+checkable from the outside. Runs go through the serve row of the shared
+differential harness (``tests.differential``): each kill is an
+``arrival`` crash point, and each uninterrupted baseline runs once per
+test session.
 """
 
 import json
 
 import pytest
 
-from repro.faults import build_fault_plan
+from repro.errors import SimulatedCrash
+from repro.exec import ExecutionPolicy
+from repro.faults import CrashPoint, build_fault_plan
 from repro.serve import (
     FRONT_DOOR_REASONS,
     LoadSpec,
     ServeConfig,
-    charged_calls,
-    run_killed_then_resumed,
-    run_to_completion,
     serve_fingerprint,
 )
 from repro.world.scenario import ScenarioConfig
+
+from tests.differential import SERVE, baseline, kill_then_resume
 
 SCENARIO = ScenarioConfig(seed=7726, n_campaigns=12)
 LOAD = LoadSpec(profile="burst", requests=400, reporters=80, seed=11)
@@ -34,23 +38,28 @@ CONFIG = ServeConfig(queue_capacity=64, batch_size=8, drain_interval=20.0,
                      commit_every=50)
 
 
-def _kwargs(faults, *, workers=1, load=LOAD):
-    from repro.exec import ExecutionPolicy
+def _args(faults, *, workers=1, load=LOAD):
+    """(scenario, faults, policy) and the shape of one serve run."""
+    return ((SCENARIO, build_fault_plan(faults, seed=3),
+             ExecutionPolicy(workers=workers)),
+            dict(load=load, config=CONFIG))
 
-    return dict(
-        scenario=SCENARIO,
-        load=load,
-        config=CONFIG,
-        fault_plan=build_fault_plan(faults, seed=3),
-        execution=ExecutionPolicy(workers=workers),
-    )
+
+def _baseline(faults, **kwargs):
+    run, shape = _args(faults, **kwargs)
+    return baseline(SERVE, *run, **shape)
+
+
+def _killed_then_resumed(directory, kill_at, faults, **kwargs):
+    run, shape = _args(faults, **kwargs)
+    return kill_then_resume(SERVE, directory, *run,
+                            kill=CrashPoint("arrival", kill_at), **shape)
 
 
 @pytest.fixture(scope="module")
 def baselines():
     """One uninterrupted reference run per fault profile."""
-    return {faults: run_to_completion(**_kwargs(faults))
-            for faults in ("flaky", "outage")}
+    return {faults: _baseline(faults) for faults in ("flaky", "outage")}
 
 
 class TestKillResumeEquivalence:
@@ -58,32 +67,27 @@ class TestKillResumeEquivalence:
     @pytest.mark.parametrize("kill_at", [60, 211])
     def test_fingerprint_stable_across_kill(self, tmp_path, baselines,
                                             faults, kill_at):
-        resumed = run_killed_then_resumed(
-            tmp_path / f"serve-{faults}-{kill_at}", kill_at=kill_at,
-            **_kwargs(faults))
+        resumed = _killed_then_resumed(
+            tmp_path / f"serve-{faults}-{kill_at}", kill_at, faults)
         assert serve_fingerprint(resumed) == serve_fingerprint(
             baselines[faults])
 
     @pytest.mark.parametrize("faults", ["flaky", "outage"])
     def test_zero_duplicate_charges(self, tmp_path, baselines, faults):
-        resumed = run_killed_then_resumed(
-            tmp_path / f"serve-{faults}", kill_at=130, **_kwargs(faults))
-        assert charged_calls(resumed) == charged_calls(baselines[faults])
+        resumed = _killed_then_resumed(tmp_path / f"serve-{faults}", 130,
+                                       faults)
+        assert SERVE.charged(resumed) == SERVE.charged(baselines[faults])
 
     def test_double_kill_still_converges(self, tmp_path, baselines):
-        from repro.errors import SimulatedCrash
-        from repro.serve import IntakeService
-
+        """A reopened service killed again still converges."""
+        (scenario, faults, policy), shape = _args("flaky")
         serve_dir = tmp_path / "serve-twice"
-        first = IntakeService.create(serve_dir=serve_dir, kill_at=90,
-                                     **_kwargs("flaky"))
         with pytest.raises(SimulatedCrash):
-            first.run()
-        second = IntakeService.load(serve_dir, kill_at=260)
+            SERVE.start(scenario, faults.extended(CrashPoint("arrival", 90)),
+                        policy, serve_dir, **shape)
         with pytest.raises(SimulatedCrash):
-            second.run()
-        third = IntakeService.load(serve_dir)
-        third.run()
+            SERVE.resume(serve_dir, kill_at=CrashPoint("arrival", 260))
+        third = SERVE.resume(serve_dir)
         assert serve_fingerprint(third) == serve_fingerprint(
             baselines["flaky"])
 
@@ -91,34 +95,29 @@ class TestKillResumeEquivalence:
 class TestWorkerEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_never_changes_results(self, baselines, workers):
-        parallel = run_to_completion(**_kwargs("flaky", workers=workers))
+        parallel = _baseline("flaky", workers=workers)
         assert serve_fingerprint(parallel) == serve_fingerprint(
             baselines["flaky"])
 
     def test_workers_and_kill_compose(self, tmp_path, baselines):
-        resumed = run_killed_then_resumed(
-            tmp_path / "serve-w2", kill_at=211,
-            **_kwargs("flaky", workers=2))
+        resumed = _killed_then_resumed(tmp_path / "serve-w2", 211, "flaky",
+                                       workers=2)
         assert serve_fingerprint(resumed) == serve_fingerprint(
             baselines["flaky"])
 
     def test_process_pool_survives_kill_resume(self, tmp_path):
         """SERVE.json records the whole execution policy: a killed
         process-pool service resumes on the process pool."""
-        from repro.exec import ExecutionPolicy
-
-        kwargs = dict(
-            scenario=ScenarioConfig(seed=7, n_campaigns=4),
-            load=LoadSpec(profile="steady", requests=60, reporters=10,
-                          seed=3),
-            config=ServeConfig(batch_size=8, commit_every=20),
-            execution=ExecutionPolicy(workers=2, pool="process"),
-        )
-        resumed = run_killed_then_resumed(tmp_path / "serve-proc",
-                                          kill_at=30, **kwargs)
+        run = (ScenarioConfig(seed=7, n_campaigns=4), None,
+               ExecutionPolicy(workers=2, pool="process"))
+        shape = dict(load=LoadSpec(profile="steady", requests=60,
+                                   reporters=10, seed=3),
+                     config=ServeConfig(batch_size=8, commit_every=20))
+        resumed = kill_then_resume(SERVE, tmp_path / "serve-proc", *run,
+                                   kill=CrashPoint("arrival", 30), **shape)
         assert resumed.policy.pool == "process"
         assert serve_fingerprint(resumed) == serve_fingerprint(
-            run_to_completion(**kwargs))
+            baseline(SERVE, *run, **shape))
 
 
 class TestShedAccounting:
@@ -150,11 +149,10 @@ class TestShedAccounting:
     def test_tight_deadlines_survive_kill_resume(self, tmp_path):
         load = LoadSpec(profile="burst", requests=400, reporters=80,
                         seed=11, budget_range=(1.0, 40.0))
-        base = run_to_completion(**_kwargs("flaky", load=load))
+        base = _baseline("flaky", load=load)
         assert base.stats()["timed_out"] > 0
-        resumed = run_killed_then_resumed(
-            tmp_path / "serve-deadline", kill_at=211,
-            **_kwargs("flaky", load=load))
+        resumed = _killed_then_resumed(tmp_path / "serve-deadline", 211,
+                                       "flaky", load=load)
         assert serve_fingerprint(resumed) == serve_fingerprint(base)
 
 

@@ -98,14 +98,13 @@ def test_resumed_stats_matches_golden(frozen_wall_clock, capsys, tmp_path):
     """`repro resume` stats: Checkpoint table populated, same pipeline
     numbers as the uninterrupted flaky run (resume is byte-identical),
     and all of it golden-pinned like the other surfaces."""
-    checkpoint_dir = tmp_path / "ck"
+    run_dir = tmp_path / "ck"
     crash_argv = ["--seed", "7", "--campaigns", "10", "--quiet",
-                  "--faults", "flaky", "--checkpoint-dir",
-                  str(checkpoint_dir), "--crash-at", "whois:5", "stats"]
+                  "--faults", "flaky", "--run-dir", str(run_dir),
+                  "--kill-at", "whois:5", "stats"]
     assert cli.main(crash_argv) == 75
     capsys.readouterr()
-    assert cli.main(["resume", "--checkpoint-dir",
-                     str(checkpoint_dir)]) == 0
+    assert cli.main(["resume", str(run_dir)]) == 0
     output = capsys.readouterr().out
     golden_path = GOLDEN_DIR / RESUMED_GOLDEN
     if os.environ.get("REPRO_UPDATE_GOLDEN"):

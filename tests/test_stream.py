@@ -294,13 +294,13 @@ class TestPersist:
 
     def test_snapshot_store_protocol(self, tmp_path):
         store = SnapshotStore(tmp_path / "sess", "KIND.json", 2)
-        store.create({"kind": "x"}, resume_hint="resume it")
+        store.create({"kind": "x"})
         assert SnapshotStore(store.directory, "KIND.json", 2).load() == (
             {"kind": "x", "version": 2, "state_file": None,
              "state_sha256": None}, None)
-        with pytest.raises(ConfigurationError, match="resume it"):
-            SnapshotStore(store.directory, "KIND.json", 2).create(
-                {}, resume_hint="resume it")
+        with pytest.raises(ConfigurationError,
+                           match=f"`repro resume {store.directory}`"):
+            SnapshotStore(store.directory, "KIND.json", 2).create({})
         store.commit({"k": [1, 2]}, {"kind": "y"})
         manifest, payload = SnapshotStore(store.directory, "KIND.json",
                                           2).load()
@@ -387,24 +387,19 @@ class TestDurablePolicy:
         """STREAM.json records the whole execution policy, pool
         included, so the reloaded session matches its per-epoch
         journal instead of being refused as a different run. (The
-        crash point grafted onto this plan-less stream leaves a bare
-        plan, which encodes as no plan, so the faults match too.)"""
-        from repro.errors import SimulatedCrash
+        crash point on this plan-less stream leaves a bare plan, which
+        encodes as no plan, so the faults match too.)"""
         from repro.exec import ExecutionPolicy
+        from repro.faults import CrashPoint
+        from tests.differential import STREAM, baseline, kill_then_resume
 
-        policy = ExecutionPolicy(workers=2, pool="process")
-        clean = StreamSession.create(_SCENARIO, epochs=2,
-                                     execution=policy).run()
-        stream_dir = tmp_path / "run"
-        crashed = StreamSession.create(
-            _SCENARIO, epochs=2, execution=policy,
-            stream_dir=str(stream_dir), crash_at=("openai", 3))
-        with pytest.raises(SimulatedCrash):
-            crashed.run()
-        resumed = StreamSession.load(str(stream_dir))
-        state = resumed.run()
-        assert resumed.policy == policy
-        assert state.fingerprint() == clean.fingerprint()
+        run = (_SCENARIO, None, ExecutionPolicy(workers=2, pool="process"))
+        resumed = kill_then_resume(STREAM, tmp_path / "run", *run,
+                                   kill=CrashPoint("openai", 3), epochs=2)
+        base = baseline(STREAM, *run, epochs=2)
+        assert resumed.policy == run[2]
+        assert STREAM.fingerprint(resumed) == STREAM.fingerprint(base)
+        assert STREAM.charged(resumed) == STREAM.charged(base)
 
 
 class TestIngest:
@@ -426,11 +421,13 @@ class TestIngest:
         assert manifest["committed"] == manifest["target_epochs"] == 3
 
     def test_ingest_requires_caught_up_stream(self, tmp_path):
+        from repro.errors import SimulatedCrash
+        from repro.faults import CrashPoint, FaultPlan
+
         stream_dir = tmp_path / "run"
         session = StreamSession.create(
-            _SCENARIO, epochs=2, stream_dir=str(stream_dir), crash_at=(
-                "whois", 2), crash_epoch=0)
-        from repro.errors import SimulatedCrash
+            _SCENARIO, epochs=2, stream_dir=str(stream_dir),
+            fault_plan=FaultPlan().extended(CrashPoint("whois", 2)))
         with pytest.raises(SimulatedCrash):
             session.run()
         loaded = StreamSession.load(str(stream_dir))
@@ -461,46 +458,25 @@ class TestStreamCli:
         assert "epochs=2" in out
         assert "Stream" in out
 
-    def test_crash_resume_matches_clean_run(self, tmp_path, capsys):
-        clean_dir = tmp_path / "clean"
-        assert main(self.ARGS + [
-            "watch", "--epochs", "2", "--stream-dir", str(clean_dir)]) == 0
-        clean = self._fingerprint(capsys.readouterr().out)
-
-        crash_dir = tmp_path / "crashed"
-        code = main(self.ARGS + [
-            "--crash-at", "whois:2", "watch", "--epochs", "2",
-            "--crash-epoch", "1", "--stream-dir", str(crash_dir)])
-        err = capsys.readouterr().err
-        assert code == 75
-        assert f"repro resume --stream-dir {crash_dir}" in err
-
-        assert main(["--quiet", "resume", "--stream-dir",
-                     str(crash_dir)]) == 0
-        resumed = self._fingerprint(capsys.readouterr().out)
-        assert resumed == clean
-
     def test_ingest_cli_pages_forward(self, tmp_path, capsys):
         stream_dir = tmp_path / "run"
         assert main(self.ARGS + [
             "watch", "--epochs", "2", "--epoch-hours", "18000",
-            "--stream-dir", str(stream_dir)]) == 0
+            "--run-dir", str(stream_dir)]) == 0
         capsys.readouterr()
-        assert main(["ingest", "--stream-dir", str(stream_dir),
-                     "--quiet"]) == 0
+        assert main(["ingest", str(stream_dir), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "epochs=3" in out or "Stream" in out
 
     def test_validation_rejects_bad_combinations(self, tmp_path, capsys):
         missing = tmp_path / "nope"
-        assert main(["resume", "--stream-dir", str(missing)]) == 2
-        assert main(["resume"]) == 2
-        assert main(self.ARGS + [
-            "--checkpoint-dir", str(tmp_path / "ckpt"),
-            "watch", "--epochs", "2"]) == 2
+        assert main(["resume", str(missing)]) == 2
+        with pytest.raises(SystemExit) as refused:
+            main(["resume"])
+        assert refused.value.code == 2
         for stream in (["--epochs", "2"], ["--epoch-hours", "24"]):
             assert main(self.ARGS + ["stats"] + stream + [
-                "--checkpoint-dir", str(tmp_path / "ckpt")]) == 2
+                "--run-dir", str(tmp_path / "ckpt")]) == 2
         assert not (tmp_path / "ckpt").exists()
-        assert main(["ingest", "--stream-dir", str(missing)]) == 2
+        assert main(["ingest", str(missing)]) == 2
         capsys.readouterr()
