@@ -20,8 +20,8 @@ the engine's perf bars:
 
 The byte-level equivalence proof lives in
 ``tests/test_exec_equivalence.py``; this grid keeps the *speed* story
-honest and feeds the records/sec floor that ``scripts/perf_gate.py``
-pins in CI.
+honest. It is not run by ``scripts/ci.sh``; ``bench/run.py`` is the
+gate on speed.
 """
 
 import json

@@ -1,17 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, the benchmark's own tests (bench/), a check that
-# every bench hook target exists, a coverage gate, an observability smoke
-# test, a chaos smoke test, a parallel-execution smoke test, a process-pool
-# smoke test (a `--pool process --workers 4` report diffed byte-for-byte
-# against the serial run), a crash-resume smoke test, a
-# Chrome trace-export smoke test, a perf-gate smoke test (which
-# also enforces the records/second floor), a hostile-input smoke
-# test (a `--hostile poison` run must quarantine with exact three-bucket
-# accounting while the clean run quarantines nothing), and an
-# investigation smoke test (a process-pool fleet's fingerprint must
-# match the serial run's, a killed durable fleet must resume to the
-# same fingerprint, and the perf gate's investigations/second floor
-# must stay wired).
+# every bench hook target exists, a coverage gate, and smoke tests of the
+# CLI surface: observability, chaos, parallel execution, the process
+# pool, five kill/resume legs, Chrome trace export, hostile input, the
+# investigation fleet and the garbage collector.
 #
 # Usage: scripts/ci.sh
 # The coverage gate (scripts/coverage_gate.py) fails the build when
@@ -23,7 +15,9 @@
 # the pipeline under the `flaky` fault profile and asserts it exits 0
 # with a non-empty enrichment-gap report. The parallel smoke test runs
 # with --workers 4 and asserts a clean exit with a non-zero enrichment
-# cache hit rate in the stats output. Five kill/resume legs share one
+# cache hit rate in the stats output; the process-pool smoke test diffs
+# a `--pool process --workers 4` report byte for byte against the
+# serial run. Five kill/resume legs share one
 # routine (kill_resume): each runs a command uninterrupted, then with
 # --run-dir DIR --kill-at PHASE:N (exit 75), finishes it with `repro
 # resume DIR`, and compares the two — a flaky batch report killed
@@ -31,9 +25,15 @@
 # collection barrier (byte-identical reports), a 2-epoch `repro watch`
 # on a 2-worker process pool killed mid-epoch-2 (stream fingerprint),
 # a burst `repro serve` and an investigation fleet (fingerprint and
-# header line). The GC smoke test runs one report normally and once with
+# header line). The trace-export smoke test validates the Chrome
+# trace-event fields. The hostile-input smoke test checks that a
+# `--hostile poison` run quarantines with exact three-bucket accounting
+# while the clean run quarantines nothing. The investigation smoke test
+# checks that a process-pool fleet prints the serial run's fingerprint.
+# The GC smoke test runs one report normally and once with
 # the collector disabled for the whole process, and diffs the two byte
-# for byte.
+# for byte. Speed is not gated here: bench/run.py measures it against
+# the bounds in BENCHMARK.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -239,45 +239,6 @@ assert doc.get("displayTimeUnit") == "ms", "missing displayTimeUnit"
 print(f"trace-export ok: {len(spans)} chrome events, fields validated")
 PY
 
-echo "== perf-gate smoke test (baseline pin + tampered baseline) =="
-perf_dir="$work/perf"
-mkdir "$perf_dir"
-python -m repro stats --seed 7 --quiet --history-dir "$perf_dir" > /dev/null
-python scripts/perf_gate.py --history-dir "$perf_dir" \
-  --baseline "$perf_dir/BASELINE.json" --update-baseline > /dev/null
-python -m repro stats --seed 7 --quiet --history-dir "$perf_dir" > /dev/null
-# The records/second floor: 1 rec/s is trivially clear on any machine —
-# the point is the plumbing (record -> threshold -> finding) stays wired.
-python scripts/perf_gate.py --history-dir "$perf_dir" \
-  --baseline "$perf_dir/BASELINE.json" --max-slowdown 100.0 \
-  --min-records-per-sec 1
-floor_rc=0
-python scripts/perf_gate.py --history-dir "$perf_dir" \
-  --baseline "$perf_dir/BASELINE.json" --max-slowdown 100.0 \
-  --min-records-per-sec 1000000000 > /dev/null || floor_rc=$?
-if [ "$floor_rc" -ne 1 ]; then
-  echo "perf-gate FAILED: impossible records/sec floor should exit 1, got $floor_rc" >&2
-  exit 1
-fi
-python - "$perf_dir/BASELINE.json" <<'PY'
-import json, sys
-
-path = sys.argv[1]
-baseline = json.load(open(path))
-baseline["charged"] = {name: 0 for name in baseline["charged"]}
-baseline["charged_total"] = 0
-json.dump(baseline, open(path, "w"), sort_keys=True)
-PY
-gate_rc=0
-python scripts/perf_gate.py --history-dir "$perf_dir" \
-  --baseline "$perf_dir/BASELINE.json" --max-slowdown 100.0 \
-  > /dev/null || gate_rc=$?
-if [ "$gate_rc" -ne 1 ]; then
-  echo "perf-gate FAILED: tampered baseline should exit 1, got $gate_rc" >&2
-  exit 1
-fi
-echo "perf-gate ok: clean baseline passes, records/sec floor enforced, tampered baseline fails"
-
 echo "== hostile-input smoke test (--hostile poison quarantine) =="
 hostile_out="$work/hostile.txt"
 hostile_clean_out="$work/hostile-clean.txt"
@@ -322,14 +283,10 @@ print(f"hostile accounting ok: {s.reports_curated} + {s.quarantined} + "
 PY
 echo "== investigate smoke test (fleet fingerprint + kill-and-resume) =="
 invest_proc_out="$work/invest-proc.txt"
-invest_perf="$work/invest-perf"
-mkdir "$invest_perf"
 invest_root=(--seed 7 --campaigns 30 --quiet)
 invest_sub=(investigate --playbook full-funnel --sample 120)
-# The uninterrupted run records the perf history; the killed run dies
-# before it could.
 kill_resume investigate scan:2 header \
-  "${invest_root[@]}" --history-dir "$invest_perf" "${invest_sub[@]}"
+  "${invest_root[@]}" "${invest_sub[@]}"
 invest_out="$work/investigate/full.txt"
 python - "$invest_out" <<'PY'
 import re, sys
@@ -357,24 +314,7 @@ if [ -z "$serial_invest_fp" ] || [ "$serial_invest_fp" != "$proc_invest_fp" ]; t
   echo "  process: $proc_invest_fp" >&2
   exit 1
 fi
-python scripts/perf_gate.py --history-dir "$invest_perf" \
-  --baseline "$invest_perf/BASELINE.json" --update-baseline > /dev/null
-python -m repro "${invest_root[@]}" --history-dir "$invest_perf" \
-  "${invest_sub[@]}" > /dev/null
-# The investigations/second floor: like the records/sec leg, a tiny
-# floor keeps the plumbing (record -> threshold -> finding) wired.
-python scripts/perf_gate.py --history-dir "$invest_perf" \
-  --baseline "$invest_perf/BASELINE.json" --max-slowdown 100.0 \
-  --min-investigations-per-sec 0.000001 > /dev/null
-invest_floor_rc=0
-python scripts/perf_gate.py --history-dir "$invest_perf" \
-  --baseline "$invest_perf/BASELINE.json" --max-slowdown 100.0 \
-  --min-investigations-per-sec 1000000000 > /dev/null || invest_floor_rc=$?
-if [ "$invest_floor_rc" -ne 1 ]; then
-  echo "investigate FAILED: impossible investigations/sec floor should exit 1, got $invest_floor_rc" >&2
-  exit 1
-fi
-echo "investigate ok: pool matrix + kill-and-resume fingerprints match, perf floor enforced"
+echo "investigate ok: pool matrix + kill-and-resume fingerprints match"
 
 echo "== GC smoke test (collector disabled for the whole process) =="
 # The engine freezes the heap for a run; the collector must never change

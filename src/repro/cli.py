@@ -45,13 +45,9 @@ Options several commands share are declared once, in
 alike before and after the command; one given to a command that does
 not read it is refused instead of silently dropped.
 
-The performance observatory rides on two more flags: ``--profile``
-adds function-level profiling (cProfile + tracemalloc, observation
-only — profiled runs are byte-identical to unprofiled ones) and
-``--history-dir DIR`` appends a summarized record of every run to
-``DIR/RUNS.jsonl``; ``repro stats --history --history-dir DIR`` then
-renders the run-over-run trend tables, and ``scripts/perf_gate.py``
-gates CI on them.
+Function-level profiling needs no flag: ``python -m cProfile -s cumtime
+-m repro stats`` profiles any command. Speed is measured by
+``bench/run.py``, against the bounds in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -91,14 +87,7 @@ from .investigate import (
     run_investigation,
     write_packages,
 )
-from .obs import (
-    FunctionProfiler,
-    RunHistory,
-    Telemetry,
-    build_run_record,
-    render_history,
-    stderr_sink,
-)
+from .obs import Telemetry, stderr_sink
 from .serve import (
     LOAD_PROFILES,
     SERVE_MANIFEST_NAME,
@@ -174,10 +163,6 @@ def _manifest_argv(args: argparse.Namespace) -> List[str]:
     argv = _run_argv(args)
     if args.quiet:
         argv.append("--quiet")
-    if args.profile:
-        argv.append("--profile")
-    if args.history_dir is not None:
-        argv += ["--history-dir", str(args.history_dir)]
     argv.append(args.command)
     if args.command in ("release", "figures"):
         argv.append(str(args.output))
@@ -196,94 +181,24 @@ def _execution_policy(args: argparse.Namespace) -> ExecutionPolicy:
 def _build_run(args: argparse.Namespace) -> PipelineRun:
     progress = None if args.quiet else stderr_sink
     resume_dir = getattr(args, "_resume_dir", None)
-
-    def _execute() -> PipelineRun:
-        if resume_dir is not None:
-            return resume_pipeline(
-                resume_dir,
-                telemetry_factory=lambda world: Telemetry.create(
-                    clock=world.clock, progress=progress),
-            )
-        world = build_world(ScenarioConfig(seed=args.seed,
-                                           n_campaigns=args.campaigns,
-                                           hostile=args.hostile))
-        telemetry = Telemetry.create(clock=world.clock, progress=progress)
-        checkpoint = None
-        if args.run_dir is not None:
-            checkpoint = CheckpointSession.record(
-                args.run_dir, cli={"argv": _manifest_argv(args)})
-        return run_pipeline(world, telemetry=telemetry,
-                            fault_plan=_fault_plan(args),
-                            execution=_execution_policy(args),
-                            checkpoint=checkpoint)
-
-    if not args.profile:
-        return _execute()
-    profiler = FunctionProfiler()
-    with profiler:
-        run = _execute()
-    run.telemetry.capture_function_profile(profiler.snapshot())
-    return run
-
-
-def _profiled_session_run(args: argparse.Namespace,
-                          session: StreamSession,
-                          action) -> None:
-    """Run one stream action, function-profiled when ``--profile``."""
-    if not args.profile:
-        action()
-        return
-    profiler = FunctionProfiler()
-    with profiler:
-        action()
-    session.telemetry.capture_function_profile(profiler.snapshot())
-
-
-def _run_config(args: argparse.Namespace) -> dict:
-    """The run-shaping knobs whose digest decides comparability."""
-    config = {
-        "seed": args.seed,
-        "campaigns": args.campaigns,
-        "faults": args.faults,
-        "workers": args.workers,
-        "cache": not args.no_cache,
-        "pool": args.pool,
-    }
-    if args.hostile != "none":
-        config["hostile"] = args.hostile
-    epochs = getattr(args, "epochs", None)
-    if epochs is not None:
-        config["epochs"] = epochs
-    epoch_hours = getattr(args, "epoch_hours", None)
-    if epoch_hours is not None:
-        config["epoch_hours"] = epoch_hours
-    if getattr(args, "playbook", None) is not None:
-        config["playbook"] = args.playbook
-        if getattr(args, "sample", None) is not None:
-            config["sample"] = args.sample
-    if getattr(args, "load_profile", None) is not None:
-        config["load_profile"] = args.load_profile
-        config["requests"] = args.requests
-        config["reporters"] = args.reporters
-        config["queue_capacity"] = args.queue_capacity
-        config["batch_size"] = args.batch_size
-        config["drain_interval"] = args.drain_interval
-    return config
-
-
-def _append_history(args: argparse.Namespace, *, telemetry,
-                    counts: dict) -> None:
-    """Record the finished run in ``--history-dir``/RUNS.jsonl."""
-    history_dir = args.history_dir
-    if history_dir is None:
-        return
-    record = build_run_record(command=args.command,
-                              config=_run_config(args),
-                              telemetry=telemetry, counts=counts)
-    stored = RunHistory(history_dir).append(record)
-    if not args.quiet:
-        print(f"history: recorded run {stored['sequence']} in "
-              f"{Path(history_dir) / 'RUNS.jsonl'}", file=sys.stderr)
+    if resume_dir is not None:
+        return resume_pipeline(
+            resume_dir,
+            telemetry_factory=lambda world: Telemetry.create(
+                clock=world.clock, progress=progress),
+        )
+    world = build_world(ScenarioConfig(seed=args.seed,
+                                       n_campaigns=args.campaigns,
+                                       hostile=args.hostile))
+    telemetry = Telemetry.create(clock=world.clock, progress=progress)
+    checkpoint = None
+    if args.run_dir is not None:
+        checkpoint = CheckpointSession.record(
+            args.run_dir, cli={"argv": _manifest_argv(args)})
+    return run_pipeline(world, telemetry=telemetry,
+                        fault_plan=_fault_plan(args),
+                        execution=_execution_policy(args),
+                        checkpoint=checkpoint)
 
 
 def _dump_trace(args: argparse.Namespace, telemetry) -> int:
@@ -308,30 +223,11 @@ def _dump_trace(args: argparse.Namespace, telemetry) -> int:
     return 0
 
 
-def _run_counts(run: PipelineRun) -> dict:
-    counts = {
-        "posts_seen": run.collection.posts_seen,
-        "reports": len(run.collection.reports),
-        "records": len(run.dataset),
-        "gaps": len(run.enriched.gaps),
-        "limitations": len(run.collection.limitations),
-    }
-    if run.curation_stats.quarantined:
-        counts["quarantined"] = run.curation_stats.quarantined
-    return counts
-
-
-def _write_trace(args: argparse.Namespace, run: PipelineRun) -> int:
-    """Finish a batch command: history record, then the trace dump."""
-    _append_history(args, telemetry=run.telemetry, counts=_run_counts(run))
-    return _dump_trace(args, run.telemetry)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     run = _build_run(args)
     report = generate_paper_report(run)
     print(report.render())
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _cmd_release(args: argparse.Namespace) -> int:
@@ -339,7 +235,7 @@ def _cmd_release(args: argparse.Namespace) -> int:
     rows = build_release(run.enriched)
     written = save_release(rows, args.output)
     print(f"wrote {written} pseudo-anonymised rows to {args.output}")
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
@@ -349,7 +245,7 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
     print(build_table19(study).to_text())
     print()
     print(family_distribution_table(study).to_text())
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
@@ -357,7 +253,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     mined = mine_campaigns(run.annotated_dataset,
                            threshold=args.threshold)
     print(campaign_summary_table(mined, top=args.top).to_text())
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -366,21 +262,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
                                  args.output)
     for name, rows in sorted(written.items()):
         print(f"{name}.csv: {rows} rows")
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.history:
-        records = RunHistory(args.history_dir).load()
-        if not records:
-            print(f"no run history in "
-                  f"{Path(args.history_dir) / 'RUNS.jsonl'}")
-            return 0
-        print(render_history(records))
-        return 0
     if args.epochs is not None or args.epoch_hours is not None:
         session = _build_stream_session(args)
-        _profiled_session_run(args, session, session.run)
+        session.run()
         run = session.as_pipeline_run()
         epochs = f" epochs={session.state.committed_epochs}"
     else:
@@ -411,7 +299,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 kinds[gap.kind] = kinds.get(gap.kind, 0) + 1
             detail = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
             print(f"  {service}: {len(gapped[service])} ({detail})")
-    return _write_trace(args, run)
+    return _dump_trace(args, run.telemetry)
 
 
 def _stream_argv(args: argparse.Namespace) -> List[str]:
@@ -424,10 +312,6 @@ def _stream_argv(args: argparse.Namespace) -> List[str]:
         argv += ["--epoch-hours", str(args.epoch_hours)]
     if args.run_dir is not None:
         argv += ["--run-dir", str(args.run_dir)]
-    if args.profile:
-        argv.append("--profile")
-    if args.history_dir is not None:
-        argv += ["--history-dir", str(args.history_dir)]
     return argv
 
 
@@ -474,30 +358,25 @@ def _print_stream(args: argparse.Namespace,
     print(session.telemetry.summary())
     print()
     print(f"stream fingerprint={state.fingerprint()}")
-    counts = {
-        "posts_seen": getattr(state.collection, "posts_seen", 0),
-        "reports": len(state.collection.reports),
-        "records": len(state.dataset),
-        "gaps": len(state.gaps),
-        "limitations": len(state.collection.limitations),
-    }
-    if state.curation_stats.quarantined:
-        counts["quarantined"] = state.curation_stats.quarantined
-    _append_history(args, telemetry=session.telemetry, counts=counts)
     return _dump_trace(args, session.telemetry)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     session = _build_stream_session(args)
-    _profiled_session_run(args, session, session.run)
+    session.run()
     return _print_stream(args, session)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    directory = args.directory
+    manifest = _run_manifest(directory)
+    if manifest not in (None, STREAM_MANIFEST_NAME):
+        raise ConfigurationError(
+            f"{directory} holds {manifest}, not a stream; finish its run "
+            f"with `repro resume {directory}`")
     session = StreamSession.load(
-        args.directory, telemetry_factory=_telemetry_factory(args))
-    _profiled_session_run(args, session,
-                          lambda: session.ingest(args.epochs))
+        directory, telemetry_factory=_telemetry_factory(args))
+    session.ingest(args.epochs)
     return _print_stream(args, session)
 
 
@@ -509,7 +388,7 @@ def _resume_stream(args: argparse.Namespace, directory: Path) -> int:
         print(f"resuming stream from {directory} "
               f"({pending} epoch(s) pending, "
               f"{session.policy.describe()})", file=sys.stderr)
-    _profiled_session_run(args, session, session.run)
+    session.run()
     return _print_stream(args, session)
 
 
@@ -587,18 +466,6 @@ def _print_serve(args: argparse.Namespace, service: IntakeService) -> int:
     digest = hashlib.sha256(
         serve_fingerprint(service).encode("utf-8")).hexdigest()
     print(f"serve fingerprint={digest}")
-    counts = {
-        "submitted": stats["submitted"],
-        "accepted": stats["accepted"],
-        "shed": stats["shed"],
-        "processed": stats["processed"],
-        "timed_out": stats["timed_out"],
-        "records": stats["records"],
-        "gaps": stats["gaps"],
-    }
-    if stats.get("quarantined"):
-        counts["quarantined"] = stats["quarantined"]
-    _append_history(args, telemetry=service.telemetry, counts=counts)
     return _dump_trace(args, service.telemetry)
 
 
@@ -654,15 +521,6 @@ def _print_investigation(args: argparse.Namespace, outcome,
         fleet_fingerprint(report, world).encode("utf-8")).hexdigest()
     print()
     print(f"investigate fingerprint={digest}")
-    counts = {
-        "investigated": report.investigated,
-        "evidence_packages": len(report.packages),
-        "payloads": len(report.payloads),
-        "scans": len(report.verdicts),
-        "scan_gaps": report.scan_gaps,
-        "androzoo_hits": report.androzoo_hits,
-    }
-    _append_history(args, telemetry=telemetry, counts=counts)
     return _dump_trace(args, telemetry)
 
 
@@ -726,15 +584,6 @@ SHARED_OPTIONS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, Any]], ...] = (
      dict(choices=("json", "chrome"), default="json",
           help="format for --trace-out (default json; chrome = Chrome "
                "trace-event JSON, openable in Perfetto / chrome://tracing)")),
-    ("--profile", _BATCH + ("stats", "watch", "ingest", "resume"),
-     dict(action="store_true", default=False,
-          help="add function-level profiling (cProfile + tracemalloc) to "
-               "the telemetry; observation only — profiled runs are "
-               "byte-identical")),
-    ("--history-dir", COMMANDS,
-     dict(type=Path, default=None,
-          help="append a summarized record of the run to DIR/RUNS.jsonl "
-               "(view trends with `repro stats --history`)")),
 )
 
 
@@ -776,9 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "this many epochs instead of one batch run")
     stats.add_argument("--epoch-hours", type=float, default=None,
                        help="epoch window width in hours (with --epochs)")
-    stats.add_argument("--history", action="store_true", default=False,
-                       help="render the run-history trend tables from "
-                            "--history-dir instead of running the pipeline")
     stats.set_defaults(func=_cmd_stats)
 
     watch = sub.add_parser(
@@ -864,18 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unread_option(args: argparse.Namespace, command: str,
-                   given=frozenset()) -> Optional[str]:
-    """The first shared option set in ``args`` (or named in ``given``)
-    that ``command`` does not read, or None."""
-    for flag, readers, spec in SHARED_OPTIONS:
-        dest = flag[2:].replace("-", "_")
-        if command not in readers and (
-                flag in given or getattr(args, dest) != spec["default"]):
-            return flag
-    return None
-
-
 def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """Parse ``argv``, refusing a shared option its command ignores.
 
@@ -885,11 +719,13 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     """
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    flag = _unread_option(args, args.command,
-                          {token.partition("=")[0] for token in extras})
-    if flag is not None:
-        raise ConfigurationError(
-            f"{flag} does not apply to `repro {args.command}`")
+    given = {token.partition("=")[0] for token in extras}
+    for flag, readers, spec in SHARED_OPTIONS:
+        dest = flag[2:].replace("-", "_")
+        if args.command not in readers and (
+                flag in given or getattr(args, dest) != spec["default"]):
+            raise ConfigurationError(
+                f"{flag} does not apply to `repro {args.command}`")
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
@@ -912,6 +748,12 @@ RUN_MANIFESTS = (MANIFEST_NAME, STREAM_MANIFEST_NAME, SERVE_MANIFEST_NAME,
                  INVESTIGATE_MANIFEST_NAME)
 
 
+def _run_manifest(directory: Path) -> Optional[str]:
+    """The manifest of the durable run ``directory`` holds, or None."""
+    return next((name for name in RUN_MANIFESTS
+                 if (directory / name).is_file()), None)
+
+
 def _validate_run_dir(run_dir: Path) -> None:
     """A fresh run's directory is missing or empty, and writable."""
     if run_dir.exists() and not run_dir.is_dir():
@@ -920,7 +762,7 @@ def _validate_run_dir(run_dir: Path) -> None:
     if not _writable_dir(run_dir):
         raise ConfigurationError(f"--run-dir {run_dir} is not writable")
     if run_dir.is_dir() and any(run_dir.iterdir()):
-        if any((run_dir / name).is_file() for name in RUN_MANIFESTS):
+        if _run_manifest(run_dir) is not None:
             raise ConfigurationError(
                 f"--run-dir {run_dir} already holds a run; finish it with "
                 f"`repro resume {run_dir}`")
@@ -943,31 +785,6 @@ def _validate_args(args: argparse.Namespace) -> None:
         raise ConfigurationError(
             "--trace-format chrome needs --trace-out PATH to write to"
         )
-    history_dir = args.history_dir
-    if getattr(args, "history", False):
-        if history_dir is None:
-            raise ConfigurationError(
-                "stats --history wants --history-dir DIR to read from"
-            )
-        # The history view runs nothing, so any run option would be
-        # dropped.
-        defaults = vars(build_parser().parse_args(["stats"]))
-        for dest, value in vars(args).items():
-            if (dest not in ("history", "history_dir", "quiet")
-                    and value != defaults[dest]):
-                raise ConfigurationError(
-                    f"--{dest.replace('_', '-')} does not apply to "
-                    f"`repro stats --history`")
-    if history_dir is not None:
-        if history_dir.exists() and not history_dir.is_dir():
-            raise ConfigurationError(
-                f"--history-dir {history_dir} exists and is not a directory"
-            )
-        if not getattr(args, "history", False) \
-                and not _writable_dir(history_dir):
-            raise ConfigurationError(
-                f"--history-dir {history_dir} is not writable"
-            )
     if args.kill_at is not None:
         _crash_point(args)
         if args.run_dir is None:
@@ -1016,10 +833,6 @@ def _resume_batch(args: argparse.Namespace, directory: Path) -> int:
         new_args.trace_out = args.trace_out
     if args.trace_format != "json":
         new_args.trace_format = args.trace_format
-    if args.profile:
-        new_args.profile = True
-    if args.history_dir is not None:
-        new_args.history_dir = args.history_dir
     if not new_args.quiet:
         policy = policy_from_dict(manifest.get("execution"))
         print(f"resuming run from {directory} ({policy.describe()})",
@@ -1027,31 +840,23 @@ def _resume_batch(args: argparse.Namespace, directory: Path) -> int:
     return new_args.func(new_args)
 
 
-#: Each session kind's manifest, the command whose options and output
-#: its resume shares, and the resume itself.
-_SESSION_RESUMES = {
-    STREAM_MANIFEST_NAME: ("watch", _resume_stream),
-    SERVE_MANIFEST_NAME: ("serve", _resume_serve),
-    INVESTIGATE_MANIFEST_NAME: ("investigate", _resume_investigation),
+#: Each durable kind's manifest and the resume that finishes its run.
+_RESUMES = {
+    MANIFEST_NAME: _resume_batch,
+    STREAM_MANIFEST_NAME: _resume_stream,
+    SERVE_MANIFEST_NAME: _resume_serve,
+    INVESTIGATE_MANIFEST_NAME: _resume_investigation,
 }
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     directory = args.directory
-    if (directory / MANIFEST_NAME).is_file():
-        return _resume_batch(args, directory)
-    for name, (command, resume) in _SESSION_RESUMES.items():
-        if (directory / name).is_file():
-            flag = _unread_option(args, command)
-            if flag is not None:
-                raise ConfigurationError(
-                    f"{flag} does not apply to the `repro {command}` run "
-                    f"in {directory}")
-            return resume(args, directory)
-    raise ConfigurationError(
-        f"{directory} holds no run manifest ({', '.join(RUN_MANIFESTS)}); "
-        f"nothing to resume"
-    )
+    manifest = _run_manifest(directory)
+    if manifest is None:
+        raise ConfigurationError(
+            f"{directory} holds no run manifest "
+            f"({', '.join(RUN_MANIFESTS)}); nothing to resume")
+    return _RESUMES[manifest](args, directory)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,17 +1,14 @@
 """Observability for the reproduction pipeline (tracing + metrics).
 
 The package is deliberately zero-dependency (standard library only, plus
-the in-repo table renderer) and splits into three layers:
+the in-repo table renderer) and splits into four layers:
 
 * :mod:`repro.obs.trace` — nested spans with wall-clock and simulated
   timestamps, and a no-op tracer for disabled runs.
 * :mod:`repro.obs.metrics` — labelled counters/histograms.
 * :mod:`repro.obs.profile` — the performance observatory's analysis
   layer: self/cumulative hot-path attribution, deterministic latency
-  percentile digests, Chrome trace export, and the ``--profile``
-  function-level profiler.
-* :mod:`repro.obs.history` — the durable run-history store
-  (``RUNS.jsonl``), trend tables, and the perf regression gate.
+  percentile digests, and Chrome trace export.
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade the
   pipeline threads through its stages, meter event hooks, JSON export,
   and the ``repro stats`` summary tables.
@@ -20,24 +17,11 @@ the in-repo table renderer) and splits into three layers:
 from .metrics import Counter, Histogram, MetricsRegistry, NullMetrics
 from .trace import NULL_SPAN, NullTracer, Span, Tracer
 from .profile import (
-    FunctionProfiler,
     PercentileDigest,
     Profile,
     StageProfile,
     build_profile,
     chrome_trace,
-)
-from .history import (
-    GateThresholds,
-    HISTORY_FORMAT_VERSION,
-    RUNS_NAME,
-    RunHistory,
-    build_run_record,
-    compare_runs,
-    history_table,
-    previous_comparable,
-    render_history,
-    stage_trend_table,
 )
 from .telemetry import (
     NULL_TELEMETRY,
@@ -56,22 +40,11 @@ __all__ = [
     "NullTracer",
     "Span",
     "Tracer",
-    "FunctionProfiler",
     "PercentileDigest",
     "Profile",
     "StageProfile",
     "build_profile",
     "chrome_trace",
-    "GateThresholds",
-    "HISTORY_FORMAT_VERSION",
-    "RUNS_NAME",
-    "RunHistory",
-    "build_run_record",
-    "compare_runs",
-    "history_table",
-    "previous_comparable",
-    "render_history",
-    "stage_trend_table",
     "NULL_TELEMETRY",
     "TRACE_FORMAT_VERSION",
     "Telemetry",

@@ -17,11 +17,6 @@ the numbers an optimisation effort actually needs:
 * :func:`chrome_trace` — the span tree as Chrome trace-event JSON
   (``ph: "X"`` complete events, microsecond timestamps) so any run
   opens directly in Perfetto / ``chrome://tracing``.
-* :class:`FunctionProfiler` — optional function-level profiling
-  (``cProfile`` plus a ``tracemalloc`` peak) behind the ``--profile``
-  flag. It only *observes* the interpreter: no RNG, no clock, no meter
-  is touched, which is why profiled runs stay byte-identical to
-  unprofiled ones (``tests/test_profile_determinism.py``).
 
 Wall-clock numbers are observability output, never model input: nothing
 in this module feeds back into the pipeline, so none of it can leak
@@ -32,8 +27,6 @@ Zero-dependency constraint: standard library only.
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -209,22 +202,6 @@ class Profile:
             )
         return table
 
-    def stage_summary(self) -> Dict[str, Dict[str, Any]]:
-        """Compact per-stage dict for run-history records."""
-        summary = {}
-        for name, stage in self.stages.items():
-            digest = stage.durations
-            summary[name] = {
-                "count": stage.count,
-                "unfinished": stage.unfinished,
-                "cum": stage.cum_seconds,
-                "self": stage.self_seconds,
-                "records": stage.records,
-                "records_per_sec": stage.records_per_sec,
-                "p50": digest.p50, "p90": digest.p90, "p99": digest.p99,
-            }
-        return summary
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "total_seconds": self.total_seconds,
@@ -317,84 +294,3 @@ def chrome_trace(spans: Iterable[Span], *,
                       "producer": "repro.obs.profile"},
     }
 
-
-class FunctionProfiler:
-    """Function-level profiling behind ``--profile``.
-
-    Wraps ``cProfile`` (deterministic tracing profiler, pure observer)
-    and optionally ``tracemalloc`` for a peak-memory reading. Use as a
-    context manager around the run; :meth:`snapshot` yields the
-    serialisable result the telemetry captures.
-    """
-
-    def __init__(self, *, top: int = 15, trace_memory: bool = True):
-        if top < 1:
-            raise ValueError(f"top must be >= 1, got {top}")
-        self.top = top
-        self.trace_memory = trace_memory
-        self._profile = cProfile.Profile()
-        self._memory_peak: Optional[int] = None
-        self._active = False
-
-    def start(self) -> None:
-        if self._active:
-            return
-        if self.trace_memory:
-            import tracemalloc
-            tracemalloc.start()
-        self._profile.enable()
-        self._active = True
-
-    def stop(self) -> None:
-        if not self._active:
-            return
-        self._profile.disable()
-        if self.trace_memory:
-            import tracemalloc
-            self._memory_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        self._active = False
-
-    def __enter__(self) -> "FunctionProfiler":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.stop()
-        return False
-
-    def top_functions(self) -> List[Dict[str, Any]]:
-        """The costliest functions by cumulative time, heaviest first."""
-        stats = pstats.Stats(self._profile)
-        rows = []
-        for func, (_, ncalls, tottime, cumtime, _) in stats.stats.items():
-            filename, line, name = func
-            location = (name if filename.startswith(("~", "<"))
-                        else f"{filename.rsplit('/', 1)[-1]}:{line}:{name}")
-            rows.append({"function": location, "calls": ncalls,
-                         "self_seconds": tottime,
-                         "cum_seconds": cumtime})
-        rows.sort(key=lambda r: (-r["cum_seconds"], r["function"]))
-        return rows[: self.top]
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "top_functions": self.top_functions(),
-            "memory_peak_bytes": self._memory_peak,
-        }
-
-
-def function_table(snapshot: Dict[str, Any]) -> Table:
-    """The `repro stats --profile` "Function hot spots" table."""
-    table = Table(
-        title="Function hot spots",
-        columns=["Function", "Calls", "Self (s)", "Cum (s)"],
-    )
-    for row in snapshot.get("top_functions", ()):
-        table.add_row(row["function"], row["calls"],
-                      round(row["self_seconds"], 4),
-                      round(row["cum_seconds"], 4))
-    peak = snapshot.get("memory_peak_bytes")
-    if peak is not None:
-        table.add_note(f"tracemalloc peak: {peak / 1024:,.0f} KiB")
-    return table

@@ -21,11 +21,11 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..utils.tables import Table
 from .metrics import MetricsRegistry, NullMetrics
-from .profile import Profile, build_profile, chrome_trace, function_table
+from .profile import Profile, build_profile, chrome_trace
 from .trace import NullTracer, Tracer
 
 #: Trace JSON schema version, bumped on incompatible layout changes.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 def stderr_sink(line: str) -> None:
@@ -66,8 +66,6 @@ class Telemetry:
         #: Final per-pool execution stats (tasks, busy seconds per
         #: worker), captured from the :class:`~repro.exec.ExecutionEngine`.
         self.exec_snapshot: Dict[str, Any] = {}
-        #: ``FunctionProfiler.snapshot()`` of a ``--profile`` run.
-        self.function_snapshot: Dict[str, Any] = {}
         #: Every :class:`~repro.core.quarantine.QuarantineRecord` the
         #: sanitizer diverted this run. Empty on clean input — the
         #: Quarantine table and export key render only when non-empty,
@@ -247,13 +245,6 @@ class Telemetry:
             return
         self.exec_snapshot = dict(stats)
 
-    def capture_function_profile(
-            self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Store a ``--profile`` run's FunctionProfiler snapshot."""
-        if not self.enabled or not snapshot:
-            return
-        self.function_snapshot = dict(snapshot)
-
     def profile(self) -> Profile:
         """Hot-path attribution built from this run's spans."""
         return build_profile(self.tracer.spans)
@@ -281,7 +272,6 @@ class Telemetry:
             "serve": dict(self.serve_snapshot),
             "investigate": dict(self.investigate_snapshot),
             "exec": dict(self.exec_snapshot),
-            "functions": dict(self.function_snapshot),
             **extra,
         }
 
@@ -326,10 +316,6 @@ class Telemetry:
     def profile_table(self) -> Table:
         """Hot-path attribution: self/cum wall, latency digests, rec/s."""
         return self.profile().table()
-
-    def function_table(self) -> Table:
-        """Function-level hot spots from a ``--profile`` run."""
-        return function_table(self.function_snapshot)
 
     def service_table(self) -> Table:
         """Per-service request/retry/backoff accounting from counters."""
@@ -641,8 +627,6 @@ class Telemetry:
         parts = [self.span_table().to_text(),
                  self.profile_table().to_text(),
                  self.service_table().to_text()]
-        if self.function_snapshot:
-            parts.insert(2, self.function_table().to_text())
         resilience = self.resilience_table()
         if resilience.rows:
             parts.append(resilience.to_text())

@@ -123,9 +123,7 @@ class SnapshotStore:
         path = self.directory / self.manifest_name
         if not path.is_file():
             raise CheckpointError(
-                f"{self.directory} holds no {self.manifest_name}; nothing "
-                f"to resume"
-            )
+                f"{self.directory} holds no {self.manifest_name}")
         manifest = read_json(path)
         version = manifest.get("version") if isinstance(manifest, dict) \
             else None

@@ -180,26 +180,6 @@ def charged_calls_from_services(services) -> Dict[str, int]:
             for name, meter in services.meters().items()}
 
 
-def profiled_fingerprint(run_factory, *, profile: bool):
-    """Run ``run_factory`` (optionally under the ``--profile`` function
-    profiler, exactly as the CLI wraps it) and fingerprint the result.
-
-    The profiling determinism guard (``test_profile_determinism.py``)
-    calls this twice per configuration — profiler on and off — and
-    asserts byte equality: profiling is pure observation, so it must
-    never reach the fingerprint.
-    """
-    from repro.obs import FunctionProfiler
-
-    if not profile:
-        return fingerprint_run(run_factory())
-    profiler = FunctionProfiler()
-    with profiler:
-        run = run_factory()
-    run.telemetry.capture_function_profile(profiler.snapshot())
-    return fingerprint_run(run)
-
-
 def charged_calls_from_telemetry(telemetry) -> Dict[str, int]:
     """Per-service charged-call totals from a batch run's telemetry.
 

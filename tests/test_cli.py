@@ -20,7 +20,7 @@ _VALUES = {
     "--quiet": [], "--faults": ["flaky"], "--hostile": ["noisy"],
     "--workers": ["3"], "--pool": ["process"], "--no-cache": [],
     "--run-dir": ["ck"], "--kill-at": ["whois:1"],
-    "--trace-format": ["chrome"], "--profile": [], "--history-dir": ["hist"],
+    "--trace-format": ["chrome"],
 }
 #: What a command needs besides the option to parse at all.
 _REQUIRED = {"ingest": ["sv"], "resume": ["sv"]}
@@ -81,19 +81,41 @@ def test_bad_numbers_are_refused(argv, capsys):
     assert err.startswith("repro: error:") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("option", [
-    ["--run-dir", "x"], ["--kill-at", "whois:1"], ["--profile"],
-    ["--seed", "5"], ["--trace-out", "t.json"], ["--faults", "flaky"],
-    ["--epochs", "2"],
-])
-def test_stats_history_refuses_the_run_options_it_ignores(
-        option, tmp_path, monkeypatch, capsys):
-    """The history view runs nothing: a run option would be dropped."""
+#: Flags of the deleted function profiler and run-history ledger, as
+#: (name, value, command, given before the command).
+_REMOVED_FLAGS = [
+    ("profile", [], "report", True),
+    ("profile", [], "report", False),
+    ("history-dir", ["h"], "stats", True),
+    ("history", [], "stats", False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,value,command,before", _REMOVED_FLAGS,
+    ids=[f"{name}-{'before' if before else 'after'}-{command}"
+         for name, _, command, before in _REMOVED_FLAGS])
+def test_removed_options_are_refused(name, value, command, before, tmp_path,
+                                     monkeypatch, capsys):
+    """argparse refuses each flag of the deleted features (exit 2)
+    before any work."""
+    given = [f"--{name}"] + value
+    argv = given + [command] if before else [command] + given
     monkeypatch.chdir(tmp_path)
-    assert main(["stats", "--history", "--history-dir", "h"] + option) == 2
-    assert (f"repro: error: {option[0]} does not apply to `repro stats "
-            f"--history`") in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--seed", "3", "--campaigns", "2", "--quiet"] + argv)
+    assert exit_info.value.code == 2
+    assert "repro: error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_resume_reads_only_what_every_resumable_command_reads():
+    """`repro resume DIR` finishes the run of any command that takes
+    --run-dir, so an option it reads must apply to each of them."""
+    readers = {flag: set(commands) for flag, commands, _ in SHARED_OPTIONS}
+    for flag, commands in readers.items():
+        if "resume" in commands:
+            assert readers["--run-dir"] <= commands, flag
 
 
 #: Every ``--kill-at``/``--run-dir`` refusal: before any work, and with
@@ -132,8 +154,6 @@ _REFUSALS = {
     **{f"dir-holds-{name}": ["--run-dir", name, "report"]
        for name in RUN_MANIFESTS},
     "resume-without-manifest": ["resume", "stray"],
-    "resume-option-the-kind-ignores": ["--profile", "resume",
-                                       "SERVE.json"],
 }
 
 

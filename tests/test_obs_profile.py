@@ -1,34 +1,17 @@
-"""Unit tests for the performance observatory: profile + history layers.
+"""Unit tests for the performance observatory's analysis layer.
 
-Covers the percentile digest, self/cumulative hot-path attribution,
-Chrome trace export, the function profiler, the run-history store, the
-trend tables, and the regression-gate comparison logic.
+Covers the percentile digest, self/cumulative hot-path attribution and
+Chrome trace export.
 """
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.obs import Telemetry
-from repro.obs.history import (
-    GateThresholds,
-    RunHistory,
-    build_run_record,
-    compare_runs,
-    history_table,
-    previous_comparable,
-    render_history,
-    stage_trend_table,
-)
 from repro.obs.profile import (
-    FunctionProfiler,
     PercentileDigest,
     build_profile,
     chrome_trace,
-    function_table,
 )
 from repro.obs.trace import Tracer
 
@@ -197,296 +180,3 @@ class TestChromeTrace:
         assert enrich["dur"] == 0.0
         assert enrich["args"]["unfinished"] is True
 
-
-class TestFunctionProfiler:
-    def test_snapshot_reports_profiled_functions(self):
-        profiler = FunctionProfiler(top=5, trace_memory=False)
-
-        def busy():
-            return sum(i * i for i in range(5000))
-
-        with profiler:
-            busy()
-        snapshot = profiler.snapshot()
-        assert len(snapshot["top_functions"]) <= 5
-        assert snapshot["top_functions"], "no functions recorded"
-        row = snapshot["top_functions"][0]
-        assert {"function", "calls", "self_seconds",
-                "cum_seconds"} <= set(row)
-        assert snapshot["memory_peak_bytes"] is None
-
-    def test_memory_peak_captured_when_enabled(self):
-        profiler = FunctionProfiler(trace_memory=True)
-        with profiler:
-            blob = [bytes(1024) for _ in range(100)]
-            del blob
-        assert profiler.snapshot()["memory_peak_bytes"] > 0
-
-    def test_table_renders_peak_note(self):
-        profiler = FunctionProfiler(trace_memory=True)
-        with profiler:
-            sum(range(1000))
-        text = function_table(profiler.snapshot()).to_text()
-        assert "Function hot spots" in text
-        assert "tracemalloc peak" in text
-
-    def test_rejects_nonpositive_top(self):
-        with pytest.raises(ValueError):
-            FunctionProfiler(top=0)
-
-
-def _telemetry_with_spans(*stage_seconds, charged=None, hit_rate=0.5):
-    """A minimal telemetry carrying synthetic spans + snapshots."""
-    now, advance = _fake_clock()
-    telemetry = Telemetry(tracer=Tracer(time_source=now))
-    for name, seconds in stage_seconds:
-        span = telemetry.tracer.start(name)
-        advance(seconds)
-        telemetry.tracer.end(span)
-    for service, used in (charged or {}).items():
-        telemetry.meter_snapshots[service] = {"used": used, "remaining": 10}
-    telemetry.cache_snapshot = {
-        "totals": {"hits": 10, "misses": 10},
-        "hit_rate": hit_rate,
-    }
-    return telemetry
-
-
-def _record(tmp_path=None, *, command="stats", config=None, stages=(),
-            charged=None, hit_rate=0.5, counts=None):
-    telemetry = _telemetry_with_spans(*stages, charged=charged,
-                                      hit_rate=hit_rate)
-    return build_run_record(
-        command=command,
-        config=config or {"seed": 7, "workers": 1},
-        telemetry=telemetry,
-        counts=counts or {"records": 100, "gaps": 2},
-    )
-
-
-class TestRunRecord:
-    def test_record_shape(self):
-        record = _record(stages=[("pipeline", 2.0), ("enrich", 1.5)],
-                         charged={"whois": 22, "gsb": 62})
-        assert record["command"] == "stats"
-        # Both spans are roots, so total wall is their sum.
-        assert record["wall_seconds"] == pytest.approx(3.5)
-        assert set(record["stages"]) == {"pipeline", "enrich"}
-        assert record["charged_total"] == 84
-        assert record["cache"]["hit_rate"] == 0.5
-        assert record["counts"]["records"] == 100
-        json.dumps(record)  # must be a plain JSON document
-
-    def test_config_digest_distinguishes_configs(self):
-        one = _record(config={"seed": 7, "workers": 1})
-        four = _record(config={"seed": 7, "workers": 4})
-        same = _record(config={"seed": 7, "workers": 1})
-        assert one["config_digest"] == same["config_digest"]
-        assert one["config_digest"] != four["config_digest"]
-
-
-class TestRunHistory:
-    def test_append_assigns_monotonic_sequence(self, tmp_path):
-        history = RunHistory(tmp_path)
-        first = history.append(_record())
-        second = history.append(_record())
-        assert first["sequence"] == 0
-        assert second["sequence"] == 1
-        assert [r["sequence"] for r in history.load()] == [0, 1]
-
-    def test_latest_returns_newest(self, tmp_path):
-        history = RunHistory(tmp_path)
-        assert history.latest() is None
-        history.append(_record())
-        history.append(_record(command="report"))
-        assert history.latest()["command"] == "report"
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append(_record())
-        with open(history.path, "a", encoding="utf-8") as handle:
-            handle.write('{"sequence": 1, "torn...')
-        assert len(history.load()) == 1
-        # And appending afterwards continues cleanly.
-        stored = history.append(_record())
-        assert stored["sequence"] == 1
-
-    def test_previous_comparable_matches_config_digest(self, tmp_path):
-        history = RunHistory(tmp_path)
-        a = history.append(_record(config={"seed": 7, "workers": 1}))
-        history.append(_record(config={"seed": 7, "workers": 4}))
-        c = history.append(_record(config={"seed": 7, "workers": 1}))
-        records = history.load()
-        previous = previous_comparable(records, records[-1])
-        assert previous["sequence"] == a["sequence"]
-        assert c["config_digest"] == previous["config_digest"]
-
-    def test_previous_comparable_none_for_first_of_kind(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append(_record(config={"seed": 1}))
-        history.append(_record(config={"seed": 2}))
-        records = history.load()
-        assert previous_comparable(records, records[-1]) is None
-
-
-class TestHistoryRendering:
-    def test_history_table_has_delta_columns(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append(_record(stages=[("pipeline", 1.0)]))
-        history.append(_record(stages=[("pipeline", 3.0)]))
-        text = history_table(history.load()).to_text()
-        assert "Δ wall (s)" in text and "Δ charged" in text
-        assert "+2" in text  # the wall delta of run 1 vs run 0
-
-    def test_stage_trend_table_shows_cum_delta(self):
-        current = _record(stages=[("enrich", 3.0)])
-        current["sequence"] = 1
-        previous = _record(stages=[("enrich", 1.0)])
-        previous["sequence"] = 0
-        text = stage_trend_table(current, previous).to_text()
-        assert "run 1 vs run 0" in text
-        assert "+2" in text
-
-    def test_render_history_empty(self):
-        assert "empty" in render_history([])
-
-    def test_render_history_combines_tables(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append(_record(stages=[("pipeline", 1.0)]))
-        text = render_history(history.load())
-        assert "Run history" in text and "Stage trends" in text
-
-
-class TestCompareRuns:
-    def _pair(self, **current_kwargs):
-        baseline = _record(stages=[("enrich", 1.0)],
-                           charged={"whois": 22}, hit_rate=0.6)
-        current = _record(**{"stages": [("enrich", 1.0)],
-                             "charged": {"whois": 22},
-                             "hit_rate": 0.6, **current_kwargs})
-        return current, baseline
-
-    def test_identical_runs_pass(self):
-        current, baseline = self._pair()
-        assert compare_runs(current, baseline) == []
-
-    def test_stage_slowdown_detected(self):
-        current, baseline = self._pair(stages=[("enrich", 2.0)])
-        findings = compare_runs(current, baseline)
-        assert any("slowed 2.00x" in f for f in findings)
-
-    def test_sub_floor_stage_noise_ignored(self):
-        baseline = _record(stages=[("tiny", 0.001)])
-        current = _record(stages=[("tiny", 0.004)])  # 4x but microscopic
-        assert compare_runs(current, baseline) == []
-
-    def test_charged_increase_detected_exactly(self):
-        current, baseline = self._pair(charged={"whois": 23})
-        findings = compare_runs(current, baseline)
-        assert any("whois grew 22 -> 23" in f for f in findings)
-        assert any("total charged calls grew" in f for f in findings)
-
-    def test_charged_increase_within_allowance_passes(self):
-        current, baseline = self._pair(charged={"whois": 23})
-        thresholds = GateThresholds(max_charged_increase=5)
-        assert compare_runs(current, baseline, thresholds) == []
-
-    def test_hit_rate_drop_detected(self):
-        current, baseline = self._pair(hit_rate=0.2)
-        findings = compare_runs(current, baseline)
-        assert any("hit rate dropped" in f for f in findings)
-
-    def test_config_drift_short_circuits(self):
-        baseline = _record(config={"seed": 7})
-        current = _record(config={"seed": 8}, charged={"whois": 99})
-        findings = compare_runs(current, baseline)
-        assert len(findings) == 1
-        assert "config drift" in findings[0]
-
-    def test_config_drift_can_be_waived(self):
-        baseline = _record(config={"seed": 7})
-        current = _record(config={"seed": 8})
-        assert compare_runs(current, baseline, check_config=False) == []
-
-    def test_new_stage_flagged_when_significant(self):
-        baseline = _record(stages=[("enrich", 1.0)])
-        current = _record(stages=[("enrich", 1.0), ("mystery", 0.5)])
-        findings = compare_runs(current, baseline)
-        assert any("new stage mystery" in f for f in findings)
-
-    def _serve_pair(self, **overrides):
-        serve = {"submitted": 800, "processed": 123, "shed": 677,
-                 "p50_latency": 70.0, "p99_latency": 100.0,
-                 "max_queue_depth": 21}
-        current, baseline = self._pair()
-        baseline["serve"] = dict(serve)
-        current["serve"] = {**serve, **overrides}
-        return current, baseline
-
-    def test_identical_serve_runs_pass(self):
-        current, baseline = self._serve_pair()
-        assert compare_runs(current, baseline) == []
-
-    def test_serve_p99_growth_detected(self):
-        current, baseline = self._serve_pair(p99_latency=140.0)
-        findings = compare_runs(current, baseline)
-        assert any("serve p99 intake latency grew 1.40x" in f
-                   for f in findings)
-
-    def test_serve_p99_growth_within_factor_passes(self):
-        current, baseline = self._serve_pair(p99_latency=120.0)  # 1.2x
-        assert compare_runs(current, baseline) == []
-
-    def test_serve_throughput_drop_detected(self):
-        current, baseline = self._serve_pair(processed=100)
-        findings = compare_runs(current, baseline)
-        assert any("serve throughput dropped" in f for f in findings)
-
-    def test_serve_block_absent_is_not_compared(self):
-        current, baseline = self._serve_pair(p99_latency=500.0)
-        del baseline["serve"]
-        assert compare_runs(current, baseline) == []
-
-
-class TestPerfGateScript:
-    """End-to-end: the CI gate script over real history artifacts."""
-
-    SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / \
-        "perf_gate.py"
-
-    def _gate(self, *argv):
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPT), *argv],
-            capture_output=True, text=True)
-
-    def test_pin_then_pass_then_tamper(self, tmp_path):
-        history = RunHistory(tmp_path)
-        history.append(_record(stages=[("enrich", 1.0)],
-                               charged={"whois": 22}))
-        baseline = tmp_path / "BASELINE.json"
-
-        pinned = self._gate("--history-dir", str(tmp_path),
-                            "--baseline", str(baseline),
-                            "--update-baseline")
-        assert pinned.returncode == 0, pinned.stderr
-        assert baseline.is_file()
-
-        passed = self._gate("--history-dir", str(tmp_path),
-                            "--baseline", str(baseline))
-        assert passed.returncode == 0, passed.stdout + passed.stderr
-        assert "no regressions" in passed.stdout
-
-        doc = json.loads(baseline.read_text())
-        doc["charged"] = {"whois": 0}
-        doc["charged_total"] = 0
-        baseline.write_text(json.dumps(doc))
-        failed = self._gate("--history-dir", str(tmp_path),
-                            "--baseline", str(baseline))
-        assert failed.returncode == 1
-        assert "charged calls" in failed.stdout
-
-    def test_missing_history_is_usage_error(self, tmp_path):
-        result = self._gate("--history-dir", str(tmp_path),
-                            "--baseline", str(tmp_path / "B.json"))
-        assert result.returncode != 0
-        assert "no run history" in result.stderr

@@ -802,49 +802,6 @@ class TestPercentileDigestProperties:
             assert merged.quantile(q) == combined.quantile(q)
 
 
-class TestRunHistoryProperties:
-    @staticmethod
-    def _record(tag):
-        return {"command": "stats", "config_digest": "abc",
-                "wall_seconds": float(tag), "tag": tag}
-
-    @given(max_entries=st.integers(min_value=1, max_value=12),
-           appended=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=30, deadline=None)
-    def test_growth_is_bounded_and_newest_retained(self, tmp_path_factory,
-                                                   max_entries, appended):
-        from repro.obs.history import RunHistory
-
-        directory = tmp_path_factory.mktemp("history")
-        history = RunHistory(directory, max_entries=max_entries)
-        for tag in range(appended):
-            history.append(self._record(tag))
-        records = history.load()
-        # Bounded growth: never more than max_entries on disk.
-        assert len(records) == min(appended, max_entries)
-        # Last-N retention: exactly the newest appends, in order.
-        kept = [record["tag"] for record in records]
-        assert kept == list(range(appended))[-max_entries:]
-        # Sequences stay monotonically increasing across rotations.
-        sequences = [record["sequence"] for record in records]
-        assert sequences == sorted(sequences)
-        assert sequences[-1] == appended - 1
-
-    @given(appended=st.integers(min_value=2, max_value=20))
-    @settings(max_examples=20, deadline=None)
-    def test_reopened_store_continues_sequence(self, tmp_path_factory,
-                                               appended):
-        from repro.obs.history import RunHistory
-
-        directory = tmp_path_factory.mktemp("history")
-        for tag in range(appended):
-            # A fresh handle per append: the sequence is a property of
-            # the ledger on disk, not of the Python object.
-            RunHistory(directory, max_entries=5).append(self._record(tag))
-        latest = RunHistory(directory, max_entries=5).latest()
-        assert latest["sequence"] == appended - 1
-
-
 class TestServeProperties:
     """Serve-layer invariants: the bounded queue really is bounded, the
     admission front door is a pure function of (seed, arrival order),

@@ -132,49 +132,6 @@ def test_resumed_golden_covers_the_checkpoint_table():
     assert resumed.splitlines()[0] == flaky.splitlines()[0]
 
 
-HISTORY_GOLDEN = "stats_history_two_runs.txt"
-
-
-def test_history_stats_matches_golden(frozen_wall_clock, capsys, tmp_path):
-    """`repro stats --history` over two recorded runs: the Run-history
-    table (with Δ columns vs the comparable predecessor) and the Stage
-    trends table, golden-pinned. The frozen wall clock makes every
-    recorded timing 0.0, so the records — and the rendered trend
-    report — are bytes."""
-    history_dir = tmp_path / "perf"
-    run_argv = ["--seed", "7", "--campaigns", "10", "--quiet",
-                "--history-dir", str(history_dir), "stats"]
-    assert cli.main(list(run_argv)) == 0
-    assert cli.main(list(run_argv)) == 0
-    capsys.readouterr()
-    assert cli.main(["stats", "--history",
-                     "--history-dir", str(history_dir)]) == 0
-    output = capsys.readouterr().out
-    golden_path = GOLDEN_DIR / HISTORY_GOLDEN
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        golden_path.parent.mkdir(parents=True, exist_ok=True)
-        golden_path.write_text(output, encoding="utf-8")
-        pytest.skip(f"updated golden {HISTORY_GOLDEN}")
-    assert golden_path.exists(), (
-        f"missing golden file {golden_path}; regenerate with "
-        f"REPRO_UPDATE_GOLDEN=1 (see module docstring)"
-    )
-    assert output == golden_path.read_text(encoding="utf-8"), (
-        f"`repro stats --history` output diverged from {HISTORY_GOLDEN}; "
-        f"if intentional, regenerate with REPRO_UPDATE_GOLDEN=1"
-    )
-
-
-def test_history_golden_covers_the_trend_tables():
-    history = (GOLDEN_DIR / HISTORY_GOLDEN).read_text()
-    assert "Run history" in history
-    assert "Δ wall (s)" in history and "Δ charged" in history
-    assert "Stage trends (run 1 vs run 0)" in history
-    # Run 1 has run 0 as its comparable predecessor: identical charged
-    # volumes, so the delta column pins the +0 case.
-    assert "+0" in history
-
-
 def test_goldens_cover_cache_and_resilience_tables():
     """The checked-in snapshots really exercise the new surfaces."""
     cached = (GOLDEN_DIR / "stats_seed7_none.txt").read_text()

@@ -309,7 +309,8 @@ class TestPersist:
         # Another version (an older INVESTIGATE.json, say) is refused.
         with pytest.raises(CheckpointError, match="version"):
             SnapshotStore(store.directory, "KIND.json", 1).load()
-        with pytest.raises(CheckpointError, match="nothing to resume"):
+        with pytest.raises(CheckpointError,
+                           match=f"^{tmp_path / 'none'} holds no KIND.json$"):
             SnapshotStore(tmp_path / "none", "KIND.json", 2).load()
         state = store.directory / manifest["state_file"]
         state.write_bytes(state.read_bytes() + b"tamper")
@@ -467,6 +468,27 @@ class TestStreamCli:
         assert main(["ingest", str(stream_dir), "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "epochs=3" in out or "Stream" in out
+
+    @pytest.mark.parametrize("kind", ["missing", "serve"])
+    def test_ingest_names_what_the_directory_holds(self, kind, tmp_path,
+                                                   capsys):
+        """`repro ingest` pages a stream forward: it says what a
+        directory lacks, and names another kind's run and how to
+        finish it, without offering to resume a stream."""
+        directory = tmp_path / "run"
+        if kind == "serve":
+            assert main(self.ARGS + [
+                "--run-dir", str(directory), "--kill-at", "arrival:5",
+                "serve", "--requests", "40"]) == 75
+            capsys.readouterr()
+        assert main(["ingest", str(directory)]) == 2
+        err = capsys.readouterr().err
+        if kind == "missing":
+            assert err == f"repro: error: {directory} holds no STREAM.json\n"
+        else:
+            assert err == (f"repro: error: {directory} holds SERVE.json, "
+                           f"not a stream; finish its run with `repro "
+                           f"resume {directory}`\n")
 
     def test_validation_rejects_bad_combinations(self, tmp_path, capsys):
         missing = tmp_path / "nope"
