@@ -1,18 +1,13 @@
-"""Bench: the execution engine's pool × workers × cache grid.
+"""Bench: the execution engine's workers × cache grid.
 
-Runs the collect→curate→enrich pipeline on the scaled scenario across
-the pool-type axis (serial / thread / process), dumps
-``artifacts/exec_grid.json`` (per-cell wall time, records/sec, speedup
-over the sequential uncached baseline, cache hit rate), and asserts
-the engine's perf bars:
+Runs the collect→curate→enrich pipeline on the scaled scenario serially
+and on four worker processes, dumps ``artifacts/exec_grid.json``
+(per-cell wall time, records/sec, speedup over the sequential uncached
+baseline, cache hit rate), and asserts the engine's perf bar:
 
-* ``--workers 4 --pool thread`` with the cache on must be ≥ 1.5× over
-  the sequential uncached baseline — the cache-dedup floor (duplicate
-  message texts are ~half the corpus; under the GIL the thread pool
-  contributes structure, not CPU parallelism).
-* ``--workers 4 --pool process`` with the cache on must be ≥ 2.5× —
-  the multi-core floor, asserted only when the host actually has ≥ 4
-  CPUs (``os.cpu_count()``). On smaller hosts the process pool cannot
+* ``--workers 4`` with the cache on must be ≥ 2.5× — the multi-core
+  floor, asserted only when the host actually has ≥ 4 CPUs
+  (``os.cpu_count()``). On smaller hosts the process pool cannot
   beat the GIL by parallelism, so the assertion falls back to the
   cache-dedup-minus-IPC floor (≥ 1.25×) and the artifact records which
   bar was applied; correctness (identical records/gaps across every
@@ -41,19 +36,17 @@ GRID_CONFIG = ScenarioConfig(seed=7726, n_campaigns=240,
                              mean_campaign_volume=70.0,
                              sbi_burst_volume=150)
 
-#: (pool, workers, cache) cells; the first is the baseline.
+#: (pool, workers, cache) cells; the first is the baseline. The worker
+#: count alone picks the pool: serial at one, processes above.
 GRID = (
     ("serial", 1, False),
     ("serial", 1, True),
-    ("thread", 4, True),
     ("process", 4, False),
     ("process", 4, True),
 )
 
 #: Multi-core floor for the process pool at 4 workers (hosts with ≥ 4 CPUs).
 PROCESS_SPEEDUP_FLOOR = 2.5
-#: Cache-dedup floor for the threaded cell (any host).
-THREAD_SPEEDUP_FLOOR = 1.5
 #: What the process pool must still clear on hosts without 4 CPUs:
 #: the cache dedup win minus fork/pickle overhead.
 PROCESS_FALLBACK_FLOOR = 1.25
@@ -72,8 +65,7 @@ def test_exec_grid():
         started = time.perf_counter()
         run = run_pipeline(
             world, telemetry=telemetry,
-            execution=ExecutionPolicy(workers=workers, cache=cache,
-                                      pool=pool),
+            execution=ExecutionPolicy(workers=workers, cache=cache),
         )
         wall = time.perf_counter() - started
         snapshot = telemetry.cache_snapshot
@@ -91,9 +83,7 @@ def test_exec_grid():
         }
 
     baseline = cells[_cell_key("serial", 1, False)]
-    threaded = cells[_cell_key("thread", 4, True)]
     processed = cells[_cell_key("process", 4, True)]
-    thread_speedup = baseline["wall_seconds"] / threaded["wall_seconds"]
     process_speedup = baseline["wall_seconds"] / processed["wall_seconds"]
 
     cpus = os.cpu_count() or 1
@@ -110,13 +100,12 @@ def test_exec_grid():
                    "mean_campaign_volume": GRID_CONFIG.mean_campaign_volume},
         "cpus": cpus,
         "cells": cells,
-        "speedup_workers4_cached_vs_sequential": round(thread_speedup, 3),
         "speedup_process4_cached_vs_sequential": round(process_speedup, 3),
         "process_speedup_floor_applied": process_floor,
     }
     (out_dir / "exec_grid.json").write_text(
         json.dumps(artifact, indent=2))
-    print(f"\nexec grid ({cpus} cpus): thread {thread_speedup:.2f}x, "
+    print(f"\nexec grid ({cpus} cpus): "
           f"process {process_speedup:.2f}x "
           f"(floor {process_floor:.2f}x), "
           f"{processed['records_per_sec']:,.0f} records/s")
@@ -124,11 +113,7 @@ def test_exec_grid():
     # All cells must agree on outputs (the cheap proxy here; the full
     # byte-equivalence proof lives in tests/test_exec_equivalence.py).
     assert len({(c["records"], c["gaps"]) for c in cells.values()}) == 1
-    assert threaded["cache_hit_rate"] > 0
-    assert thread_speedup >= THREAD_SPEEDUP_FLOOR, (
-        f"workers=4 cached thread run is only {thread_speedup:.2f}x "
-        f"over sequential"
-    )
+    assert processed["cache_hit_rate"] > 0
     assert process_speedup >= process_floor, (
         f"workers=4 cached process run is only {process_speedup:.2f}x "
         f"over sequential (floor {process_floor:.2f}x on {cpus} cpus)"

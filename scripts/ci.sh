@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, the benchmark's own tests (bench/), a check that
 # every bench hook target exists, a coverage gate, and smoke tests of the
-# CLI surface: observability, chaos, parallel execution, the process
+# CLI surface: observability, chaos, parallel execution on the process
 # pool, five kill/resume legs, Chrome trace export, hostile input, the
 # investigation fleet and the garbage collector.
 #
@@ -14,22 +14,22 @@
 # for every forum and enrichment service. The chaos smoke test re-runs
 # the pipeline under the `flaky` fault profile and asserts it exits 0
 # with a non-empty enrichment-gap report. The parallel smoke test runs
-# with --workers 4 and asserts a clean exit with a non-zero enrichment
-# cache hit rate in the stats output; the process-pool smoke test diffs
-# a `--pool process --workers 4` report byte for byte against the
-# serial run. Five kill/resume legs share one
+# a `--workers 4` report (the precompute in four worker processes),
+# diffs it byte for byte against the serial run, and asserts a non-zero
+# enrichment cache hit count in the same run's stats. Five kill/resume
+# legs share one
 # routine (kill_resume): each runs a command uninterrupted, then with
 # --run-dir DIR --kill-at PHASE:N (exit 75), finishes it with `repro
 # resume DIR`, and compares the two — a flaky batch report killed
 # mid-enrichment and a `--hostile poison` report killed before its
 # collection barrier (byte-identical reports), a 2-epoch `repro watch`
 # on a 2-worker process pool killed mid-epoch-2 (stream fingerprint),
-# a burst `repro serve` and an investigation fleet (fingerprint and
-# header line). The trace-export smoke test validates the Chrome
+# a burst `repro serve` on a 2-worker process pool and an investigation
+# fleet (fingerprint and header line). The trace-export smoke test validates the Chrome
 # trace-event fields. The hostile-input smoke test checks that a
 # `--hostile poison` run quarantines with exact three-bucket accounting
 # while the clean run quarantines nothing. The investigation smoke test
-# checks that a process-pool fleet prints the serial run's fingerprint.
+# checks that a 4-worker fleet prints the serial run's fingerprint.
 # The GC smoke test runs one report normally and once with
 # the collector disabled for the whole process, and diffs the two byte
 # for byte. Speed is not gated here: bench/run.py measures it against
@@ -145,34 +145,28 @@ print(f"chaos ok: {header.group(1)} gaps under the flaky profile")
 PY
 
 echo "== parallel smoke test (--workers 4) =="
-par_out="$work/par.txt"
-python -m repro stats --seed 7 --quiet --workers 4 > "$par_out"
-python - "$par_out" <<'PY'
-import re, sys
-
-out = open(sys.argv[1]).read()
-assert "workers=4" in out, "stats header does not echo the worker count"
-assert "cache=on" in out, "stats header does not echo the cache state"
-assert "Cache" in out and "Hit rate" in out, "missing cache table"
-total = re.search(r"\(total\)\s+([\d,]+)", out)
-row = re.search(r"openai\s+([\d,]+)", out)
-hits = int((total or row).group(1).replace(",", ""))
-assert hits > 0, "parallel run recorded zero cache hits"
-print(f"parallel ok: workers=4 run exited 0 with {hits} cache hits")
-PY
-
-echo "== process-pool smoke test (--pool process --workers 4) =="
-proc_report="$work/proc.txt"
+par_report="$work/par.txt"
 serial_report="$work/serial.txt"
+par_trace="$work/par.json"
 python -m repro --seed 7 --campaigns 20 --quiet --workers 4 \
-  --pool process report > "$proc_report"
+  --trace-out "$par_trace" report > "$par_report"
 python -m repro --seed 7 --campaigns 20 --quiet report > "$serial_report"
-if ! diff -q "$proc_report" "$serial_report" > /dev/null; then
-  echo "process-pool FAILED: --pool process report differs from serial run" >&2
-  diff "$proc_report" "$serial_report" | head -20 >&2
+if ! diff -q "$par_report" "$serial_report" > /dev/null; then
+  echo "parallel FAILED: --workers 4 report differs from serial run" >&2
+  diff "$par_report" "$serial_report" | head -20 >&2
   exit 1
 fi
-echo "process-pool ok: 4-worker process-pool report byte-identical to serial run"
+python - "$par_trace" <<'PY'
+import json, sys
+
+trace = json.load(open(sys.argv[1]))
+hits = trace["cache"]["totals"]["hits"]
+assert hits > 0, "parallel run recorded zero cache hits"
+kinds = [pool["kind"] for pool in trace["exec"]["pools"]]
+assert kinds == ["ProcessPool"], f"expected one process pool, ran {kinds}"
+print(f"parallel ok: 4-worker process-pool report byte-identical to "
+      f"serial run, {hits} cache hits")
+PY
 
 echo "== crash-resume smoke test (batch journal) =="
 kill_resume batch-flaky whois:5 report \
@@ -184,8 +178,7 @@ kill_resume batch-hostile Reddit:1 report \
 
 echo "== watch smoke test (incremental ingestion) =="
 kill_resume watch whois:5@1 fingerprint \
-  --seed 7 --campaigns 40 --quiet --workers 2 --pool process \
-  watch --epochs 2
+  --seed 7 --campaigns 40 --quiet --workers 2 watch --epochs 2
 grep -q "^stream fingerprint=" "$work/watch/full.txt" || {
   echo "watch FAILED: no stream fingerprint in watch output" >&2; exit 1; }
 grep -q "(ledger)" "$work/watch/full.txt" || {
@@ -193,7 +186,7 @@ grep -q "(ledger)" "$work/watch/full.txt" || {
 
 echo "== serve smoke test (burst load + kill-and-resume) =="
 kill_resume serve arrival:5000 header \
-  --seed 7 --campaigns 20 --quiet serve --load-profile burst \
+  --seed 7 --campaigns 20 --quiet --workers 2 serve --load-profile burst \
   --requests 10000 --reporters 2000 --queue-capacity 40
 python - "$work/serve/full.txt" <<'PY'
 import re, sys
@@ -304,7 +297,7 @@ assert re.search(r"^investigate fingerprint=", out, re.M), \
     "no fleet fingerprint line"
 print(f"investigate ok: {investigated} investigated, {scans} scans")
 PY
-python -m repro "${invest_root[@]}" --workers 4 --pool process \
+python -m repro "${invest_root[@]}" --workers 4 \
   "${invest_sub[@]}" > "$invest_proc_out"
 serial_invest_fp="$(grep '^investigate fingerprint=' "$invest_out")"
 proc_invest_fp="$(grep '^investigate fingerprint=' "$invest_proc_out")"
@@ -314,7 +307,7 @@ if [ -z "$serial_invest_fp" ] || [ "$serial_invest_fp" != "$proc_invest_fp" ]; t
   echo "  process: $proc_invest_fp" >&2
   exit 1
 fi
-echo "investigate ok: pool matrix + kill-and-resume fingerprints match"
+echo "investigate ok: worker-count + kill-and-resume fingerprints match"
 
 echo "== GC smoke test (collector disabled for the whole process) =="
 # The engine freezes the heap for a run; the collector must never change

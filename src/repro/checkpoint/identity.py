@@ -20,7 +20,7 @@ import dataclasses
 import datetime as dt
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
 from ..exec import ExecutionPolicy
 from ..faults import FaultPlan, build_fault_plan
 from ..world.scenario import ScenarioConfig
@@ -35,7 +35,7 @@ def _from_fields(cls, payload: Any, what: str,
         if unknown:
             raise ValueError(f"unknown fields {unknown}")
         return cls(**{f.name: decode(f, payload[f.name]) for f in fields})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"manifest {what} is unusable: {exc}")
 
 

@@ -78,7 +78,7 @@ from .core.active import run_case_study
 from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
 from .errors import CheckpointError, ConfigurationError, SimulatedCrash
-from .exec import POOL_KINDS, ExecutionPolicy
+from .exec import ExecutionPolicy
 from .faults import FAULT_PROFILES, CrashPoint, FaultPlan, build_fault_plan
 from .investigate import (
     INVESTIGATE_MANIFEST_NAME,
@@ -149,8 +149,7 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan:
 def _run_argv(args: argparse.Namespace) -> List[str]:
     """The world and policy options every recorded argv starts with."""
     argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
-            "--faults", args.faults, "--workers", str(args.workers),
-            "--pool", args.pool]
+            "--faults", args.faults, "--workers", str(args.workers)]
     if args.hostile != "none":
         argv += ["--hostile", args.hostile]
     if args.no_cache:
@@ -174,8 +173,7 @@ def _manifest_argv(args: argparse.Namespace) -> List[str]:
 
 
 def _execution_policy(args: argparse.Namespace) -> ExecutionPolicy:
-    return ExecutionPolicy(workers=args.workers, cache=not args.no_cache,
-                           pool=args.pool)
+    return ExecutionPolicy(workers=args.workers, cache=not args.no_cache)
 
 
 def _build_run(args: argparse.Namespace) -> PipelineRun:
@@ -281,7 +279,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"seed={args.seed} campaigns={args.campaigns} "
           f"faults={args.faults} "
           f"workers={args.workers} "
-          f"pool={args.pool} "
           f"cache={'off' if args.no_cache else 'on'}"
           f"{hostile}{epochs} "
           f"reports={len(run.collection.reports)} records={len(dataset)} "
@@ -347,7 +344,6 @@ def _print_stream(args: argparse.Namespace,
     print(f"seed={scenario.seed} campaigns={scenario.n_campaigns} "
           f"faults={session.fault_profile} "
           f"workers={session.policy.workers} "
-          f"pool={session.policy.pool} "
           f"cache={'on' if session.policy.cache else 'off'} "
           f"epochs={state.committed_epochs}/{session.scheduler.target} "
           f"reports={len(state.collection.reports)} "
@@ -446,7 +442,6 @@ def _print_serve(args: argparse.Namespace, service: IntakeService) -> int:
           f"campaigns={service.world.config.n_campaigns} "
           f"faults={service.fault_profile} "
           f"workers={service.policy.workers} "
-          f"pool={service.policy.pool} "
           f"profile={load['profile']} "
           f"submitted={stats['submitted']} accepted={stats['accepted']} "
           f"shed={stats['shed']} processed={stats['processed']} "
@@ -503,7 +498,6 @@ def _print_investigation(args: argparse.Namespace, outcome,
     print(f"seed={world.config.seed} campaigns={world.config.n_campaigns} "
           f"faults={fault_profile} "
           f"workers={outcome.policy.workers} "
-          f"pool={outcome.policy.pool} "
           f"playbook={report.playbook} "
           f"investigated={report.investigated} "
           f"packages={len(report.packages)} "
@@ -559,13 +553,8 @@ SHARED_OPTIONS: Tuple[Tuple[str, Tuple[str, ...], Dict[str, Any]], ...] = (
                "provably unaffected (default: none)")),
     ("--workers", _WORLD,
      dict(type=int, default=1,
-          help="worker count for the parallel execution phases (default "
-               "1; any count is byte-identical to serial)")),
-    ("--pool", _WORLD,
-     dict(choices=POOL_KINDS, default="thread",
-          help="pool backend for the parallel execution phases (default "
-               "thread; process runs the pure precompute in "
-               "multiprocessing workers — any choice is byte-identical)")),
+          help="1 runs serially (default); N > 1 runs the pure phases in "
+               "N worker processes (any count is byte-identical to serial)")),
     ("--no-cache", _BATCH + ("stats", "watch", "serve"),
      dict(action="store_true", default=False,
           help="disable the per-(service, subject) enrichment cache (on "

@@ -32,7 +32,7 @@ from ..errors import (
     ValidationError,
 )
 from ..exec.cache import EnrichmentCache
-from ..exec.pool import ProcessPool, SerialPool, WorkerPool, shard
+from ..exec.pool import SerialPool, WorkerPool, shard
 from ..net.tld import default_registry
 from ..obs import Telemetry, ensure_telemetry
 from ..net.url import Url
@@ -364,14 +364,14 @@ class Enricher:
         run. Annotations are keyed by message *text* (they are pure in
         it); the replay rebinds each record's id.
 
-        Thread (and serial) pools share the parent's cache, so their
-        shard tasks fill it in place. A :class:`~repro.exec.ProcessPool`
-        cannot: its workers live in other interpreters, so they run
-        picklable tasks (:class:`AnnotateShardTask`,
-        :class:`ScanShardTask`) that carry only pure inputs and return
-        ``(subject, value)`` pairs; the parent merges them into the
-        cache in canonical shard order, one miss+store per unique
-        subject — the exact counter trajectory of the serial fill.
+        One path serves both pools. Per service, :meth:`peek` (which
+        counts nothing) finds the unique subjects the cache lacks; only
+        those ship, as picklable tasks (:class:`AnnotateShardTask`,
+        :class:`ScanShardTask`) carrying pure inputs and returning
+        ``(subject, value)`` pairs; then every unique subject is looked
+        up in canonical order — one hit, or one miss and one store —
+        the counter trajectory of a serial fill, with no subject
+        computed twice.
         """
         if self._cache is None:
             return
@@ -381,46 +381,28 @@ class Enricher:
         urls = list(dict.fromkeys(
             str(r.url) for r in dataset if r.url is not None
         ))
-        annotator = services.openai._annotator
-
-        def _fill_texts(chunk) -> None:
-            for text in chunk:
-                cache.lookup("openai", text,
-                             lambda t=text: annotator.annotate("", t))
-
-        def _fill_urls(chunk) -> None:
-            for url in chunk:
-                cache.lookup(
-                    "virustotal", url,
-                    lambda u=url: services.virustotal._scan_url_uncharged(u),
-                )
-
-        # One chunk per worker, not one future per subject: the tasks
-        # are sub-millisecond and executor overhead would otherwise eat
-        # into the dedup savings.
         with self._telemetry.tracer.span(
             "enrich/precompute", unique_texts=len(texts),
             unique_urls=len(urls), workers=pool.workers,
         ):
-            if isinstance(pool, ProcessPool):
-                if texts:
-                    for chunk in pool.map(AnnotateShardTask(annotator),
-                                          shard(texts, pool.workers)):
-                        for text, annotation in chunk:
-                            cache.lookup("openai", text,
-                                         lambda a=annotation: a)
-                if urls:
-                    task = ScanShardTask(
-                        frozenset(services.virustotal._known_bad_hosts))
-                    for chunk in pool.map(task, shard(urls, pool.workers)):
-                        for url, report in chunk:
-                            cache.lookup("virustotal", url,
-                                         lambda r=report: r)
-            else:
-                if texts:
-                    pool.map(_fill_texts, shard(texts, pool.workers))
-                if urls:
-                    pool.map(_fill_urls, shard(urls, pool.workers))
+            for service, subjects, task in (
+                    ("openai", texts,
+                     AnnotateShardTask(services.openai._annotator)),
+                    ("virustotal", urls,
+                     ScanShardTask(services.virustotal._known_bad_hosts))):
+                missing = [subject for subject in subjects
+                           if cache.peek(service, subject) is None]
+                computed: Dict[str, object] = {}
+                if missing:
+                    # One chunk per worker, not one future per subject:
+                    # the tasks are sub-millisecond and executor
+                    # overhead would otherwise eat the dedup savings.
+                    for chunk in pool.map(task, shard(missing,
+                                                      pool.workers)):
+                        computed.update(chunk)
+                for subject in subjects:
+                    cache.lookup(service, subject,
+                                 lambda s=subject: computed[s])
 
     # -- senders (§3.3.1) -----------------------------------------------------
 

@@ -1,21 +1,20 @@
 """Deterministic parallel execution: pools, memoisation, and the engine.
 
 ``repro.exec`` lets the pipeline shard the enrichment precompute
-per-unique-subject across a :class:`WorkerPool`, and memoise
-per-(service, subject) lookups in an :class:`EnrichmentCache`, while
-guaranteeing the resulting :class:`~repro.core.pipeline.PipelineRun`
-is byte-identical to the sequential uncached run — the argument lives
-in :mod:`repro.exec.engine`'s docstring and is enforced by
+per-unique-subject across a :class:`WorkerPool` (serial at one worker,
+processes above) and memoise per-(service, subject) lookups in an
+:class:`EnrichmentCache`, while guaranteeing the resulting
+:class:`~repro.core.pipeline.PipelineRun` is byte-identical to the
+sequential uncached run — the argument lives in
+:mod:`repro.exec.engine`'s docstring and is enforced by
 ``tests/test_exec_equivalence.py``.
 """
 
 from .cache import CacheEntry, EnrichmentCache, EntryKind
 from .engine import SEQUENTIAL, ExecutionEngine, ExecutionPolicy
 from .pool import (
-    POOL_KINDS,
     ProcessPool,
     SerialPool,
-    ThreadPool,
     WorkerPool,
     canonical_merge,
     make_pool,
@@ -28,11 +27,9 @@ __all__ = [
     "EntryKind",
     "ExecutionEngine",
     "ExecutionPolicy",
-    "POOL_KINDS",
     "ProcessPool",
     "SEQUENTIAL",
     "SerialPool",
-    "ThreadPool",
     "WorkerPool",
     "canonical_merge",
     "make_pool",

@@ -19,19 +19,16 @@ kinds cover every terminal outcome a lookup can have:
   a structured ``(type, message)`` record. Transient failures are
   **never** cached — a retryable error says nothing about the subject.
 
-The cache is the one concurrency point the execution engine shares
-between workers, so it owns its lock (services stay lock-free, per the
-engine's design rule). Counters (hits, misses, evictions, stores) are
-kept per service and flow into :class:`~repro.obs.Telemetry` via
-:meth:`stats`; an optional ``max_entries`` bound evicts oldest-first,
-which is always safe — an evicted entry merely re-computes on next use.
+The cache owns its lock (services stay lock-free, per the engine's
+design rule). Counters (hits, misses, stores) are kept per service and
+flow into :class:`~repro.obs.Telemetry` via :meth:`stats`. The cache
+is unbounded: a run holds one entry per unique subject it looked up.
 """
 
 from __future__ import annotations
 
 import enum
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -82,7 +79,6 @@ class _ServiceCounters:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     #: Entries adopted from a prior epoch's persisted cache (see
     #: :meth:`EnrichmentCache.seed`) — reuse, not work, so kept apart
     #: from ``stores``.
@@ -90,18 +86,14 @@ class _ServiceCounters:
 
     def to_dict(self) -> Dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions,
-                "seeded": self.seeded}
+                "stores": self.stores, "seeded": self.seeded}
 
 
 class EnrichmentCache:
     """Thread-safe per-(service, subject) memo with usage counters."""
 
-    def __init__(self, *, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1 (or None)")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[str, str], CacheEntry]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[str, str], CacheEntry] = {}
         self._counters: Dict[str, _ServiceCounters] = {}
         self._lock = threading.Lock()
 
@@ -131,14 +123,8 @@ class EnrichmentCache:
         return counter
 
     def _store(self, service: str, subject: str, entry: CacheEntry) -> None:
-        key = (service, subject)
-        self._entries[key] = entry
-        counter = self._counter(service)
-        counter.stores += 1
-        if self._max_entries is not None:
-            while len(self._entries) > self._max_entries:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._counter(evicted_key[0]).evictions += 1
+        self._entries[(service, subject)] = entry
+        self._counter(service).stores += 1
 
     # -- the memo API ---------------------------------------------------------
 
@@ -245,9 +231,9 @@ class EnrichmentCache:
         """Adopt prior-epoch entries without counting them as stores.
 
         Skips FAILURE entries and subjects already present (the current
-        run's own computes win), respects ``max_entries``, and counts
-        each adoption on the per-service ``seeded`` counter. Returns how
-        many entries were adopted.
+        run's own computes win), and counts each adoption on the
+        per-service ``seeded`` counter. Returns how many entries were
+        adopted.
         """
         adopted = 0
         with self._lock:
@@ -257,9 +243,6 @@ class EnrichmentCache:
                 key = (service, subject)
                 if key in self._entries:
                     continue
-                if (self._max_entries is not None
-                        and len(self._entries) >= self._max_entries):
-                    break
                 self._entries[key] = entry
                 self._counter(service).seeded += 1
                 adopted += 1
@@ -282,11 +265,6 @@ class EnrichmentCache:
             return sum(c.misses for c in self._counters.values())
 
     @property
-    def evictions(self) -> int:
-        with self._lock:
-            return sum(c.evictions for c in self._counters.values())
-
-    @property
     def hit_rate(self) -> float:
         """Hits over lookups (0.0 when nothing was looked up)."""
         with self._lock:
@@ -304,7 +282,6 @@ class EnrichmentCache:
         totals = {"hits": sum(c["hits"] for c in per_service.values()),
                   "misses": sum(c["misses"] for c in per_service.values()),
                   "stores": sum(c["stores"] for c in per_service.values()),
-                  "evictions": sum(c["evictions"] for c in per_service.values()),
                   "seeded": sum(c["seeded"] for c in per_service.values())}
         total_lookups = totals["hits"] + totals["misses"]
         return {

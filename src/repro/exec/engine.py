@@ -2,10 +2,11 @@
 
 :class:`ExecutionPolicy` is the user-facing knob (``--workers N``,
 ``--no-cache``); :class:`ExecutionEngine` turns it into concrete
-resources for one pipeline run — worker pools for the parallel phases
-and an :class:`~repro.exec.cache.EnrichmentCache` for memoisation — and
-owns their lifecycle (the engine is a context manager; pools it built
-are shut down on exit).
+resources for one pipeline run — one worker pool for the parallel
+precompute, serial at one worker and processes above, and an unbounded
+:class:`~repro.exec.cache.EnrichmentCache` for memoisation — and owns
+their lifecycle (the engine is a context manager; the pool it built is
+shut down on exit).
 
 The equivalence argument, stated once
 =====================================
@@ -52,7 +53,7 @@ yet every full collection walked them all. So the ``with`` block calls
 generation, and ``gc.unfreeze()`` on exit; the collector walks only
 what the run allocates (GC per 480-campaign job with its report fell
 from 0.57–1.22 s to 0.14–0.42 s on a 2-CPU host). The block that froze
-is the one that thaws, after its pools close, on any exit,
+is the one that thaws, after its pool closes, on any exit,
 :class:`~repro.errors.SimulatedCrash` included; a block entered while
 anything is frozen does nothing, so a caller's or an outer run's frozen
 objects stay frozen, and a test session's worlds become collectable
@@ -78,7 +79,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from .cache import EnrichmentCache
-from .pool import POOL_KINDS, WorkerPool, make_pool
+from .pool import WorkerPool, make_pool
 
 
 @dataclass(frozen=True)
@@ -90,39 +91,27 @@ class ExecutionPolicy:
     outputs (that is the engine's proven guarantee, not an aspiration).
     """
 
-    #: Maximum concurrent tasks per parallel phase; 1 means fully serial.
+    #: 1 runs serially; N > 1 runs the precompute in N worker processes.
     workers: int = 1
     #: Memoise per-(service, subject) enrichment lookups.
     cache: bool = True
-    #: Optional cache bound (oldest-first eviction); None = unbounded.
-    cache_max_entries: Optional[int] = None
-    #: Which pool backs the parallel phases: ``serial`` forces inline
-    #: execution regardless of ``workers``; ``thread`` is the classic
-    #: shared-memory pool; ``process`` runs the pure enrichment
-    #: precompute in ``multiprocessing`` workers.
-    pool: str = "thread"
+    #: Selects nothing: ``workers`` alone picks the pool. Kept, and
+    #: accepting only ``"process"``, for callers that still name it.
+    pool: str = "process"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.cache_max_entries is not None and self.cache_max_entries < 1:
+        if self.pool != "process":
             raise ConfigurationError(
-                f"cache_max_entries must be >= 1 or None, "
-                f"got {self.cache_max_entries}"
-            )
-        if self.pool not in POOL_KINDS:
-            raise ConfigurationError(
-                f"pool must be one of {POOL_KINDS}, got {self.pool!r}"
+                f"pool must be 'process', got {self.pool!r}"
             )
 
     def describe(self) -> str:
         """One-line summary for logs, manifests, and `repro resume`."""
-        cache = "on" if self.cache else "off"
-        if self.cache and self.cache_max_entries is not None:
-            cache = f"on(max={self.cache_max_entries})"
-        return f"workers={self.workers} cache={cache} pool={self.pool}"
+        return f"workers={self.workers} cache={'on' if self.cache else 'off'}"
 
 
 #: The reference semantics every other policy must be equivalent to.
@@ -130,12 +119,12 @@ SEQUENTIAL = ExecutionPolicy(workers=1, cache=False)
 
 
 class ExecutionEngine:
-    """Builds and owns the pools + cache for one pipeline run, and
+    """Builds and owns the pool + cache for one pipeline run, and
     freezes the heap while the run is inside its ``with`` block."""
 
     def __init__(self, policy: Optional[ExecutionPolicy] = None):
         self.policy = policy or ExecutionPolicy()
-        self._pools: List[WorkerPool] = []
+        self._pool: Optional[WorkerPool] = None
         #: Task accounting of pools already closed — :meth:`stats` keeps
         #: reporting them after the engine context exits.
         self._retired_stats: List[Dict[str, Any]] = []
@@ -147,23 +136,22 @@ class ExecutionEngine:
 
     def build_cache(self) -> Optional[EnrichmentCache]:
         """A fresh cache per run, or None when the policy disables it."""
-        if not self.policy.cache:
-            return None
-        return EnrichmentCache(max_entries=self.policy.cache_max_entries)
+        return EnrichmentCache() if self.policy.cache else None
 
     def enrichment_pool(self) -> WorkerPool:
-        """The pool for the per-unique-subject precompute shards."""
-        pool = make_pool(self.policy.workers, self.policy.pool)
-        pool.label = "enrichment"
-        self._pools.append(pool)
-        return pool
+        """The run's one pool for the precompute shards: built on the
+        first call, returned by every later one until the engine closes."""
+        if self._pool is None:
+            self._pool = make_pool(self.policy.workers)
+            self._pool.label = "enrichment"
+        return self._pool
 
     # -- observability --------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Per-pool task/busy accounting (live and retired pools)."""
-        pools = self._retired_stats + [pool.stats()
-                                       for pool in self._pools]
+        """Per-pool task/busy accounting (the live and retired pools)."""
+        pools = self._retired_stats + (
+            [self._pool.stats()] if self._pool is not None else [])
         return {
             "policy": self.policy.describe(),
             "pools": pools,
@@ -174,10 +162,10 @@ class ExecutionEngine:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        for pool in self._pools:
-            self._retired_stats.append(pool.stats())
-            pool.close()
-        self._pools.clear()
+        if self._pool is not None:
+            self._retired_stats.append(self._pool.stats())
+            self._pool.close()
+            self._pool = None
 
     def __enter__(self) -> "ExecutionEngine":
         self._froze = gc.get_freeze_count() == 0

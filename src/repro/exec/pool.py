@@ -5,28 +5,24 @@ results **in task-submission order**, no matter which worker finished
 first. That canonical merge is the property the deterministic execution
 engine (:mod:`repro.exec.engine`) builds on: as long as each task is a
 pure function of its input (no shared mutable state), the merged output
-of ``ThreadPool(4)`` is byte-identical to :class:`SerialPool`.
+of ``ProcessPool(4)`` is byte-identical to :class:`SerialPool`.
 
-Three implementations share the interface:
+Two implementations share the interface, and :func:`make_pool` picks
+between them by worker count alone:
 
 * :class:`SerialPool` — runs tasks inline, one after another. The
   reference semantics; zero overhead, zero concurrency.
-* :class:`ThreadPool` — a ``concurrent.futures`` thread pool. Results
+* :class:`ProcessPool` — a ``concurrent.futures`` process pool. Results
   are gathered by submission index; a task that raises re-raises the
   exception of the *lowest-indexed* failing task (again independent of
-  completion order, so failures are deterministic too).
-* :class:`ProcessPool` — a ``concurrent.futures`` process pool with the
-  same submission-order merge and lowest-indexed-failure semantics.
-  Tasks and their results cross a pickle boundary, so callers must hand
-  it module-level callables or picklable task objects — never closures
+  completion order, so failures are deterministic too). Tasks and
+  their results cross a pickle boundary, so callers must hand it
+  module-level callables or picklable task objects — never closures
   over live services, meters, or locks.
 
-Note on the GIL: CPython threads do not speed up pure-Python compute;
-the engine's wall-time wins on thread pools come from the
-:class:`~repro.exec.cache.EnrichmentCache` deduplicating work, while the
-pool provides the sharding/merge structure. :class:`ProcessPool` is the
-true multi-core path: each worker is its own interpreter, so the pure
-precompute phase scales with physical cores.
+There is no thread pool: every service here is an in-process
+simulator, so threads have no I/O wait to overlap, and under the GIL
+they only add overhead to the pure-Python precompute.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -52,7 +48,7 @@ class WorkerPool:
 
     #: How many tasks may run concurrently (1 for serial pools).
     workers: int = 1
-    #: Display label set by its owner ("enrichment", "investigate", ...).
+    #: Display label set by its owner (the engine's is "enrichment").
     label: str = "pool"
 
     def __init__(self) -> None:
@@ -117,47 +113,6 @@ class SerialPool(WorkerPool):
         return results
 
 
-class ThreadPool(WorkerPool):
-    """Thread-backed pool whose merge order ignores completion order."""
-
-    def __init__(self, workers: int):
-        super().__init__()
-        if workers < 1:
-            raise ValueError("a pool needs at least one worker")
-        self.workers = workers
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-exec"
-        )
-
-    def _timed(self, fn: Callable[[T], R], item: T) -> R:
-        started = time.perf_counter()
-        try:
-            return fn(item)
-        finally:
-            self._record_task(threading.current_thread().name,
-                              time.perf_counter() - started)
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
-        futures = [self._executor.submit(self._timed, fn, item)
-                   for item in items]
-        # Gather in submission order. Waiting on futures[0] first is fine:
-        # every future completes regardless of which we await, and
-        # .result() re-raises the lowest-indexed failure deterministically.
-        results: List[R] = []
-        error: BaseException | None = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                error = error or exc
-        if error is not None:
-            raise error
-        return results
-
-    def close(self) -> None:
-        self._executor.shutdown(wait=True)
-
-
 def _timed_call(fn: Callable[[T], R], item: T) -> tuple:
     """Worker-side wrapper: run one task, report who ran it for how long.
 
@@ -197,8 +152,9 @@ class ProcessPool(WorkerPool):
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         futures = [self._executor.submit(_timed_call, fn, item)
                    for item in items]
-        # Same gather discipline as ThreadPool: submission order, with
-        # the lowest-indexed failure re-raised deterministically.
+        # Gather in submission order. Waiting on futures[0] first is
+        # fine: every future completes regardless of which we await, and
+        # the lowest-indexed failure is re-raised deterministically.
         results: List[R] = []
         error: BaseException | None = None
         for future in futures:
@@ -217,24 +173,11 @@ class ProcessPool(WorkerPool):
         self._executor.shutdown(wait=True)
 
 
-#: The pool kinds `--pool` accepts, in reference-semantics-first order.
-POOL_KINDS = ("serial", "thread", "process")
-
-
-def make_pool(workers: int, kind: str = "thread") -> WorkerPool:
-    """Build the pool a policy asks for.
-
-    ``serial`` (or ``workers <= 1`` under any kind) → :class:`SerialPool`;
-    ``thread`` → :class:`ThreadPool`; ``process`` → :class:`ProcessPool`.
-    """
-    if kind not in POOL_KINDS:
-        raise ValueError(
-            f"unknown pool kind {kind!r}; expected one of {POOL_KINDS}")
-    if kind == "serial" or workers <= 1:
+def make_pool(workers: int) -> WorkerPool:
+    """:class:`SerialPool` at one worker, :class:`ProcessPool` above."""
+    if workers <= 1:
         return SerialPool()
-    if kind == "process":
-        return ProcessPool(workers)
-    return ThreadPool(workers)
+    return ProcessPool(workers)
 
 
 def canonical_merge(chunks: Sequence[Sequence[R]]) -> List[R]:

@@ -16,9 +16,9 @@ into engineering:
   :class:`EvidencePackage`\\ s: structured findings plus a
   chain-of-custody manifest, content-hashed for offline verification.
 * :mod:`repro.investigate.fleet` — runs a playbook over every
-  URL-bearing record through the standard :mod:`repro.exec` pools with
+  URL-bearing record through the standard :mod:`repro.exec` pool with
   the pure-probe/serial-charged-effects split, so results are
-  byte-identical for any pool kind and worker count.
+  byte-identical for any worker count.
 * :mod:`repro.investigate.session` / :mod:`repro.investigate.harness`
   — durable commit/resume for the charged phase (zero duplicate
   charges) and the fleet fingerprint that proves it.

@@ -1,4 +1,4 @@
-"""Fleet-scale investigation: every URL-bearing record, any pool kind.
+"""Fleet-scale investigation: every URL-bearing record, any worker count.
 
 The fleet runs in two phases with the same split the execution engine
 uses everywhere else:
@@ -6,9 +6,9 @@ uses everywhere else:
 1. **Pure probe phase** (parallelisable): every record's URL is navigated
    by an :class:`~repro.investigate.investigator.Investigator` holding
    only picklable, uncharged substrates. Shards go through the standard
-   :mod:`repro.exec` pools (serial/thread/process); results are re-merged
-   into canonical record order, so the probe list is byte-identical for
-   any ``--pool``/``--workers`` combination.
+   :mod:`repro.exec` pool (serial at one worker, processes above);
+   results are re-merged into canonical record order, so the probe list
+   is byte-identical for any ``--workers`` count.
 2. **Serial charged phase**: evidence packages are assembled in record
    order, then each unique payload hash is submitted to VirusTotal —
    the fleet's only meter charges — in sorted-hash order, under a retry
@@ -41,7 +41,7 @@ from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
 from ..core.pipeline import _observed_meters
 from ..errors import ServiceError
-from ..exec import make_pool, shard
+from ..exec import WorkerPool, make_pool, shard
 from ..faults import FaultPlan
 from ..faults.proxy import FaultProxy, wrap_if_planned
 from ..net.url import Url
@@ -140,7 +140,8 @@ class FleetReport:
     packages: List[EvidencePackage] = field(default_factory=list)
     probes: List[FunnelProbe] = field(default_factory=list)
     step_latency: Dict[str, PercentileDigest] = field(default_factory=dict)
-    pool_kind: str = "serial"
+    #: The pool class the probe phase ran on, and its width.
+    pool: str = "SerialPool"
     workers: int = 1
 
     def family_distribution(self) -> Dict[str, int]:
@@ -175,7 +176,7 @@ class FleetReport:
                 }
                 for op, digest in sorted(self.step_latency.items())
             },
-            "pool": {"kind": self.pool_kind, "workers": self.workers},
+            "pool": {"kind": self.pool, "workers": self.workers},
         }
 
 
@@ -190,7 +191,6 @@ class InvestigationFleet:
         playbook: Playbook,
         sample: Optional[int] = None,
         workers: int = 1,
-        pool_kind: str = "serial",
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -201,7 +201,6 @@ class InvestigationFleet:
         self.playbook = playbook
         self.sample = sample
         self.workers = max(1, int(workers))
-        self.pool_kind = pool_kind
         plan = fault_plan or FaultPlan()
         self._plan = plan.without_crash_points()
         #: The injected kill, and the scan index it fires before (-1,
@@ -222,19 +221,17 @@ class InvestigationFleet:
             zones=self.world.dns.zones if self.world.dns else None,
         )
 
-    def run_probes(self, items: List[FleetItem]) -> List[FunnelProbe]:
-        """Navigate every item's funnel in parallel (pure, uncharged)."""
+    def run_probes(self, items: List[FleetItem],
+                   pool: WorkerPool) -> List[FunnelProbe]:
+        """Navigate every item's funnel on ``pool`` (pure, uncharged)."""
         if not items:
             return []
         task = ProbeShardTask(self._investigator())
         with self.telemetry.tracer.span(
             "investigate.probe", sim_clock=self.world.clock,
-            pool=self.pool_kind, workers=self.workers,
+            pool=type(pool).__name__, workers=pool.workers,
         ):
-            with make_pool(self.workers, self.pool_kind) as pool:
-                pool.label = "investigate"
-                shards = shard(items, max(1, pool.workers))
-                chunks = pool.map(task, shards)
+            chunks = pool.map(task, shard(items, pool.workers))
         probes = [probe for chunk in chunks for probe in chunk]
         # Round-robin sharding interleaves records across chunks;
         # re-sorting by the item index restores canonical order.
@@ -249,7 +246,8 @@ class InvestigationFleet:
         session: Optional[InvestigationSession] = None,
     ) -> FleetReport:
         items = fleet_items(self.dataset, self.sample)
-        probes = self.run_probes(items)
+        with make_pool(self.workers) as pool:
+            probes = self.run_probes(items, pool)
         clock = self.world.clock
 
         # Evidence assembly happens before any session restore, so the
@@ -305,7 +303,7 @@ class InvestigationFleet:
             self.telemetry.capture_breaker(breaker)
 
         return self._finish(probes, packages, sha_owner, payloads,
-                            androzoo_hits, scan_results)
+                            androzoo_hits, scan_results, pool)
 
     def _scan_one(self, virustotal, breaker,
                   sha: str) -> Optional[FamilyVerdict]:
@@ -376,6 +374,7 @@ class InvestigationFleet:
         payloads: Dict[str, ApkPayload],
         androzoo_hits: int,
         scan_results: List[Tuple[str, Optional[FamilyVerdict], float]],
+        pool: WorkerPool,
     ) -> FleetReport:
         verdicts: List[FamilyVerdict] = []
         scan_gaps = 0
@@ -437,7 +436,7 @@ class InvestigationFleet:
             packages=list(packages.values()),
             probes=probes,
             step_latency=latency,
-            pool_kind=self.pool_kind,
+            pool=type(pool).__name__,
             workers=self.workers,
         )
         self.telemetry.capture_investigate(report.stats())
@@ -451,7 +450,6 @@ def run_fleet(
     playbook: str = "full-funnel",
     sample: Optional[int] = None,
     workers: int = 1,
-    pool_kind: str = "serial",
     fault_plan: Optional[FaultPlan] = None,
     telemetry: Optional[Telemetry] = None,
     session: Optional[InvestigationSession] = None,
@@ -462,7 +460,6 @@ def run_fleet(
         playbook=get_playbook(playbook),
         sample=sample,
         workers=workers,
-        pool_kind=pool_kind,
         fault_plan=fault_plan,
         telemetry=telemetry,
     )

@@ -6,7 +6,7 @@ Everything the CLI and the equivalence suites share lives here:
   optional durability (``invest_dir``), resume, and crash injection.
 * :func:`fleet_fingerprint` — every observable byte of a finished fleet
   as one canonical JSON string. Two runs are equivalent iff these
-  strings are equal, which is how the pool-matrix and kill/resume
+  strings are equal, which is how the worker-count and kill/resume
   guarantees are stated and tested.
 
 The enrichment pipeline always runs clean here: a ``--faults`` profile
@@ -70,7 +70,7 @@ def fleet_fingerprint(report: FleetReport, world: World) -> str:
 
     Probe outcomes, evidence-package content hashes, scan verdicts and
     gaps, AndroZoo hits, per-service charged-call totals, and the final
-    simulated clock — the full surface the pool-matrix and kill/resume
+    simulated clock — the full surface the worker-count and kill/resume
     equivalence guarantees quantify over.
     """
     payload = {
@@ -127,7 +127,7 @@ def run_investigation(
     else:
         scenario = scenario or ScenarioConfig()
         plan = fault_plan or build_fault_plan("none")
-        policy = execution or ExecutionPolicy(pool="serial")
+        policy = execution or ExecutionPolicy()
         if invest_dir is not None:
             session = InvestigationSession.create(
                 invest_dir,
@@ -146,7 +146,6 @@ def run_investigation(
         playbook=get_playbook(playbook),
         sample=sample,
         workers=policy.workers,
-        pool_kind=policy.pool,
         fault_plan=plan,
         telemetry=telemetry,
     )

@@ -5,7 +5,7 @@ An :class:`Investigator` executes a playbook's steps against picklable,
 and the web host — producing a :class:`FunnelProbe` per URL. Probes are
 pure functions of ``(playbook, url, date)``: no meter is charged, no
 clock advances, no shared state mutates. That purity is what lets the
-fleet runner shard probes across serial/thread/process pools and stay
+fleet runner shard probes across worker processes and stay
 byte-identical (the same split the enrichment engine uses); everything
 charged — VirusTotal file submissions — happens later, serially, in
 canonical order.

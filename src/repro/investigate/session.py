@@ -40,9 +40,9 @@ from ..stream.persist import SnapshotStore
 from ..world.scenario import ScenarioConfig
 
 INVESTIGATE_MANIFEST_NAME = "INVESTIGATE.json"
-#: Version 2 is the shared snapshot-store manifest; a version-1
-#: directory (nested ``state_ref``) is refused, not misread.
-INVESTIGATE_FORMAT_VERSION = 2
+#: Version 3: the policy lost its cache bound; older directories
+#: (version 1 nested ``state_ref``) are refused, not misread.
+INVESTIGATE_FORMAT_VERSION = 3
 
 #: One completed charged scan: ``(sha256, verdict-or-None, sim_time)``.
 #: ``verdict`` of None records a scan gap (the service never answered).

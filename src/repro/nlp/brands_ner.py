@@ -64,8 +64,8 @@ class BrandRecognizer:
         self._prefixes: FrozenSet[str] = frozenset(
             key[:cut] for key in self._lexicon for cut in range(len(key) + 1))
         #: token -> _token_keys(token), and word -> its tokens (_tokens).
-        #: Concurrent fills from thread-pool workers store equal values,
-        #: so neither needs a lock.
+        #: Each process-pool worker fills its own copy, and every value
+        #: is pure in its key, so neither needs a lock.
         self._memo: Dict[str, Tuple[str, str, bool]] = {}
         self._words: Dict[str, Tuple[str, ...]] = {}
 

@@ -11,6 +11,7 @@ graceful degradation a statistical MT system exhibits out of domain.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Pattern, Tuple
@@ -32,8 +33,9 @@ _SLOT_PATTERNS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _compile_template(template: Template) -> Optional[Pattern]:
-    """Turn template text into a regex capturing its slots."""
+    """Turn template text into a regex capturing its slots (memoised)."""
     pattern_parts: List[str] = []
     cursor = 0
     seen: set = set()
@@ -76,6 +78,16 @@ class TemplateTranslator:
                 self._memory.setdefault(template.language, []).append(
                     (compiled, template)
                 )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Workers get the templates, not the patterns: unpickling a
+        # pattern recompiles it; _compile_template's memo does not.
+        return {"templates": {lang: [template for _, template in entries]
+                              for lang, entries in self._memory.items()}}
+
+    def __setstate__(self, state: Dict[str, Dict]) -> None:
+        self._memory = {lang: [(_compile_template(t), t) for t in templates]
+                        for lang, templates in state["templates"].items()}
 
     def memory_size(self, language: Optional[str] = None) -> int:
         if language is not None:

@@ -144,14 +144,14 @@ class Telemetry:
 
     def capture_cache(self, cache: Any) -> None:
         """Store the enrichment cache's final ``stats()`` and mirror its
-        per-service hit/miss/eviction counts into the metrics registry
-        (``cache.hits``/``cache.misses``/``cache.evictions``)."""
+        per-service hit/miss counts into the metrics registry
+        (``cache.hits``/``cache.misses``)."""
         if not self.enabled:
             return
         stats = cache.stats()
         self.cache_snapshot = stats
         for service, counters in stats.get("services", {}).items():
-            for event in ("hits", "misses", "evictions"):
+            for event in ("hits", "misses"):
                 if counters.get(event):
                     self.metrics.counter(f"cache.{event}",
                                          service=service).inc(counters[event])
@@ -379,8 +379,7 @@ class Telemetry:
         """Per-service enrichment-cache accounting (hits, misses, ...)."""
         table = Table(
             title="Cache",
-            columns=["Service", "Hits", "Misses", "Hit rate", "Stores",
-                     "Evictions"],
+            columns=["Service", "Hits", "Misses", "Hit rate", "Stores"],
         )
         services = self.cache_snapshot.get("services", {})
         for service in sorted(services):
@@ -393,7 +392,6 @@ class Telemetry:
                 counters["misses"],
                 f"{rate:.1%}",
                 counters["stores"],
-                counters["evictions"],
             )
         if len(services) > 1:
             totals = self.cache_snapshot.get("totals", {})
@@ -403,7 +401,6 @@ class Telemetry:
                 totals.get("misses", 0),
                 f"{self.cache_snapshot.get('hit_rate', 0.0):.1%}",
                 totals.get("stores", 0),
-                totals.get("evictions", 0),
             )
         return table
 

@@ -67,7 +67,8 @@ from .state import ServeState
 
 #: The serve directory's manifest file name.
 SERVE_MANIFEST_NAME = "SERVE.json"
-SERVE_FORMAT_VERSION = 1
+#: Version 2: the policy lost its cache bound; version 1 is refused.
+SERVE_FORMAT_VERSION = 2
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
 FRONT_DOOR_REASONS = ("rate_limited", "queue_full", "shedding", "draining")

@@ -177,7 +177,7 @@ class VirusTotalService:
         )
         #: sha256 -> true malware family, fed by the world's webhost.
         self._apk_truth = dict(apk_ground_truth or {})
-        self._known_bad_hosts = set(known_bad_hosts or ())
+        self._known_bad_hosts = frozenset(known_bad_hosts or ())
 
     # -- URL scanning --------------------------------------------------------
 
@@ -186,7 +186,7 @@ class VirusTotalService:
         """Scan one URL (charges one request; results cached by nature).
 
         ``precomputed`` lets a caller supply a report it already derived
-        for this URL via :meth:`_scan_url_uncharged` (scans are pure in
+        for this URL via :func:`scan_url_uncharged` (scans are pure in
         the URL): the request is metered exactly as usual — only the
         verdict compute is skipped. The replay half of
         :class:`repro.exec.EnrichmentCache`.
@@ -194,10 +194,7 @@ class VirusTotalService:
         wait_and_charge(self.meter)
         if precomputed is not None:
             return precomputed
-        return self._scan_url_uncharged(url)
-
-    def _scan_url_uncharged(self, url: str) -> UrlScanReport:
-        return scan_url_uncharged(url, frozenset(self._known_bad_hosts))
+        return scan_url_uncharged(url, self._known_bad_hosts)
 
     def scan_urls(self, urls: Iterable[str]) -> List[UrlScanReport]:
         """Scan many URLs (deduplicated)."""

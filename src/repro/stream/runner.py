@@ -66,7 +66,8 @@ from .watermarks import WatermarkStore
 #: The stream directory's manifest file name.
 STREAM_MANIFEST_NAME = "STREAM.json"
 STREAM_STATE_NAME = STATE_NAME
-STREAM_FORMAT_VERSION = 1
+#: Version 2: the policy lost its cache bound; version 1 is refused.
+STREAM_FORMAT_VERSION = 2
 
 
 class StreamSession:

@@ -435,11 +435,5 @@ def test_cli_resume_refuses_a_journal_from_other_code(tmp_path, capsys):
 
 
 def test_execution_policy_describe():
-    assert (ExecutionPolicy(workers=4).describe()
-            == "workers=4 cache=on pool=thread")
-    assert (ExecutionPolicy(cache=False).describe()
-            == "workers=1 cache=off pool=thread")
-    assert (ExecutionPolicy(cache_max_entries=9).describe()
-            == "workers=1 cache=on(max=9) pool=thread")
-    assert (ExecutionPolicy(workers=4, pool="process").describe()
-            == "workers=4 cache=on pool=process")
+    assert ExecutionPolicy(workers=4).describe() == "workers=4 cache=on"
+    assert ExecutionPolicy(cache=False).describe() == "workers=1 cache=off"

@@ -18,7 +18,7 @@ from repro.types import Forum
 _VALUES = {
     "--seed": ["5"], "--campaigns": ["9"], "--trace-out": ["t.json"],
     "--quiet": [], "--faults": ["flaky"], "--hostile": ["noisy"],
-    "--workers": ["3"], "--pool": ["process"], "--no-cache": [],
+    "--workers": ["3"], "--no-cache": [],
     "--run-dir": ["ck"], "--kill-at": ["whois:1"],
     "--trace-format": ["chrome"],
 }
@@ -81,13 +81,15 @@ def test_bad_numbers_are_refused(argv, capsys):
     assert err.startswith("repro: error:") and "Traceback" not in err
 
 
-#: Flags of the deleted function profiler and run-history ledger, as
-#: (name, value, command, given before the command).
+#: Flags of the deleted function profiler, run-history ledger and pool
+#: choice, as (name, value, command, given before the command).
 _REMOVED_FLAGS = [
     ("profile", [], "report", True),
     ("profile", [], "report", False),
     ("history-dir", ["h"], "stats", True),
     ("history", [], "stats", False),
+    ("pool", ["process"], "report", True),
+    ("pool", ["thread"], "stats", False),
 ]
 
 

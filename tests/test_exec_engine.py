@@ -2,6 +2,7 @@
 engine's policy handling, and the telemetry capture of cache stats."""
 
 import threading
+import time
 
 import pytest
 
@@ -17,13 +18,21 @@ from repro.exec import (
     EntryKind,
     ExecutionEngine,
     ExecutionPolicy,
+    ProcessPool,
     SerialPool,
-    ThreadPool,
     WorkerPool,
     canonical_merge,
     make_pool,
 )
 from repro.obs import Telemetry
+
+
+def _finish_after(item):
+    """Process-pool task (module-level, so it pickles): sleep ``delay``
+    seconds, then return ``index``."""
+    index, delay = item
+    time.sleep(delay)
+    return index
 
 
 class TestPools:
@@ -32,47 +41,20 @@ class TestPools:
         assert pool.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
         assert pool.workers == 1
 
-    def test_thread_pool_preserves_order(self):
-        with ThreadPool(4) as pool:
-            assert pool.map(lambda x: x * 2, range(50)) == \
-                [x * 2 for x in range(50)]
-
-    def test_thread_pool_merge_ignores_completion_order(self):
-        # Later-submitted tasks finish first (they wait on earlier ones
-        # via events), yet the merged result stays in submission order.
-        events = [threading.Event() for _ in range(4)]
-
-        def task(i):
-            if i < 3:
-                events[i + 1].wait(timeout=5)
-            events[i].set()
-            return i
-
-        with ThreadPool(4) as pool:
-            events[3].set()
-            assert pool.map(task, [0, 1, 2, 3]) == [0, 1, 2, 3]
-
-    def test_thread_pool_raises_lowest_indexed_failure(self):
-        def task(i):
-            if i in (1, 3):
-                raise ValueError(f"boom {i}")
-            return i
-
-        with ThreadPool(2) as pool:
-            with pytest.raises(ValueError, match="boom 1"):
-                pool.map(task, range(5))
+    def test_process_pool_merge_ignores_completion_order(self):
+        # Later-submitted tasks sleep less, so they finish first, yet
+        # the merged result stays in submission order.
+        items = [(index, (3 - index) * 0.05) for index in range(4)]
+        with ProcessPool(4) as pool:
+            assert pool.map(_finish_after, items) == [0, 1, 2, 3]
 
     def test_make_pool_picks_implementation(self):
+        """The worker count alone picks the pool."""
         assert isinstance(make_pool(1), SerialPool)
         assert isinstance(make_pool(0), SerialPool)
-        pool = make_pool(3)
-        assert isinstance(pool, ThreadPool)
-        assert pool.workers == 3
-        pool.close()
-
-    def test_thread_pool_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ThreadPool(0)
+        with make_pool(3) as pool:
+            assert isinstance(pool, ProcessPool)
+            assert pool.workers == 3
 
     def test_canonical_merge_flattens_in_shard_order(self):
         assert canonical_merge([[1, 2], [], [3], [4, 5]]) == [1, 2, 3, 4, 5]
@@ -162,20 +144,6 @@ class TestEnrichmentCache:
                              RateLimitExceeded("slow down", service="vt")))
         assert cache.peek("vt", "k") is None
 
-    def test_eviction_is_oldest_first_and_counted(self):
-        cache = EnrichmentCache(max_entries=2)
-        cache.put_value("s", "a", 1)
-        cache.put_value("s", "b", 2)
-        cache.put_value("s", "c", 3)
-        assert len(cache) == 2
-        assert cache.peek("s", "a") is None
-        assert cache.peek("s", "c").value == 3
-        assert cache.evictions == 1
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            EnrichmentCache(max_entries=0)
-
     def test_stats_shape(self):
         cache = EnrichmentCache()
         cache.put_value("openai", "hello", "ann")
@@ -223,9 +191,11 @@ class TestExecutionPolicy:
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(workers=0)
 
-    def test_rejects_bad_cache_bound(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionPolicy(cache_max_entries=0)
+    def test_pool_field_accepts_only_process(self):
+        assert ExecutionPolicy(workers=2, pool="process").workers == 2
+        for kind in ("thread", "serial"):
+            with pytest.raises(ConfigurationError):
+                ExecutionPolicy(pool=kind)
 
 
 class TestExecutionEngine:
@@ -237,6 +207,20 @@ class TestExecutionEngine:
     def test_pools_match_worker_count(self):
         with ExecutionEngine(ExecutionPolicy(workers=4)) as engine:
             assert engine.enrichment_pool().workers == 4
+
+    def test_one_enrichment_pool_per_run(self):
+        """Every call inside a run returns the pool the first built; a
+        closed engine reports it once and builds a new one next run."""
+        engine = ExecutionEngine(ExecutionPolicy(workers=2))
+        with engine:
+            pool = engine.enrichment_pool()
+            assert engine.enrichment_pool() is pool
+            assert len(engine.stats()["pools"]) == 1
+        assert [p["kind"] for p in engine.stats()["pools"]] == \
+            ["ProcessPool"]
+        with engine:
+            assert engine.enrichment_pool() is not pool
+        assert len(engine.stats()["pools"]) == 2
 
     def test_close_shuts_down_pools(self):
         engine = ExecutionEngine(ExecutionPolicy(workers=2))

@@ -6,10 +6,12 @@ same serialized dataset rows, same enrichment gaps, same collection
 limitations, same §4–§6 analysis tables, same meter charges, and the
 same final simulated-clock position. These tests run the full pipeline
 grid (3 seeds × {none, flaky, outage} × serial/workers∈{2,4} ×
-cache-on/off) on a small world and compare fingerprints, plus the
-cross-pool differential matrix (2 seeds × {none, flaky} ×
-{serial, thread, process} × workers∈{1,4}), and crash-at-boundary
-resume under the process pool.
+cache-on/off) on a small world and compare fingerprints; above one
+worker the pure precompute runs in worker processes, so the grid is
+the proof that shipping shards across a pickle boundary and merging
+them back in canonical order changes nothing observable. Seed 7 at
+four workers is pinned by ``tests/golden/stats_seed7_workers4.txt``.
+Crash-at-boundary resume under the process pool closes the file.
 
 The fingerprint deliberately covers more than the run's outputs: meter
 snapshots and ``clock.now`` prove the *effects* (charges, backoff,
@@ -20,7 +22,7 @@ import pytest
 
 import repro.cli as cli
 from repro.core.pipeline import run_pipeline
-from repro.exec import POOL_KINDS, SEQUENTIAL, ExecutionPolicy
+from repro.exec import SEQUENTIAL, ExecutionPolicy
 from repro.faults import build_fault_plan
 from repro.world.scenario import ScenarioConfig, build_world
 
@@ -59,40 +61,12 @@ def test_grid_equivalent_to_sequential(seed, profile):
         )
 
 
-# -- the cross-pool differential matrix ---------------------------------------
-#
-# serial × thread × process backends must all reproduce the sequential
-# fingerprint — dataset rows, gaps, report, meter charges, clock — over
-# seeds × fault profiles × worker counts. The process pool runs the
-# pure precompute in real OS subprocesses, so this is the proof that
-# shipping shards across a pickle boundary and merging them back in
-# canonical order changes nothing observable.
-
-MATRIX_SEEDS = (7, 1042)
-MATRIX_PROFILES = ("none", "flaky")
-MATRIX_WORKERS = (1, 4)
-
-
-@pytest.mark.parametrize("profile", MATRIX_PROFILES)
-@pytest.mark.parametrize("seed", MATRIX_SEEDS)
-def test_pool_matrix_equivalent_to_sequential(seed, profile):
-    baseline = run_fingerprint(seed, profile, SEQUENTIAL)
-    for pool in POOL_KINDS:
-        for workers in MATRIX_WORKERS:
-            policy = ExecutionPolicy(workers=workers, cache=True, pool=pool)
-            candidate = run_fingerprint(seed, profile, policy)
-            assert candidate == baseline, (
-                f"seed={seed} faults={profile} pool={pool} "
-                f"workers={workers} diverged from the sequential run"
-            )
-
-
 def test_process_pool_crash_resume_matches_uninterrupted(tmp_path, capsys):
-    """Crash at an enrichment boundary under ``--pool process``, resume,
-    and the resumed report must match the uninterrupted process-pool
-    run byte-for-byte (the manifest round-trips the pool kind)."""
+    """Crash at an enrichment boundary at ``--workers 4``, resume, and
+    the resumed report must match the uninterrupted process-pool run
+    byte-for-byte (the manifest round-trips the worker count)."""
     base = ["--seed", "7", "--campaigns", "6", "--quiet",
-            "--faults", "flaky", "--workers", "4", "--pool", "process"]
+            "--faults", "flaky", "--workers", "4"]
     run_dir = tmp_path / "ck"
     crash = base + ["--run-dir", str(run_dir), "--kill-at", "whois:3",
                     "report"]

@@ -2,8 +2,8 @@
 
 The quarantine layer's headline contract, proven three ways:
 
-* **No crash**: for every hostile profile × worker count × pool backend,
-  the pipeline completes without an uncaught exception.
+* **No crash**: for every hostile profile × worker count, the pipeline
+  completes without an uncaught exception.
 * **Exact accounting**: every collected report lands in exactly one of
   three buckets — ``reports_curated + quarantined + reports_dropped ==
   reports_in`` — and the structured :class:`QuarantineRecord` ledger
@@ -64,7 +64,6 @@ SEED = 2
 _CAMPAIGNS = 10
 HOSTILE_PROFILES = ("noisy", "poison")
 MATRIX_WORKERS = (1, 4)
-MATRIX_POOLS = ("serial", "process")
 
 
 def _run(profile: str, policy: ExecutionPolicy):
@@ -92,31 +91,30 @@ def clean_baseline():
 
 @pytest.mark.parametrize("profile", HOSTILE_PROFILES)
 def test_hostile_matrix_clean_subset_identical(profile, clean_baseline):
-    """seeds {2} × hostile {noisy, poison} × workers {1, 4} ×
-    pools {serial, process}: zero uncaught exceptions, exact three-bucket
-    accounting, the clean-subset fingerprint byte-identical to the
-    hostile-free run, and identical enrichment meter charges."""
-    for pool in MATRIX_POOLS:
-        for workers in MATRIX_WORKERS:
-            policy = ExecutionPolicy(workers=workers, cache=True, pool=pool)
-            run = _run(profile, policy)
-            label = f"hostile={profile} pool={pool} workers={workers}"
-            stats = run.curation_stats
-            assert stats.reports_in == len(run.collection.reports), label
-            assert (stats.reports_curated + stats.quarantined
-                    + stats.reports_dropped == stats.reports_in), (
-                f"{label}: three-bucket accounting broke "
-                f"({stats.reports_curated} + {stats.quarantined} + "
-                f"{stats.reports_dropped} != {stats.reports_in})")
-            assert stats.quarantined > 0, label
-            assert len(stats.quarantines) == stats.quarantined, label
-            assert clean_subset_fingerprint(run) == \
-                clean_baseline["clean_subset"], (
-                f"{label}: clean-subset outputs diverged from the "
-                f"--hostile none run")
-            assert charged_calls_from_telemetry(run.telemetry) == \
-                clean_baseline["charged"], (
-                f"{label}: hostile reports changed enrichment charges")
+    """seeds {2} × hostile {noisy, poison} × workers {1, 4}: zero
+    uncaught exceptions, exact three-bucket accounting, the clean-subset
+    fingerprint byte-identical to the hostile-free run, and identical
+    enrichment meter charges."""
+    for workers in MATRIX_WORKERS:
+        policy = ExecutionPolicy(workers=workers, cache=True)
+        run = _run(profile, policy)
+        label = f"hostile={profile} workers={workers}"
+        stats = run.curation_stats
+        assert stats.reports_in == len(run.collection.reports), label
+        assert (stats.reports_curated + stats.quarantined
+                + stats.reports_dropped == stats.reports_in), (
+            f"{label}: three-bucket accounting broke "
+            f"({stats.reports_curated} + {stats.quarantined} + "
+            f"{stats.reports_dropped} != {stats.reports_in})")
+        assert stats.quarantined > 0, label
+        assert len(stats.quarantines) == stats.quarantined, label
+        assert clean_subset_fingerprint(run) == \
+            clean_baseline["clean_subset"], (
+            f"{label}: clean-subset outputs diverged from the "
+            f"--hostile none run")
+        assert charged_calls_from_telemetry(run.telemetry) == \
+            clean_baseline["charged"], (
+            f"{label}: hostile reports changed enrichment charges")
 
 
 def test_hostile_none_quarantines_nothing(clean_baseline):

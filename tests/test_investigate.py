@@ -5,7 +5,7 @@ Covers the acceptance guarantees end to end:
 * playbook validation and the shipped presets,
 * §6 byte-identity: the ``case-study`` preset reproduces
   ``run_case_study`` field-for-field (and table-for-table),
-* pool-matrix equivalence: serial/thread/process fleets produce the
+* worker-count equivalence: serial and process-pool fleets produce the
   same fingerprint, with and without fault profiles,
 * evidence-package integrity (verification, tamper detection, on-disk
   round trips),
@@ -197,7 +197,7 @@ class TestFleetItems:
 
 
 class TestFleetEquivalence:
-    """Fingerprints must not depend on pool kind or worker count."""
+    """Fingerprints must not depend on the worker count."""
 
     def test_serial_fleet_exercises_the_charged_phase(self, serial_fleet):
         report, world = serial_fleet
@@ -209,14 +209,14 @@ class TestFleetEquivalence:
         assert len(report.verdicts) + report.scan_gaps == \
             len(report.payloads)
 
-    @pytest.mark.parametrize("pool_kind,workers", [
-        ("thread", 4),
-        ("process", 4),
-    ])
-    def test_pool_matrix_matches_serial(self, serial_fleet,
-                                        pool_kind, workers):
+    @pytest.mark.parametrize("workers", [1, 4],
+                             ids=["serial-1", "process-4"])
+    def test_pool_matrix_matches_serial(self, serial_fleet, workers):
         base_report, base_world = serial_fleet
-        report, world = _fleet_run(pool_kind=pool_kind, workers=workers)
+        report, world = _fleet_run(workers=workers)
+        assert report.stats()["pool"] == {
+            "kind": "ProcessPool" if workers > 1 else "SerialPool",
+            "workers": workers}
         assert fleet_fingerprint(report, world) == \
             fleet_fingerprint(base_report, base_world)
 
@@ -225,7 +225,7 @@ class TestFleetEquivalence:
         plans = [build_fault_plan("flaky", seed=0) for _ in range(2)]
         serial_report, serial_world = _fleet_run(fault_plan=plans[0])
         pooled_report, pooled_world = _fleet_run(
-            fault_plan=plans[1], pool_kind="process", workers=4)
+            fault_plan=plans[1], workers=4)
         assert fleet_fingerprint(serial_report, serial_world) == \
             fleet_fingerprint(pooled_report, pooled_world)
 
@@ -236,7 +236,7 @@ class TestFleetEquivalence:
         assert stats["investigated"] == len(report.probes)
         assert stats["evidence_packages"] == len(report.packages)
         assert stats["scans_completed"] == len(report.verdicts)
-        assert stats["pool"] == {"kind": "serial", "workers": 1}
+        assert stats["pool"] == {"kind": "SerialPool", "workers": 1}
         assert sum(stats["outcomes"].values()) == stats["investigated"]
         for digest in stats["step_latency_ms"].values():
             assert digest["count"] > 0
@@ -327,7 +327,7 @@ class TestDurableSessions:
         assert resumed.session.resuming
 
     def test_resume_takes_its_policy_from_the_manifest(self, tmp_path):
-        policy = ExecutionPolicy(workers=2, pool="thread")
+        policy = ExecutionPolicy(workers=2)
         scenario, faults, _ = _FLEET_RUN
         resumed = kill_then_resume(INVESTIGATE, tmp_path / "sess", scenario,
                                    faults, policy,

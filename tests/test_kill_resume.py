@@ -14,6 +14,8 @@ charges — run through the same table of workloads
 (``tests.differential``) in the test file of each kind.
 """
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -56,3 +58,22 @@ def test_cli_kill_then_resume_prints_the_uninterrupted_output(kind, tmp_path,
     assert main(world + ["--quiet"] + command) == 0
     clean = capsys.readouterr().out
     assert _comparable(kind, resumed) == _comparable(kind, clean)
+
+
+def test_resume_refuses_a_version_1_serve_directory(tmp_path, capsys):
+    """A serve directory written before the policy lost its cache bound
+    and thread pool is refused with one error line, not misread."""
+    world, command, kill = CLI_CASES["serve"]
+    run_dir = tmp_path / "run"
+    assert main(world + ["--quiet", "--run-dir", str(run_dir),
+                         "--kill-at", kill] + command) == 75
+    manifest_path = run_dir / "SERVE.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = 1
+    manifest["execution"].update(pool="thread", cache_max_entries=None)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["--quiet", "resume", str(run_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("repro: error:"), err
+    assert "SERVE.json version 1" in err[0]

@@ -1,11 +1,12 @@
-"""Process-pool regression suite: pickling, spawn contexts, failures.
+"""Process-pool regression suite: pickling, spawn contexts, failures,
+and one pool per run.
 
 The :class:`~repro.exec.ProcessPool` ships tasks across a pickle
 boundary, so everything the precompute phase closes over must survive
 ``pickle.dumps`` — including under the ``spawn`` start method, where the
 worker is a from-scratch interpreter that re-imports ``repro`` (the
 macOS/Windows default, exercised here explicitly so a fork-only Linux
-CI cannot hide a spawn regression). The differential matrix in
+CI cannot hide a spawn regression). The differential grid in
 ``tests/test_exec_equivalence.py`` proves whole runs byte-identical;
 this module pins the sharp edges individually.
 """
@@ -18,14 +19,18 @@ import pytest
 from repro.core.enrichment import AnnotateShardTask, ScanShardTask
 from repro.exec import (
     EnrichmentCache,
+    ExecutionPolicy,
     ProcessPool,
     SerialPool,
-    ThreadPool,
     make_pool,
     shard,
 )
 from repro.faults import build_fault_plan
 from repro.nlp.annotator import MessageAnnotator
+from repro.obs import Telemetry
+from repro.serve import IntakeService, LoadSpec, ServeConfig
+from repro.stream import StreamSession
+from repro.world.scenario import ScenarioConfig
 
 
 def _square(value):
@@ -117,13 +122,70 @@ def test_process_pool_reraises_lowest_indexed_failure():
     assert str(excinfo.value) == "task-7"
 
 
-def test_make_pool_selects_backend_by_kind_and_width():
-    assert isinstance(make_pool(4, "process"), ProcessPool)
-    assert isinstance(make_pool(4, "thread"), ThreadPool)
-    assert isinstance(make_pool(4, "serial"), SerialPool)
-    # One worker never pays pool overhead, whatever the kind.
-    assert isinstance(make_pool(1, "process"), SerialPool)
-    with pytest.raises(ValueError):
-        make_pool(4, "greenlet")
+def test_make_pool_selects_backend_by_width():
+    with make_pool(4) as pool:
+        assert isinstance(pool, ProcessPool)
+    # One worker never pays pool overhead.
+    assert isinstance(make_pool(1), SerialPool)
     with pytest.raises(ValueError):
         ProcessPool(0)
+
+
+# -- one pool per run ----------------------------------------------------------
+
+
+@pytest.fixture
+def shipped(monkeypatch):
+    """Counts what the run hands to ProcessPool.map: subjects, and the
+    most worker processes alive after any map."""
+    counts = {"subjects": 0, "live": 0}
+    original = ProcessPool.map
+
+    def counting_map(self, fn, items):
+        items = list(items)
+        counts["subjects"] += sum(len(chunk) for chunk in items)
+        results = original(self, fn, items)
+        counts["live"] = max(counts["live"],
+                             len(multiprocessing.active_children()))
+        return results
+
+    monkeypatch.setattr(ProcessPool, "map", counting_map)
+    return counts
+
+
+def _telemetry(world):
+    return Telemetry.create(clock=world.clock)
+
+
+def _assert_one_pool_per_run(telemetry, shipped, workers):
+    pools = telemetry.exec_snapshot["pools"]
+    assert [(p["label"], p["kind"]) for p in pools] == \
+        [("enrichment", "ProcessPool")]
+    assert shipped["live"] <= workers
+    assert multiprocessing.active_children() == []
+    # Only subjects the cache lacked were shipped, each once.
+    services = telemetry.cache_snapshot["services"]
+    assert shipped["subjects"] == (services["openai"]["stores"]
+                                   + services["virustotal"]["stores"])
+
+
+def test_serve_batches_share_one_pool(shipped):
+    service = IntakeService.create(
+        ScenarioConfig(seed=7, n_campaigns=4),
+        load=LoadSpec(profile="steady", requests=150, reporters=20, seed=3),
+        config=ServeConfig(batch_size=8),
+        execution=ExecutionPolicy(workers=2),
+        telemetry_factory=_telemetry,
+    )
+    service.run()
+    assert 20 <= service.state.batches <= 30
+    _assert_one_pool_per_run(service.telemetry, shipped, workers=2)
+
+
+def test_stream_epochs_share_one_pool(shipped):
+    session = StreamSession.create(
+        ScenarioConfig(seed=7, n_campaigns=5), epochs=3,
+        execution=ExecutionPolicy(workers=2), telemetry_factory=_telemetry)
+    session.run()
+    assert session.state.committed_epochs == 3
+    _assert_one_pool_per_run(session.telemetry, shipped, workers=2)

@@ -9,6 +9,7 @@ import re
 import string
 import sys
 import threading
+import time
 import types
 import unicodedata
 
@@ -24,11 +25,9 @@ from repro.checkpoint.identity import (
     scenario_to_dict,
 )
 from repro.exec import (
-    POOL_KINDS,
     EnrichmentCache,
     ExecutionPolicy,
-    SerialPool,
-    ThreadPool,
+    ProcessPool,
     canonical_merge,
     shard,
 )
@@ -260,6 +259,28 @@ class TestAnonymizationProperties:
         assert scrub_text(text) == text
 
 
+def _finish_after(item):
+    """Process-pool task (module-level, so it pickles): sleep ``delay``
+    seconds, then return ``index``."""
+    index, delay = item
+    time.sleep(delay)
+    return index
+
+
+def _fail_if_flagged(item):
+    index, flagged = item
+    if flagged:
+        raise ValueError(f"task-{index}")
+    return index
+
+
+@pytest.fixture(scope="module")
+def six_workers():
+    """One process pool for every example, as one run reuses its pool."""
+    with ProcessPool(6) as pool:
+        yield pool
+
+
 class TestExecutionEngineProperties:
     """The engine's invariants: stable cache keys, canonical merges,
     and idempotent (zero-recompute) second passes."""
@@ -290,33 +311,17 @@ class TestExecutionEngineProperties:
             assert cache.get("hlr", subject).value == "h:" + subject
 
     @given(st.permutations(list(range(6))))
+    @example(order=[5, 4, 3, 2, 1, 0])  # later-submitted items finish first
     @settings(max_examples=12, deadline=None)
-    def test_merge_order_canonical_under_shuffled_completion(self, order):
-        # Tasks are *released* in an arbitrary permutation (so they
-        # complete in that order), yet the merged result must always be
-        # in submission order.
-        events = [threading.Event() for _ in range(len(order))]
-
-        def task(i):
-            assert events[i].wait(timeout=10)
-            return i
-
-        with ThreadPool(len(order)) as pool:
-            releaser = threading.Thread(
-                target=lambda: [events[i].set() for i in order])
-            releaser.start()
-            merged = pool.map(task, range(len(order)))
-            releaser.join()
+    def test_merge_order_canonical_under_shuffled_completion(
+            self, six_workers, order):
+        # Item order[k] sleeps k steps, so the items complete in the
+        # permutation's order, yet the merged result must always be in
+        # submission order: a gather in completion order fails this.
+        items = [(index, order.index(index) * 0.01)
+                 for index in range(len(order))]
+        merged = six_workers.map(_finish_after, items)
         assert merged == list(range(len(order)))
-
-    @given(st.lists(st.integers(), max_size=40),
-           st.integers(min_value=2, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_thread_pool_equals_serial_pool(self, items, workers):
-        serial = SerialPool().map(lambda x: x * 31 + 7, items)
-        with ThreadPool(workers) as pool:
-            threaded = pool.map(lambda x: x * 31 + 7, items)
-        assert threaded == serial
 
     @given(st.lists(st.integers(), max_size=60),
            st.integers(min_value=1, max_value=9))
@@ -343,14 +348,10 @@ class TestExecutionEngineProperties:
     @settings(max_examples=20, deadline=None)
     def test_pool_merge_reraises_lowest_indexed_failure(self, failures,
                                                         workers):
-        def task(i):
-            if i in failures:
-                raise ValueError(f"task-{i}")
-            return i
-
-        with ThreadPool(workers) as pool:
+        with ProcessPool(workers) as pool:
             with pytest.raises(ValueError) as excinfo:
-                pool.map(task, range(12))
+                pool.map(_fail_if_flagged,
+                         [(i, i in failures) for i in range(12)])
         assert str(excinfo.value) == f"task-{min(failures)}"
 
     @given(st.lists(st.tuples(services, st.text(min_size=1, max_size=12)),
@@ -1313,14 +1314,9 @@ class TestRunIdentityCodecProperties:
             None, rules=True)
         assert plan_from_dict(faults_to_dict(bare)) is None
 
-    @given(st.sampled_from(POOL_KINDS), st.integers(min_value=1,
-                                                    max_value=64),
-           st.booleans(),
-           st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)))
-    def test_policy_round_trip_every_combination(self, pool, workers, cache,
-                                                 max_entries):
-        policy = ExecutionPolicy(workers=workers, cache=cache,
-                                 cache_max_entries=max_entries, pool=pool)
+    @given(st.integers(min_value=1, max_value=64), st.booleans())
+    def test_policy_round_trip_every_combination(self, workers, cache):
+        policy = ExecutionPolicy(workers=workers, cache=cache)
         payload = policy_to_dict(policy)
         assert set(payload) == {f.name for f in
                                 dataclasses.fields(ExecutionPolicy)}
@@ -1333,6 +1329,10 @@ class TestRunIdentityCodecProperties:
                        {**payload, "shards": 4}):
             with pytest.raises(CheckpointError):
                 scenario_from_dict(broken)
-        with pytest.raises(CheckpointError):
-            policy_from_dict({"workers": 2, "cache": True,
-                              "cache_max_entries": None})
+        policy = policy_to_dict(ExecutionPolicy())
+        for broken in ({k: v for k, v in policy.items() if k != "pool"},
+                       {**policy, "pool": "thread"},
+                       {**policy, "workers": 0},
+                       {**policy, "cache_max_entries": None}):
+            with pytest.raises(CheckpointError):
+                policy_from_dict(broken)

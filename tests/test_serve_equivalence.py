@@ -107,15 +107,15 @@ class TestWorkerEquivalence:
 
     def test_process_pool_survives_kill_resume(self, tmp_path):
         """SERVE.json records the whole execution policy: a killed
-        process-pool service resumes on the process pool."""
+        2-worker service resumes on a 2-worker process pool."""
         run = (ScenarioConfig(seed=7, n_campaigns=4), None,
-               ExecutionPolicy(workers=2, pool="process"))
+               ExecutionPolicy(workers=2))
         shape = dict(load=LoadSpec(profile="steady", requests=60,
                                    reporters=10, seed=3),
                      config=ServeConfig(batch_size=8, commit_every=20))
         resumed = kill_then_resume(SERVE, tmp_path / "serve-proc", *run,
                                    kill=CrashPoint("arrival", 30), **shape)
-        assert resumed.policy.pool == "process"
+        assert resumed.policy == run[2]
         assert serve_fingerprint(resumed) == serve_fingerprint(
             baseline(SERVE, *run, **shape))
 

@@ -38,9 +38,6 @@ CASES = {
                                 "--quiet", "--no-cache", "stats"],
     "stats_seed7_epochs3.txt": ["--seed", "7", "--campaigns", "10",
                                 "--quiet", "stats", "--epochs", "3"],
-    "stats_seed7_process4.txt": ["--seed", "7", "--campaigns", "10",
-                                 "--quiet", "--workers", "4",
-                                 "--pool", "process", "stats"],
     "stats_seed7_hostile.txt": ["--seed", "7", "--campaigns", "10",
                                 "--quiet", "--hostile", "poison", "stats"],
 }
@@ -49,9 +46,9 @@ CASES = {
 def _without_table(text: str, title: str) -> str:
     """Drop one rendered table (a blank-line-separated chunk) by title.
 
-    The Pools table's task counts legitimately differ across worker
-    counts and pool kinds (shard fan-out), so cross-golden equivalence
-    checks compare everything *around* it.
+    The Pools table's kind and task counts legitimately differ across
+    worker counts (shard fan-out), so cross-golden equivalence checks
+    compare everything *around* it.
     """
     chunks = text.split("\n\n")
     return "\n\n".join(c for c in chunks
@@ -142,24 +139,16 @@ def test_goldens_cover_cache_and_resilience_tables():
     assert "Hit rate" not in uncached
     flaky = (GOLDEN_DIR / "stats_seed7_flaky.txt").read_text()
     assert "Enrichment gaps:" in flaky
-    # Parallel and serial runs print byte-identical stats apart from the
-    # header's workers field, the precompute span's workers attr, and
-    # the Pools table's shard fan-out — the golden twins are themselves
-    # an equivalence check.
+    # Process-pool and serial runs print byte-identical stats apart
+    # from the header's workers field, the precompute span's workers
+    # attr, and the Pools table's pool kind and shard fan-out — the
+    # golden twins are themselves an equivalence check.
     parallel = (GOLDEN_DIR / "stats_seed7_workers4.txt").read_text()
     assert "Pools" in cached and "Pools" in parallel
+    assert "enrichment  ProcessPool  4" in parallel
     assert (_without_table(parallel, "Pools")
             == _without_table(cached, "Pools").replace("workers=1",
                                                        "workers=4"))
-    # The process-pool golden is the same equivalence one axis further:
-    # identical bytes outside the Pools table, with only the header's
-    # pool field (and worker count) differing from the serial twin.
-    process = (GOLDEN_DIR / "stats_seed7_process4.txt").read_text()
-    assert "pool=process" in process.splitlines()[0]
-    assert (_without_table(process, "Pools")
-            == _without_table(cached, "Pools")
-            .replace("workers=1", "workers=4")
-            .replace("pool=thread", "pool=process"))
 
 
 def test_hostile_golden_covers_the_quarantine_table():
@@ -241,8 +230,7 @@ INVESTIGATE_SUB = ["investigate", "--playbook", "full-funnel",
 INVESTIGATE_CASES = {
     "investigate_seed7_full.txt": INVESTIGATE_BASE + INVESTIGATE_SUB,
     "investigate_seed7_process4.txt": (
-        INVESTIGATE_BASE + ["--workers", "4", "--pool", "process"]
-        + INVESTIGATE_SUB),
+        INVESTIGATE_BASE + ["--workers", "4"] + INVESTIGATE_SUB),
 }
 
 
@@ -287,11 +275,12 @@ def test_investigate_golden_covers_the_investigations_table():
         return next(line for line in text.splitlines()
                     if line.startswith("investigate fingerprint="))
 
-    # The process-pool twin is the pool-matrix equivalence guarantee,
+    # The process-pool twin is the worker-count equivalence guarantee,
     # visible in the goldens themselves: same fleet fingerprint, only
-    # the header's workers/pool fields and the Pool row differ.
+    # the header's workers field, the probe span and the Pool row differ.
     process = (GOLDEN_DIR / "investigate_seed7_process4.txt").read_text()
-    assert "pool=process" in process.splitlines()[0]
+    assert "workers=4" in process.splitlines()[0]
+    assert "ProcessPool × 4" in process
     assert fingerprint(process) == fingerprint(full)
 
 

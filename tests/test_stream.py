@@ -385,8 +385,8 @@ class TestDurableSession:
 
 class TestDurablePolicy:
     def test_process_pool_stream_resumes_mid_epoch(self, tmp_path):
-        """STREAM.json records the whole execution policy, pool
-        included, so the reloaded session matches its per-epoch
+        """STREAM.json records the whole execution policy, worker
+        count included, so the reloaded session matches its per-epoch
         journal instead of being refused as a different run. (The
         crash point on this plan-less stream leaves a bare plan, which
         encodes as no plan, so the faults match too.)"""
@@ -394,7 +394,7 @@ class TestDurablePolicy:
         from repro.faults import CrashPoint
         from tests.differential import STREAM, baseline, kill_then_resume
 
-        run = (_SCENARIO, None, ExecutionPolicy(workers=2, pool="process"))
+        run = (_SCENARIO, None, ExecutionPolicy(workers=2))
         resumed = kill_then_resume(STREAM, tmp_path / "run", *run,
                                    kill=CrashPoint("openai", 3), epochs=2)
         base = baseline(STREAM, *run, epochs=2)
