@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the benchmark's own tests (bench/), a check that
+# CI gate: tier-1 tests, the paper-shape checks in benchmarks/ (untimed,
+# without the exec grid), the benchmark's own tests (bench/), a check that
 # every bench hook target exists, a coverage gate, and smoke tests of the
 # CLI surface: observability, chaos, parallel execution on the process
 # pool, five kill/resume legs, Chrome trace export, hostile input, the
@@ -81,6 +82,12 @@ kill_resume() {
 
 echo "== tier-1 tests =="
 python -m pytest -x -q tests
+
+echo "== paper-shape checks (benchmarks/, untimed) =="
+# The deterministic shape assertions over run_pipeline and StreamSession;
+# test_exec_grid times pools and is not a pass/fail check of shape.
+python -m pytest -q benchmarks --benchmark-disable \
+  --deselect benchmarks/test_exec_grid.py::test_exec_grid
 
 echo "== benchmark self-tests =="
 # Every metric prints with its unit, counts repeat exactly for a seed,

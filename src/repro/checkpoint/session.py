@@ -101,9 +101,6 @@ class NullCheckpoint:
     active = False
     mode = "off"
 
-    def bind(self, **kwargs) -> None:
-        pass
-
     def restore_stage(self, stage: str) -> None:
         return None
 
@@ -122,9 +119,6 @@ class NullCheckpoint:
 
     def close(self) -> None:
         pass
-
-    def stats(self) -> None:
-        return None
 
 
 NULL_CHECKPOINT = NullCheckpoint()

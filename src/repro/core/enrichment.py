@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Container, Dict, List, Optional, Tuple
 
 from ..errors import (
     CircuitOpen,
@@ -32,9 +32,9 @@ from ..errors import (
     ValidationError,
 )
 from ..exec.cache import EnrichmentCache
-from ..exec.pool import SerialPool, WorkerPool, shard
+from ..exec.pool import WorkerPool, shard
 from ..net.tld import default_registry
-from ..obs import Telemetry, ensure_telemetry
+from ..obs import Telemetry
 from ..net.url import Url
 from ..resilience import CircuitBreaker, RetryPolicy, call_with_policy
 from ..services.crtsh import CertSummary, CrtShService
@@ -216,49 +216,43 @@ class ScanShardTask:
 
 
 class Enricher:
-    """Runs the full §3.3 measurement battery with per-field degradation."""
+    """Runs the full §3.3 measurement battery with per-field degradation.
 
-    def __init__(self, services: EnrichmentServices,
-                 telemetry: Optional[Telemetry] = None,
-                 *,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 breakers: Optional[Dict[str, CircuitBreaker]] = None,
-                 cache: Optional[EnrichmentCache] = None,
-                 pool: Optional[WorkerPool] = None,
-                 journal=None,
-                 known_senders: Optional[Set[str]] = None,
-                 known_urls: Optional[Set[str]] = None,
+    Built per enrichment step by :class:`~repro.core.pipeline.Stages`,
+    which owns the breakers (created here lazily, per service), the memo
+    cache (None: uncached) and the pool the precompute fans out on.
+    """
+
+    def __init__(self, services: EnrichmentServices, telemetry: Telemetry,
+                 *, retry_policy: RetryPolicy,
+                 breakers: Dict[str, CircuitBreaker],
+                 cache: Optional[EnrichmentCache], pool: WorkerPool,
+                 journal=None, known_senders: Container[str] = (),
+                 known_urls: Container[str] = (),
                  deadline: Optional[float] = None):
         self._services = services
-        self._telemetry = ensure_telemetry(telemetry)
+        self._telemetry = telemetry
         self._tlds = default_registry()
-        self._policy = retry_policy or RetryPolicy()
+        self._policy = retry_policy
         # Retries and breakers advance/read the shared simulated clock —
         # the same one every service meter charges against.
         self._clock = services.hlr.meter.clock
-        self.breakers: Dict[str, CircuitBreaker] = breakers if breakers is not None else {}
-        # Optional execution-engine resources (see repro.exec): a
-        # per-(service, subject) memo filled by the pure precompute phase
-        # and consulted during the serial effects replay, plus the pool
-        # the precompute shards fan out on. None/None is the classic
-        # fully-sequential, uncached enricher.
+        self.breakers = breakers
         self._cache = cache
         self._pool = pool
         # Optional checkpoint journal (see repro.checkpoint.session):
-        # duck-typed replay_lookup/record_lookup. None (the default, and
-        # every un-checkpointed run) keeps _guarded's hot path intact.
+        # duck-typed replay_lookup/record_lookup. None (every
+        # un-checkpointed run) keeps _guarded's hot path intact.
         self._journal = journal
-        # Subjects already fully enriched by earlier stream epochs: the
-        # delta-enrichment skip sets. A known subject is never looked up
-        # again (the stream layer merges its prior enrichment into the
-        # growing state), so re-charging its services is impossible.
-        self._known_senders = known_senders or set()
-        self._known_urls = known_urls or set()
+        # Subjects already fully enriched by earlier stream epochs or
+        # serve batches: never looked up again (the caller merges their
+        # prior enrichment into its growing state), so never re-charged.
+        self._known_senders = known_senders
+        self._known_urls = known_urls
         # Optional absolute sim-time deadline propagated into every
         # guarded call (see repro.resilience.call_with_policy): the
         # serve layer sets it from the oldest queued request's budget so
         # a backlogged batch cannot retry past its callers' patience.
-        # None (every batch run) keeps the unbounded classic behaviour.
         self.deadline = deadline
 
     # -- resilience plumbing --------------------------------------------------
@@ -375,8 +369,7 @@ class Enricher:
         """
         if self._cache is None:
             return
-        cache, services = self._cache, self._services
-        pool = self._pool or SerialPool()
+        cache, services, pool = self._cache, self._services, self._pool
         texts = list(dict.fromkeys(r.text for r in dataset))
         urls = list(dict.fromkeys(
             str(r.url) for r in dataset if r.url is not None

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..checkpoint.session import NULL_CHECKPOINT
-from ..checkpoint.state import build_state_registry
+from ..checkpoint.state import StateRegistry, build_state_registry
 from ..exec import ExecutionEngine, ExecutionPolicy
 from ..faults import FaultPlan, inject_faults
 from ..imaging.vision_openai import OpenAiVisionExtractor
 from ..nlp.annotator import MessageAnnotator
 from ..nlp.openai_api import OpenAiEndpoint
 from ..obs import NULL_TELEMETRY, Telemetry, ensure_telemetry
-from ..resilience import RetryPolicy
+from ..resilience import CircuitBreaker, RetryPolicy
 from ..utils.rng import derive
 from ..world.scenario import World
 from .collection import CollectionResult, collect_all
@@ -73,23 +73,140 @@ def build_enrichment_services(
     )
 
 
-@contextmanager
-def _observed_meters(telemetry: Telemetry, meters):
-    """Attach the telemetry hook to every meter for the duration of a
-    run, then detach and capture final snapshots — the world object is
-    left unmodified for other (possibly telemetry-free) runs."""
-    if not telemetry.enabled:
-        yield
-        return
-    hook = telemetry.meter_hook()
-    for meter in meters:
-        meter.observer = hook
-    try:
-        yield
-    finally:
-        for meter in meters:
-            meter.observer = None
-            telemetry.capture_meter(meter)
+class Stages:
+    """The collect → curate → enrich plumbing of one run, built once:
+    per run by ``run_pipeline``, for their whole life by a
+    :class:`~repro.stream.StreamSession` and an
+    :class:`~repro.serve.IntakeService`.
+
+    It owns what every step shares — the service battery, the engine
+    with its one pool, the memo cache, the breakers, the retry policy,
+    the vision extractor — plus the meter observation and the one
+    teardown. A step takes only what differs between its callers; what
+    is a driver's own (batch's ``collect`` span and curation barrier, a
+    stream's watermarks and dedup ledger, serve's admission, deadlines
+    and degraded mode) stays with the driver.
+    """
+
+    def __init__(self, world: World, config: PipelineConfig,
+                 policy: ExecutionPolicy, telemetry: Optional[Telemetry],
+                 *, forums: Optional[Dict[Any, Any]] = None):
+        seed = world.config.seed
+        self._clock = world.clock
+        self.telemetry = ensure_telemetry(telemetry)
+        self.telemetry.tracer.bind_clock(world.clock)
+        self.services = build_enrichment_services(world)
+        #: The world's forums; serve, which never collects, passes none.
+        self._forums = world.forums if forums is None else forums
+        self._engine = ExecutionEngine(policy)
+        self.cache = self._engine.build_cache()
+        self.breakers: Dict[str, CircuitBreaker] = {}
+        self._retry = RetryPolicy(seed=seed)
+        self._vision = OpenAiVisionExtractor(
+            derive(seed, "pipeline-vision"),
+            miss_rate=config.vision_miss_rate,
+            stable_seed=seed if config.stable_vision else None,
+        )
+        #: Stats of every checkpoint session closed here, summed.
+        self._checkpoint: Dict[str, Any] = {}
+        #: Source totals already mirrored into telemetry counters.
+        self.mirrored: Dict[Tuple, float] = {}
+
+    # -- wiring ---------------------------------------------------------------
+
+    def wrap(self, plan: Optional[FaultPlan]):
+        """``(services, forums)`` to call through under ``plan``: a fault
+        proxy over every targeted one. The world is never mutated."""
+        return inject_faults(self.services, self._forums, plan,
+                             clock=self._clock)
+
+    def registry(self, services, forums) -> StateRegistry:
+        """The restorable state of whatever calls through ``services``
+        and ``forums`` (their fault proxies included) plus the breakers."""
+        return build_state_registry(self._clock, services, forums,
+                                    self.breakers, self.telemetry)
+
+    @contextmanager
+    def running(self) -> Iterator[None]:
+        """Enter the engine and observe every meter; on any exit, tear
+        down: close any span a crash left open (so the trace always
+        serialises), then capture the breakers, the cache, the
+        checkpoint totals and the pools — a crashed run's state is worth
+        recording too."""
+        meters = ([forum.meter for forum in self._forums.values()]
+                  + list(self.services.meters().values()))
+        telemetry = self.telemetry
+        try:
+            with self._engine, telemetry.observe_meters(meters):
+                yield
+        finally:
+            telemetry.tracer.abandon_open()
+            for breaker in self.breakers.values():
+                telemetry.capture_breaker(breaker)
+            if self.cache is not None:
+                telemetry.capture_cache(self.cache, self.mirrored)
+            if self._checkpoint:
+                telemetry.capture_checkpoint(dict(self._checkpoint),
+                                             self.mirrored)
+            telemetry.capture_exec(self._engine.stats())
+
+    def close_checkpoint(self, checkpoint) -> None:
+        """Add a checkpoint session's stats to the run's totals, then
+        close the session."""
+        if checkpoint.active:
+            totals = self._checkpoint
+            for key, value in checkpoint.stats().items():
+                if key == "mode":
+                    totals[key] = value
+                elif key == "stages_restored":
+                    totals[key] = totals.get(key, []) + value
+                elif isinstance(value, bool):
+                    totals[key] = totals.get(key, False) or value
+                else:
+                    totals[key] = totals.get(key, 0) + value
+        checkpoint.close()
+
+    # -- the three steps ------------------------------------------------------
+
+    def collect(self, forums, config: PipelineConfig,
+                checkpoint) -> Tuple[CollectionResult, bool]:
+        """Collect from ``forums`` within ``config``'s windows behind the
+        collection barrier, whose snapshot a resumed run gets back
+        instead. Returns the collection and whether it was restored."""
+        collection = checkpoint.restore_stage("collection")
+        if collection is not None:
+            return collection, True
+        collection = collect_all(forums, config, self.telemetry)
+        checkpoint.stage_barrier("collection", collection)
+        return collection, False
+
+    def curate(self, reports, *, record_id_start: int = 0, sanitizer=None
+               ) -> Tuple[SmishingDataset, CurationStats, int]:
+        """Curate ``reports`` into records numbered after
+        ``record_id_start``: the dataset, its stats and the next index."""
+        curator = Curator(self._vision, self.telemetry,
+                          record_id_start=record_id_start,
+                          sanitizer=sanitizer)
+        dataset = curator.curate(reports)
+        return dataset, curator.stats, curator.record_counter
+
+    def enrich(self, dataset: SmishingDataset, services, *, journal=None,
+               known_senders=(), known_urls=(),
+               deadline: Optional[float] = None,
+               annotate_only: bool = False) -> EnrichedDataset:
+        """Enrich ``dataset`` through ``services``, skipping the known
+        senders and URLs (see :class:`~repro.core.enrichment.Enricher`)."""
+        return Enricher(
+            services, self.telemetry,
+            retry_policy=self._retry,
+            breakers=self.breakers,
+            cache=self.cache,
+            pool=self._engine.enrichment_pool(),
+            journal=journal,
+            known_senders=known_senders,
+            known_urls=known_urls,
+            deadline=deadline,
+        ).run(dataset, annotate_only=annotate_only)
 
 
 def run_pipeline(
@@ -131,38 +248,17 @@ def run_pipeline(
     ``tests/test_checkpoint_equivalence.py``).
     """
     config = config or PipelineConfig()
-    telemetry = ensure_telemetry(telemetry)
-    telemetry.tracer.bind_clock(world.clock)
     policy = execution or ExecutionPolicy()
     checkpoint = checkpoint if checkpoint is not None else NULL_CHECKPOINT
-
-    services = build_enrichment_services(world)
-    forums = world.forums
-    if fault_plan is not None and not fault_plan.is_empty:
-        services, forums = inject_faults(services, forums, fault_plan,
-                                         clock=world.clock)
-    forum_meters = [forum.meter for forum in forums.values()]
-    service_meters = list(services.meters().values())
-
-    engine = ExecutionEngine(policy)
-    cache = engine.build_cache()
-    enricher = Enricher(
-        services, telemetry,
-        retry_policy=RetryPolicy(seed=world.config.seed),
-        cache=cache,
-        pool=engine.enrichment_pool(),
-        journal=checkpoint.enrichment_journal(),
-    )
+    stages = Stages(world, config, policy, telemetry)
+    telemetry = stages.telemetry
+    services, forums = stages.wrap(fault_plan)
     if checkpoint.active:
-        checkpoint.bind(
-            registry=build_state_registry(world.clock, services, forums,
-                                          enricher.breakers, telemetry),
-            scenario=world.config, config=config, fault_plan=fault_plan,
-            policy=policy,
-        )
-    try:
-        with engine, _observed_meters(telemetry,
-                                      forum_meters + service_meters):
+        checkpoint.bind(registry=stages.registry(services, forums),
+                        scenario=world.config, config=config,
+                        fault_plan=fault_plan, policy=policy)
+    with stages.running():
+        try:
             with telemetry.tracer.span(
                 "pipeline", seed=world.config.seed,
                 n_campaigns=world.config.n_campaigns,
@@ -172,26 +268,17 @@ def run_pipeline(
                 cache="on" if policy.cache else "off",
             ) as root:
                 with telemetry.tracer.span("collect") as collect_span:
-                    collection = checkpoint.restore_stage("collection")
-                    if collection is None:
-                        collection = collect_all(forums, config, telemetry)
-                        checkpoint.stage_barrier("collection", collection)
-                    else:
+                    collection, resumed = stages.collect(forums, config,
+                                                         checkpoint)
+                    if resumed:
                         collect_span.set(resumed=1)
                     collect_span.set(posts_seen=collection.posts_seen,
                                      reports=len(collection.reports),
                                      limitations=len(collection.limitations))
                 restored = checkpoint.restore_stage("curation")
                 if restored is None:
-                    vision = OpenAiVisionExtractor(
-                        derive(world.config.seed, "pipeline-vision"),
-                        miss_rate=config.vision_miss_rate,
-                        stable_seed=(world.config.seed
-                                     if config.stable_vision else None),
-                    )
-                    curator = Curator(vision, telemetry)
-                    dataset = curator.curate(collection.reports)
-                    curation_stats = curator.stats
+                    dataset, curation_stats, _ = stages.curate(
+                        collection.reports)
                     checkpoint.stage_barrier("curation",
                                              (dataset, curation_stats))
                 else:
@@ -199,23 +286,13 @@ def run_pipeline(
                     with telemetry.tracer.span("curate") as curate_span:
                         curate_span.set(resumed=1, records=len(dataset))
                 checkpoint.begin_enrichment()
-                enriched = enricher.run(dataset)
+                enriched = stages.enrich(
+                    dataset, services,
+                    journal=checkpoint.enrichment_journal())
                 root.set(records=len(dataset), gaps=len(enriched.gaps))
-        checkpoint.complete()
-    finally:
-        # Snapshots must survive partially-failed runs too: a crashed
-        # enrichment stage still leaves breaker state worth recording
-        # (meters are captured by _observed_meters' own finally). Any
-        # span still open here (a crash escaped the context managers)
-        # is closed and flagged, so the trace always serialises.
-        telemetry.tracer.abandon_open()
-        for breaker in enricher.breakers.values():
-            telemetry.capture_breaker(breaker)
-        if cache is not None:
-            telemetry.capture_cache(cache)
-        telemetry.capture_checkpoint(checkpoint.stats())
-        telemetry.capture_exec(engine.stats())
-        checkpoint.close()
+            checkpoint.complete()
+        finally:
+            stages.close_checkpoint(checkpoint)
     return PipelineRun(
         world=world,
         config=config,

@@ -157,15 +157,15 @@ def wrap_if_planned(service_obj, plan: FaultPlan, *, name: str, clock):
     return service_obj
 
 
-def inject_faults(services: EnrichmentServices, forums, plan: FaultPlan,
-                  *, clock):
+def inject_faults(services: EnrichmentServices, forums,
+                  plan: Optional[FaultPlan], *, clock):
     """Wrap every planned-for service/forum; untouched ones pass through.
 
     Returns ``(services, forums)`` — new containers, original objects
-    shared for every service the plan does not mention, so an empty plan
-    is free and the world object is never mutated.
+    shared for every service the plan does not mention, so no plan or an
+    empty one is free and the world object is never mutated.
     """
-    if plan.is_empty:
+    if plan is None or plan.is_empty:
         return services, forums
     wrapped_services = EnrichmentServices(**{
         field: wrap_if_planned(

@@ -39,7 +39,6 @@ from ..checkpoint.state import (
 )
 from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
-from ..core.pipeline import _observed_meters
 from ..errors import ServiceError
 from ..exec import WorkerPool, make_pool, shard
 from ..faults import FaultPlan
@@ -286,8 +285,8 @@ class InvestigationFleet:
             with self.telemetry.tracer.span(
                 "investigate.scan", sim_clock=clock, payloads=len(shas),
             ):
-                with _observed_meters(self.telemetry,
-                                      [self.world.virustotal.meter]):
+                with self.telemetry.observe_meters(
+                        [self.world.virustotal.meter]):
                     for index, sha in enumerate(shas):
                         if index < len(scan_results):
                             continue  # committed by the crashed run

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..utils.tables import Table
 from .metrics import MetricsRegistry, NullMetrics
@@ -117,6 +118,25 @@ class Telemetry:
             return
         self.meter_snapshots[meter.service] = meter.snapshot()
 
+    @contextmanager
+    def observe_meters(self, meters) -> Iterator[None]:
+        """Attach :meth:`meter_hook` to every meter for the duration of a
+        run, then detach it and capture final snapshots — the world
+        object is left unmodified for other (possibly telemetry-free)
+        runs."""
+        if not self.enabled:
+            yield
+            return
+        hook = self.meter_hook()
+        for meter in meters:
+            meter.observer = hook
+        try:
+            yield
+        finally:
+            for meter in meters:
+                meter.observer = None
+                self.capture_meter(meter)
+
     # -- breaker wiring -------------------------------------------------------
 
     def breaker_hook(self) -> Callable[[str, str, float], None]:
@@ -142,54 +162,66 @@ class Telemetry:
 
     # -- cache wiring ---------------------------------------------------------
 
-    def capture_cache(self, cache: Any) -> None:
+    def _mirror(self, mirrored: Optional[Dict[Tuple, float]], name: str,
+                total: float, **labels: Any) -> None:
+        """Raise counter ``name`` by what a source's running ``total``
+        gained since ``mirrored`` recorded it (None: since zero), keyed by
+        name and service: a checkpoint's ``mode`` names its latest session,
+        not a total of its own. A session captures its cache, ledger and
+        checkpoint totals after every run; each capture adds its gain."""
+        key = (name, labels.get("service"))
+        gain = total - (mirrored or {}).get(key, 0)
+        if mirrored is not None:
+            mirrored[key] = total
+        if gain:
+            self.metrics.counter(name, **labels).inc(gain)
+
+    def capture_cache(self, cache: Any,
+                      mirrored: Optional[Dict] = None) -> None:
         """Store the enrichment cache's final ``stats()`` and mirror its
         per-service hit/miss counts into the metrics registry
-        (``cache.hits``/``cache.misses``)."""
+        (``cache.hits``/``cache.misses``; see :meth:`_mirror`)."""
         if not self.enabled:
             return
         stats = cache.stats()
         self.cache_snapshot = stats
         for service, counters in stats.get("services", {}).items():
             for event in ("hits", "misses"):
-                if counters.get(event):
-                    self.metrics.counter(f"cache.{event}",
-                                         service=service).inc(counters[event])
+                self._mirror(mirrored, f"cache.{event}",
+                             counters.get(event, 0), service=service)
 
     # -- checkpoint wiring ----------------------------------------------------
 
-    def capture_checkpoint(self, stats: Optional[Dict[str, Any]]) -> None:
+    def capture_checkpoint(self, stats: Dict[str, Any],
+                           mirrored: Optional[Dict] = None) -> None:
         """Store a checkpoint session's final ``stats()`` and mirror the
         write/replay volumes into counters (``checkpoint.barriers`` /
-        ``checkpoint.lookups_recorded`` / ``checkpoint.lookups_replayed``).
-        ``stats`` of None (an un-checkpointed run) is a no-op."""
-        if not self.enabled or stats is None:
+        ``checkpoint.lookups_recorded`` / ``checkpoint.lookups_replayed``,
+        labelled with the latest session's mode; see :meth:`_mirror`)."""
+        if not self.enabled:
             return
         self.checkpoint_snapshot = dict(stats)
         for event in ("barriers_written", "lookups_recorded",
                       "lookups_replayed"):
-            if stats.get(event):
-                self.metrics.counter(
-                    f"checkpoint.{event}", mode=stats["mode"]
-                ).inc(stats[event])
+            self._mirror(mirrored, f"checkpoint.{event}",
+                         stats.get(event, 0), mode=stats["mode"])
 
     # -- stream wiring --------------------------------------------------------
 
-    def capture_stream(self, stats: Optional[Dict[str, Any]]) -> None:
+    def capture_stream(self, stats: Optional[Dict[str, Any]],
+                       mirrored: Optional[Dict] = None) -> None:
         """Store a stream session's final stats (see
         :meth:`repro.stream.StreamState.stats`) and mirror the dedup
         ledger's hit/miss volumes into counters
-        (``stream.ledger_hits`` / ``stream.ledger_misses``).
-        ``stats`` of None (a batch run) is a no-op."""
+        (``stream.ledger_hits`` / ``stream.ledger_misses``; see
+        :meth:`_mirror`). ``stats`` of None (a batch run) is a no-op."""
         if not self.enabled or stats is None:
             return
         self.stream_snapshot = dict(stats)
         ledger = stats.get("ledger", {})
         for event in ("hits", "misses"):
-            if ledger.get(event):
-                self.metrics.counter(
-                    f"stream.ledger_{event}"
-                ).inc(ledger[event])
+            self._mirror(mirrored, f"stream.ledger_{event}",
+                         ledger.get(event, 0))
 
     # -- serve wiring ---------------------------------------------------------
 

@@ -35,29 +35,23 @@ zero duplicate charges (``tests/test_serve_equivalence.py``).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..checkpoint.identity import identity_from_dict, identity_to_dict
-from ..checkpoint.state import build_state_registry
 from ..core.collection import _report_from_post
 from ..core.config import PipelineConfig
-from ..core.curation import Curator
 from ..core.dataset import SmishingDataset
 from ..core.quarantine import Sanitizer
-from ..core.enrichment import Enricher, EnrichedDataset
-from ..core.pipeline import _observed_meters, build_enrichment_services
+from ..core.enrichment import EnrichedDataset
+from ..core.pipeline import Stages
 from ..errors import ConfigurationError
-from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import CrashPoint, FaultPlan, inject_faults
-from ..imaging.vision_openai import OpenAiVisionExtractor
-from ..obs import Telemetry, ensure_telemetry
-from ..resilience import CircuitBreaker, RetryPolicy
-from ..stream.ledger import DedupLedger
+from ..exec import ExecutionPolicy
+from ..faults import CrashPoint, FaultPlan
+from ..obs import Telemetry
+from ..stream.ledger import DedupLedger, inherit_annotations
 from ..stream.persist import SnapshotStore
-from ..utils.rng import derive
 from ..world.scenario import ScenarioConfig, World, build_world
 from .admission import AdmissionController, AdmissionPolicy
 from .degrade import DegradationController, ServeMode
@@ -159,8 +153,12 @@ class IntakeService:
         self.load = load
         self.config = config or ServeConfig()
         self.policy = execution or ExecutionPolicy()
-        self.telemetry = ensure_telemetry(telemetry)
-        self.telemetry.tracer.bind_clock(world.clock)
+        #: Session-wide resources (one battery, one cache, one breaker
+        #: set, one pool). Serve never collects, so it has no forums, and
+        #: every image's vision draws are its own (stable).
+        self.stages = Stages(world, PipelineConfig(stable_vision=True),
+                             self.policy, telemetry, forums={})
+        self.telemetry = self.stages.telemetry
         self._store = store
         self._cli = dict(cli) if cli else {}
         self._plan = (fault_plan.without_crash_points()
@@ -178,23 +176,13 @@ class IntakeService:
                 "(hand-built plans cannot be rebuilt at resume time)"
             )
 
-        #: Session-wide resources (one battery, one cache, one breaker
-        #: set), fault-wrapped once for the whole service lifetime so
-        #: call-indexed fault rules see a single continuous counter.
-        services = build_enrichment_services(world)
-        if self._plan is not None and not self._plan.is_empty:
-            services, _ = inject_faults(services, world.forums, self._plan,
-                                        clock=world.clock)
-        self.services = services
-        self._engine = ExecutionEngine(self.policy)
-        self.cache = self._engine.build_cache()
-        self.breakers: Dict[str, CircuitBreaker] = {}
-        #: Services are wrapped once for the whole lifetime, so proxy
-        #: call counters are session state (unlike a stream's per-epoch
-        #: proxies) and must survive a resume for call-indexed fault
-        #: rules to fire at the same calls. Serve never touches a forum.
-        self._registry = build_state_registry(
-            world.clock, services, {}, self.breakers, self.telemetry)
+        #: Services are fault-wrapped once for the whole lifetime, so
+        #: call-indexed fault rules see a single continuous counter and
+        #: proxy call counters are session state (unlike a stream's
+        #: per-epoch proxies): they must survive a resume for those rules
+        #: to fire at the same calls.
+        self.services, forums = self.stages.wrap(self._plan)
+        self._registry = self.stages.registry(self.services, forums)
 
         #: Deterministic submission material: the world's posts in their
         #: canonical order, cycled by the load schedule.
@@ -225,18 +213,11 @@ class IntakeService:
             self.clock,
             high_watermark=self.config.high_watermark,
             low_watermark=self.config.low_watermark,
-            breakers=self.breakers,
+            breakers=self.stages.breakers,
             meters=self.services.meters(),
             quota_floor=self.config.quota_floor,
             quarantine_pressure=self._quarantine_pressure,
         )
-        seed = world.config.seed
-        self._vision = OpenAiVisionExtractor(
-            derive(seed, "pipeline-vision"),
-            miss_rate=PipelineConfig().vision_miss_rate,
-            stable_seed=seed,
-        )
-        self._retry_policy = RetryPolicy(seed=seed)
         #: Absolute sim time of the next scheduled batch drain (None
         #: while the queue is empty). Part of the committed state.
         self._next_due: Optional[float] = None
@@ -315,8 +296,8 @@ class IntakeService:
             if payload.get("sanitizer"):
                 service._sanitizer.restore_state(payload["sanitizer"])
             service._next_due = payload["next_due"]
-            if service.cache is not None:
-                service.cache.seed(payload.get("cache_entries", ()))
+            if service.stages.cache is not None:
+                service.stages.cache.seed(payload.get("cache_entries", ()))
             service._registry.restore(payload.get("registry_state", {}))
         return service
 
@@ -417,9 +398,8 @@ class IntakeService:
 
     def run(self) -> ServeState:
         """Play the load schedule, then drain gracefully."""
-        meters = list(self.services.meters().values())
         try:
-            with self._engine, _observed_meters(self.telemetry, meters):
+            with self.stages.running():
                 with self.telemetry.tracer.span(
                     "serve", requests=self.load.requests,
                     profile=self.load.profile,
@@ -427,7 +407,7 @@ class IntakeService:
                     self._play_schedule()
                     self._drain()
         finally:
-            self._finalise_telemetry()
+            self.telemetry.capture_serve(self.stats())
         return self.state
 
     def _play_schedule(self) -> None:
@@ -512,32 +492,25 @@ class IntakeService:
                 _report_from_post(self._posts[item.post_index], None)
                 for item in batch
             ]
-            curator = Curator(self._vision, self.telemetry,
-                              record_id_start=self.state.next_record_index,
-                              sanitizer=self._sanitizer)
-            dataset = curator.curate(reports)
-            self.state.next_record_index = curator.record_counter
-            self.state.quarantined += curator.stats.quarantined
+            dataset, stats, self.state.next_record_index = self.stages.curate(
+                reports, record_id_start=self.state.next_record_index,
+                sanitizer=self._sanitizer)
+            self.state.quarantined += stats.quarantined
             self._last_batch_quarantine_rate = (
-                curator.stats.quarantined / len(reports) if reports else 0.0)
+                stats.quarantined / len(reports) if reports else 0.0)
             division = self.ledger.divide(dataset)
             delta = SmishingDataset(division.delta)
             deadlines = [item.deadline for item in batch
                          if item.deadline is not None]
-            enricher = Enricher(
-                self.services, self.telemetry,
-                retry_policy=self._retry_policy,
-                breakers=self.breakers,
-                cache=self.cache,
-                pool=self._engine.enrichment_pool(),
-                known_senders=set(self.state.senders),
-                known_urls=set(self.state.urls),
+            enriched = self.stages.enrich(
+                delta, self.services,
+                known_senders=self.state.senders,
+                known_urls=self.state.urls,
                 # The oldest queued request's patience caps every retry
                 # in the batch: backlogged work must not back off past
                 # the deadline of the caller still waiting on it.
                 deadline=min(deadlines) if deadlines else None,
-            )
-            enriched = enricher.run(delta, annotate_only=annotate_only)
+                annotate_only=annotate_only)
         self.ledger.commit(division.new_hashes)
         self._merge_batch(dataset, division, enriched)
         for item in batch:
@@ -568,21 +541,8 @@ class IntakeService:
         state.records.extend(dataset)
         state.urls.update(enriched.urls)
         state.senders.update(enriched.senders)
-        annotations = dict(enriched.annotations)
-        batch_raw = enriched.raw_annotations
-        raw = dict(batch_raw)
-        # Duplicates inherit their canonical twin's annotation, rebound
-        # to their own record id — the annotation service's own echo
-        # semantics for a repeated text. The batch's own annotations
-        # shadow earlier ones; the loop below adds to neither source.
-        for dup_id, canon_id in division.duplicate_of.items():
-            canonical = (batch_raw[canon_id] if canon_id in batch_raw
-                         else state.raw_annotations.get(canon_id))
-            if canonical is None:  # canonical's annotation gapped
-                continue
-            rebound = dataclasses.replace(canonical, message_id=dup_id)
-            raw[dup_id] = rebound
-            annotations[dup_id] = rebound.labels
+        annotations, raw = inherit_annotations(division, enriched,
+                                               state.raw_annotations)
         state.annotations.update(annotations)
         state.raw_annotations.update(raw)
         state.duplicate_of.update(division.duplicate_of)
@@ -602,8 +562,8 @@ class IntakeService:
             "sanitizer": self._sanitizer.state_dict(),
             "next_due": self._next_due,
             "registry_state": self._registry.capture(),
-            "cache_entries": (self.cache.export_entries()
-                              if self.cache is not None else ()),
+            "cache_entries": (self.stages.cache.export_entries()
+                              if self.stages.cache is not None else ()),
         }
         self._store.commit(payload, self._manifest())
 
@@ -659,15 +619,6 @@ class IntakeService:
             "transitions": [t.to_dict()
                             for t in self.controller.transitions],
         }
-
-    def _finalise_telemetry(self) -> None:
-        self.telemetry.tracer.abandon_open()
-        for breaker in self.breakers.values():
-            self.telemetry.capture_breaker(breaker)
-        if self.cache is not None:
-            self.telemetry.capture_cache(self.cache)
-        self.telemetry.capture_exec(self._engine.stats())
-        self.telemetry.capture_serve(self.stats())
 
 
 def _serve_store(serve_dir) -> SnapshotStore:

@@ -20,9 +20,10 @@ the ledger state the first attempt saw.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..core.dataset import SmishingRecord, normalise_message_key
 
@@ -55,6 +56,27 @@ class DedupDivision:
     duplicate_of: Dict[str, str]
     #: content hash -> canonical record id, for the commit phase.
     new_hashes: Dict[str, str]
+
+
+def inherit_annotations(division: DedupDivision, enriched,
+                        prior: Mapping[str, object]) -> Tuple[dict, dict]:
+    """An enriched batch's ``(annotations, raw_annotations)`` plus each
+    duplicate's canonical twin's annotation, rebound to the duplicate's
+    own record id — what the annotation service itself returns for a
+    repeated text (it echoes the id and is pure in the text). The
+    batch's own annotation of a canonical wins over ``prior`` (those
+    committed earlier); a gapped canonical leaves its duplicates bare."""
+    own = enriched.raw_annotations
+    annotations, raw = dict(enriched.annotations), dict(own)
+    for dup_id, canon_id in division.duplicate_of.items():
+        canonical = own.get(canon_id)
+        if canonical is None:
+            canonical = prior.get(canon_id)
+        if canonical is None:
+            continue
+        raw[dup_id] = dataclasses.replace(canonical, message_id=dup_id)
+        annotations[dup_id] = raw[dup_id].labels
+    return annotations, raw
 
 
 class DedupLedger:

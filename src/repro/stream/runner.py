@@ -1,11 +1,12 @@
 """The stream session: multi-epoch ingestion over one simulated world.
 
 A :class:`StreamSession` turns the batch pipeline into a resumable
-incremental ingester. One session owns one world, one enrichment-service
-battery, one memo cache, one breaker set, and one telemetry sink; each
-*epoch* then runs the familiar collect → curate → enrich sequence over a
-clamped slice of the collection timeline and folds its products into the
-growing :class:`~repro.stream.state.StreamState`:
+incremental ingester. One session owns one world and one
+:class:`~repro.core.pipeline.Stages` (one enrichment-service battery,
+memo cache, breaker set, pool and telemetry sink); each *epoch* then
+calls its collect → curate → enrich steps over a clamped slice of the
+collection timeline and folds their products into the growing
+:class:`~repro.stream.state.StreamState`:
 
 * the **epoch plan** (:mod:`repro.stream.epochs`) partitions the global
   window, so windowed forums contribute each post to exactly one epoch;
@@ -31,7 +32,6 @@ epochs resumes from the committed state alone.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import shutil
 from dataclasses import replace
@@ -41,24 +41,17 @@ from typing import Any, Callable, Dict, Optional
 from ..checkpoint import MANIFEST_NAME, CheckpointSession
 from ..checkpoint.identity import identity_from_dict, identity_to_dict
 from ..checkpoint.session import NULL_CHECKPOINT
-from ..checkpoint.state import build_state_registry
-from ..core.collection import collect_all
 from ..core.config import PipelineConfig
-from ..core.curation import Curator
 from ..core.quarantine import stamp_epoch
-from ..core.enrichment import Enricher
 from ..core.dataset import SmishingDataset
-from ..core.pipeline import _observed_meters, build_enrichment_services
+from ..core.pipeline import Stages
 from ..errors import ConfigurationError
-from ..exec import ExecutionEngine, ExecutionPolicy
-from ..faults import FaultPlan, inject_faults
-from ..imaging.vision_openai import OpenAiVisionExtractor
-from ..obs import Telemetry, ensure_telemetry
-from ..resilience import CircuitBreaker, RetryPolicy
-from ..utils.rng import derive
+from ..exec import ExecutionPolicy
+from ..faults import FaultPlan
+from ..obs import Telemetry
 from ..world.scenario import ScenarioConfig, World, build_world
 from .epochs import EpochScheduler, EpochWindow, clamp_windows, plan_epochs
-from .ledger import DedupLedger
+from .ledger import DedupLedger, inherit_annotations
 from .persist import STATE_NAME, SnapshotStore
 from .state import EpochStats, StreamState
 from .watermarks import WatermarkStore
@@ -92,8 +85,12 @@ class StreamSession:
         self._crash_points = (fault_plan.crash_points()
                               if fault_plan is not None else ())
         self.policy = execution or ExecutionPolicy()
-        self.telemetry = ensure_telemetry(telemetry)
-        self.telemetry.tracer.bind_clock(world.clock)
+        #: Session-wide resources: one service battery (one OpenAI
+        #: endpoint, so annotation memoisation spans epochs), one cache,
+        #: one breaker set, one pool. Fault proxies are rebuilt per epoch.
+        self.stages = Stages(world, self.config, self.policy, telemetry)
+        self.telemetry = self.stages.telemetry
+        self.services = self.stages.services
         self._store = store
         self._cli = dict(cli) if cli else {}
 
@@ -105,26 +102,16 @@ class StreamSession:
                 "(hand-built plans cannot be rebuilt at resume time)"
             )
 
-        #: Session-wide resources: one service battery (one OpenAI
-        #: endpoint, so annotation memoisation spans epochs), one cache,
-        #: one breaker set. Fault proxies are rebuilt per epoch.
-        self.services = build_enrichment_services(world)
-        self._engine = ExecutionEngine(self.policy)
-        self.cache = self._engine.build_cache()
-        self.breakers: Dict[str, CircuitBreaker] = {}
         #: The committed clock/meter/breaker state. It registers no
         #: fault proxy: proxies are rebuilt for every epoch, so their
         #: call counters are epoch state (journaled per epoch), not
         #: session state.
-        self._registry = build_state_registry(
-            world.clock, self.services, world.forums, self.breakers,
-            self.telemetry)
+        self._registry = self.stages.registry(self.services, world.forums)
 
         self.state = StreamState()
         self.watermarks = WatermarkStore()
         self.ledger = DedupLedger()
         self._cache_seeded = 0
-        self._checkpoint_totals: Dict[str, Any] = {}
 
     # -- construction ---------------------------------------------------------
 
@@ -204,8 +191,9 @@ class StreamSession:
                       cli=manifest.get("cli") or {})
         if payload is not None:
             session.state = StreamState.from_payload(payload)
-            if session.cache is not None:
-                session._cache_seeded = session.cache.seed(
+            cache = session.stages.cache
+            if cache is not None:
+                session._cache_seeded = cache.seed(
                     payload.get("cache_entries", ()))
             session._registry.restore(payload.get("registry_state", {}))
         session.watermarks = WatermarkStore.from_dict(
@@ -217,17 +205,15 @@ class StreamSession:
 
     def run(self) -> StreamState:
         """Run every pending epoch up to the scheduler's target."""
-        meters = ([f.meter for f in self.world.forums.values()]
-                  + list(self.services.meters().values()))
         try:
-            with self._engine, _observed_meters(self.telemetry, meters):
+            with self.stages.running():
                 for epoch in self.scheduler.pending(
                         self.state.committed_epochs):
                     if epoch.index > 0 and self.scheduler.idle_seconds:
                         self.world.clock.advance(self.scheduler.idle_seconds)
                     self._run_epoch(epoch)
         finally:
-            self._finalise_telemetry()
+            self.telemetry.capture_stream(self.stats(), self.stages.mirrored)
         return self.state
 
     def ingest(self, epochs: int = 1) -> StreamState:
@@ -248,31 +234,17 @@ class StreamSession:
         return self.run()
 
     def _run_epoch(self, epoch: EpochWindow) -> None:
+        stages = self.stages
         config = self._epoch_config(epoch)
         plan = self._plan_for_epoch(epoch)
-        services, forums = self.services, self.world.forums
-        if plan is not None and not plan.is_empty:
-            services, forums = inject_faults(self.services, self.world.forums,
-                                             plan, clock=self.world.clock)
+        services, forums = stages.wrap(plan)
         checkpoint = self._open_epoch_checkpoint(epoch)
-        enricher = Enricher(
-            services, self.telemetry,
-            retry_policy=RetryPolicy(seed=self.world.config.seed),
-            breakers=self.breakers,
-            cache=self.cache,
-            pool=self._engine.enrichment_pool(),
-            journal=checkpoint.enrichment_journal(),
-            known_senders=set(self.state.senders),
-            known_urls=set(self.state.urls),
-        )
-        registry = build_state_registry(self.world.clock, services, forums,
-                                        self.breakers, self.telemetry)
         charged_before = self._charged_now()
         try:
             if checkpoint.active:
-                checkpoint.bind(registry=registry, scenario=self.world.config,
-                                config=config, fault_plan=plan,
-                                policy=self.policy)
+                checkpoint.bind(registry=stages.registry(services, forums),
+                                scenario=self.world.config, config=config,
+                                fault_plan=plan, policy=self.policy)
                 # The epoch-start barrier pins the pre-epoch cumulative
                 # state (clock, meters, breakers); resuming this epoch
                 # restores it before replaying anything.
@@ -282,33 +254,24 @@ class StreamSession:
             with self.telemetry.tracer.span(
                 "stream/epoch", epoch=epoch.index, window=epoch.label,
             ) as span:
-                collection = checkpoint.restore_stage("collection")
-                if collection is None:
-                    collection = collect_all(forums, config, self.telemetry)
-                    checkpoint.stage_barrier("collection", collection)
+                collection, _ = stages.collect(forums, config, checkpoint)
                 filtered = self.watermarks.filter_epoch(collection, epoch)
-                restored = checkpoint.restore_stage("curation")
-                if restored is None:
-                    vision = OpenAiVisionExtractor(
-                        derive(self.world.config.seed, "pipeline-vision"),
-                        miss_rate=config.vision_miss_rate,
-                        stable_seed=self.world.config.seed,
-                    )
-                    curator = Curator(
-                        vision, self.telemetry,
+                curated = checkpoint.restore_stage("curation")
+                if curated is None:
+                    curated = stages.curate(
+                        filtered.result.reports,
                         record_id_start=self.state.next_record_index)
-                    dataset = curator.curate(filtered.result.reports)
-                    curation_stats = curator.stats
-                    next_index = curator.record_counter
-                    checkpoint.stage_barrier(
-                        "curation", (dataset, curation_stats, next_index))
-                else:
-                    dataset, curation_stats, next_index = restored
+                    checkpoint.stage_barrier("curation", curated)
+                dataset, curation_stats, next_index = curated
                 division = self.ledger.divide(dataset)
                 delta = SmishingDataset(division.delta)
                 cache_reuse = self._cache_reuse(delta)
                 checkpoint.begin_enrichment()
-                enriched = enricher.run(delta)
+                enriched = stages.enrich(
+                    delta, services,
+                    journal=checkpoint.enrichment_journal(),
+                    known_senders=self.state.senders,
+                    known_urls=self.state.urls)
                 span.set(reports=len(filtered.result.reports),
                          records=len(dataset), deduped=len(division.duplicate_of),
                          gaps=len(enriched.gaps))
@@ -320,9 +283,7 @@ class StreamSession:
                 cache_reuse=cache_reuse, charged_before=charged_before,
             )
         finally:
-            if checkpoint.active:
-                self._accumulate_checkpoint(checkpoint.stats())
-            checkpoint.close()
+            stages.close_checkpoint(checkpoint)
 
     def _commit_epoch(self, *, epoch, collection, filtered, dataset,
                       curation_stats, next_index, division, enriched,
@@ -335,20 +296,8 @@ class StreamSession:
                          for g in enriched.gaps]
         curation_stats.quarantines = stamp_epoch(
             curation_stats.quarantines, epoch.index)
-        annotations = dict(enriched.annotations)
-        raw = dict(enriched.raw_annotations)
-        # Duplicates inherit their canonical twin's annotation, rebound
-        # to their own record id — byte-for-byte what the annotation
-        # service itself does for a repeated text (it echoes the id and
-        # is otherwise pure in the text).
-        lookup = {**self.state.raw_annotations, **raw}
-        for dup_id, canon_id in division.duplicate_of.items():
-            canonical = lookup.get(canon_id)
-            if canonical is None:  # canonical's annotation gapped
-                continue
-            rebound = dataclasses.replace(canonical, message_id=dup_id)
-            raw[dup_id] = rebound
-            annotations[dup_id] = rebound.labels
+        annotations, raw = inherit_annotations(
+            division, enriched, self.state.raw_annotations)
         charged_after = self._charged_now()
         stats = EpochStats(
             index=epoch.index,
@@ -382,8 +331,9 @@ class StreamSession:
         self.ledger.commit(division.new_hashes)
         if self._store is not None:
             payload = self.state.to_payload()
-            payload["cache_entries"] = (self.cache.export_entries()
-                                        if self.cache is not None else ())
+            cache = self.stages.cache
+            payload["cache_entries"] = (cache.export_entries()
+                                        if cache is not None else ())
             payload["registry_state"] = self._registry.capture()
             self._store.commit(payload, self._manifest())
 
@@ -422,31 +372,17 @@ class StreamSession:
 
     def _cache_reuse(self, delta: SmishingDataset) -> int:
         """Delta subjects already answered by a prior epoch's entries."""
-        if self.cache is None:
+        cache = self.stages.cache
+        if cache is None:
             return 0
         texts = {record.text for record in delta}
         urls = {str(record.url) for record in delta if record.url}
         return (
             sum(1 for text in texts
-                if self.cache.peek("openai", text) is not None)
+                if cache.peek("openai", text) is not None)
             + sum(1 for url in urls
-                  if self.cache.peek("virustotal", url) is not None)
+                  if cache.peek("virustotal", url) is not None)
         )
-
-    def _accumulate_checkpoint(self, stats: Dict[str, Any]) -> None:
-        totals = self._checkpoint_totals
-        if not totals:
-            totals.update({"mode": stats["mode"], "stages_restored": [],
-                           "barriers_written": 0, "lookups_replayed": 0,
-                           "lookups_recorded": 0, "journal_writes": 0,
-                           "journal_recovered": False})
-        totals["mode"] = stats["mode"]
-        totals["stages_restored"].extend(stats["stages_restored"])
-        for key in ("barriers_written", "lookups_replayed",
-                    "lookups_recorded", "journal_writes"):
-            totals[key] += stats[key]
-        totals["journal_recovered"] = (totals["journal_recovered"]
-                                       or stats["journal_recovered"])
 
     # -- persistence ----------------------------------------------------------
 
@@ -483,17 +419,6 @@ class StreamSession:
             watermark_stats=self.watermarks.stats(),
             cache_seeded=self._cache_seeded,
         )
-
-    def _finalise_telemetry(self) -> None:
-        self.telemetry.tracer.abandon_open()
-        for breaker in self.breakers.values():
-            self.telemetry.capture_breaker(breaker)
-        if self.cache is not None:
-            self.telemetry.capture_cache(self.cache)
-        if self._checkpoint_totals:
-            self.telemetry.capture_checkpoint(dict(self._checkpoint_totals))
-        self.telemetry.capture_exec(self._engine.stats())
-        self.telemetry.capture_stream(self.stats())
 
     def as_pipeline_run(self):
         """The merged state viewed as a batch-style run (for reports)."""

@@ -362,3 +362,22 @@ class TestDegradedOperation:
         timed_out = [rid for rid, status in service.state.statuses.items()
                      if status == "timed_out"]
         assert len(timed_out) == stats["timed_out"]
+
+    def test_batch_deadline_caps_enrichment_retries(self):
+        """The oldest queued request's deadline rides into its batch's
+        enrichment: a retry whose backoff would land past it files a
+        ``deadline`` gap instead of sleeping past the caller's patience."""
+        from repro.faults import build_fault_plan
+
+        service = IntakeService.create(
+            scenario=SCENARIO,
+            load=LoadSpec(profile="burst", requests=800, reporters=150,
+                          seed=11, budget_range=(30.0, 90.0)),
+            config=ServeConfig(queue_capacity=64, batch_size=8,
+                               drain_interval=20.0, commit_every=400),
+            fault_plan=build_fault_plan("flaky", seed=7726),
+        )
+        service.run()
+        assert any(gap.kind == "deadline" for gap in service.state.gaps)
+        stats = service.stats()
+        assert stats["processed"] + stats["timed_out"] == stats["accepted"]

@@ -421,6 +421,42 @@ class TestIngest:
             (stream_dir / STREAM_MANIFEST_NAME).read_text())
         assert manifest["committed"] == manifest["target_epochs"] == 3
 
+    def test_run_then_ingest_counts_each_source_once(self, tmp_path):
+        """Every ``run()`` ends by mirroring the session's cache, ledger
+        and checkpoint totals into counters. Those sources count over
+        the whole session, so ``run(); ingest(1)`` in one process must
+        leave each counter equal to its source, not to the sum of the
+        two captures."""
+        from repro.obs import Telemetry
+
+        stream_dir = tmp_path / "run"
+        telemetry = Telemetry.create()
+        session = StreamSession.create(
+            ScenarioConfig(seed=7, n_campaigns=10), epochs=2,
+            epoch_hours=18000, stream_dir=str(stream_dir),
+            telemetry_factory=lambda world: telemetry)
+        session.run()
+        session.ingest(1)
+        value = telemetry.metrics.value
+        for service, counts in telemetry.cache_snapshot["services"].items():
+            for event in ("hits", "misses"):
+                assert value(f"cache.{event}", service=service) \
+                    == counts[event] > 0
+        ledger = session.ledger.stats()
+        assert value("stream.ledger_hits") == ledger["hits"] > 0
+        assert value("stream.ledger_misses") == ledger["misses"] > 0
+        journaled = {"barrier": 0, "lookup": 0}
+        for journal in sorted(stream_dir.glob("epochs/*/journal.jsonl")):
+            for line in journal.read_text().splitlines():
+                kind = json.loads(line)["type"]
+                if kind in journaled:
+                    journaled[kind] += 1
+        assert journaled["barrier"] == 3 * 3  # epoch-start, collection, curation
+        assert value("checkpoint.barriers_written", mode="record") \
+            == journaled["barrier"]
+        assert value("checkpoint.lookups_recorded", mode="record") \
+            == journaled["lookup"] > 0
+
     def test_ingest_requires_caught_up_stream(self, tmp_path):
         from repro.errors import SimulatedCrash
         from repro.faults import CrashPoint, FaultPlan
