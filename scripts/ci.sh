@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 tests, the paper-shape checks in benchmarks/ (untimed,
 # without the exec grid), the benchmark's own tests (bench/), a check that
-# every bench hook target exists, a coverage gate, and smoke tests of the
+# every bench hook target exists and that a short traced bench run of each
+# workload reads "correct": true, a coverage gate, and smoke tests of the
 # CLI surface: observability, chaos, parallel execution on the process
 # pool, five kill/resume legs, Chrome trace export, hostile input, the
 # investigation fleet and the garbage collector.
@@ -94,20 +95,31 @@ echo "== benchmark self-tests =="
 # and the brand-NER counters (nlp.squash_calls > 0) stay visible.
 python -m pytest -q bench
 
-echo "== bench hook targets =="
+echo "== bench hook targets and results =="
 # A traced bench run wraps program methods by name. When one is renamed,
 # the bench only warns on stderr and that layer's metric reads 0, so a
-# short traced run of each workload must not print the warning.
+# short traced run of each workload must not print the warning. Its last
+# stdout line is the result JSON, whose "correct" must be true: every
+# digest matched (traced and untraced, the 2-worker process twin against
+# the serial report) and the stream extra committed all its epochs.
 for workload in batch-480 serve-repeat; do
+  bench_out="$work/bench-$workload.out"
   hook_err="$(python3 bench/run.py --workload "$workload" --seed 5 \
-    --seconds 0 --trace 1 --scale 0.05 2>&1 > /dev/null)"
+    --seconds 0 --trace 1 --scale 0.05 2>&1 > "$bench_out")"
   if grep -q "hook targets absent" <<< "$hook_err"; then
     echo "bench hooks FAILED on $workload:" >&2
     grep "hook targets absent" <<< "$hook_err" >&2
     exit 1
   fi
+  if ! tail -n 1 "$bench_out" | python -c \
+      'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)'; then
+    echo "bench results FAILED on $workload: the last line is not \"correct\": true" >&2
+    tail -n 1 "$bench_out" | head -c 400 >&2
+    echo >&2
+    exit 1
+  fi
 done
-echo "bench hooks ok: every traced hook target exists"
+echo "bench ok: every traced hook target exists and both workloads read correct"
 
 echo "== coverage gate =="
 python scripts/coverage_gate.py

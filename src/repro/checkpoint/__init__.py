@@ -14,8 +14,8 @@ restored from journaled state deltas rather than re-executed.
 
 Layers, bottom-up:
 
-* :mod:`repro.checkpoint.codec` — value/exception serialisation and
-  config fingerprints.
+* :mod:`repro.checkpoint.codec` — value serialisation and config
+  fingerprints.
 * :mod:`repro.checkpoint.identity` — the run-identity codec: scenario,
   fault plan and execution policy to and from manifest dicts, shared
   by every durable directory (batch, stream, serve, investigate).
@@ -31,9 +31,7 @@ Layers, bottom-up:
 
 from .codec import (
     canonical_json,
-    decode_exception,
     decode_value,
-    encode_exception,
     encode_value,
     fingerprint,
 )
@@ -70,9 +68,7 @@ __all__ = [
     "build_state_registry",
     "canonical_json",
     "code_fingerprint",
-    "decode_exception",
     "decode_value",
-    "encode_exception",
     "encode_value",
     "fingerprint",
     "resume_pipeline",

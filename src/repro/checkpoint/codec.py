@@ -1,6 +1,6 @@
-"""Serialisation for the run journal: values, exceptions, fingerprints.
+"""Serialisation for the run journal: values and fingerprints.
 
-The journal stores three shapes of data and each gets the narrowest
+The journal stores two shapes of data and each gets the narrowest
 codec that round-trips it exactly:
 
 * **Lookup values** — arbitrary service results (records, scan reports,
@@ -8,10 +8,6 @@ codec that round-trips it exactly:
   JSONL record. Pickle is safe here because a journal is a local file
   the same code version wrote (the manifest's code fingerprint rejects
   anything else before a value is ever decoded).
-* **Service exceptions** — stored *structurally* as ``(type, message,
-  service, flags)`` records rather than pickled, so a journal remains
-  greppable and a restored exception is rebuilt through the real
-  :mod:`repro.errors` constructors (equivalent, not merely equal-ish).
 * **Fingerprints** — SHA-256 over canonical JSON; used by the manifest
   to detect config drift between a crashed run and its resume.
 """
@@ -24,14 +20,7 @@ import json
 import pickle
 from typing import Any, Dict
 
-from .. import errors
-from ..errors import (
-    CheckpointError,
-    CircuitOpen,
-    RateLimitExceeded,
-    ServiceError,
-    ServiceUnavailable,
-)
+from ..errors import CheckpointError
 
 # -- canonical JSON + fingerprints --------------------------------------------
 
@@ -63,50 +52,3 @@ def decode_value(envelope: Dict[str, str]) -> Any:
         return pickle.loads(raw)
     except (KeyError, TypeError, ValueError, pickle.UnpicklingError) as exc:
         raise CheckpointError(f"journal value cannot be decoded: {exc}")
-
-
-# -- service exceptions -------------------------------------------------------
-
-
-def encode_exception(exc: ServiceError) -> Dict[str, Any]:
-    """Structured ``(type, message, ...)`` record for one failure."""
-    record: Dict[str, Any] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-        "service": exc.service,
-        "retryable": exc.retryable,
-    }
-    if isinstance(exc, ServiceUnavailable):
-        record["permanent"] = exc.permanent
-    if isinstance(exc, RateLimitExceeded):
-        record["retry_after"] = exc.retry_after
-    return record
-
-
-def decode_exception(record: Dict[str, Any]) -> ServiceError:
-    """Rebuild an equivalent exception through the real constructors.
-
-    An unknown type name degrades to plain :class:`ServiceError` (same
-    message/service/retryable) rather than failing the resume: the
-    exception's *classification* is what downstream gap handling keys
-    on, and that is carried by the flags.
-    """
-    cls = getattr(errors, str(record.get("type", "")), None)
-    if not (isinstance(cls, type) and issubclass(cls, ServiceError)):
-        cls = ServiceError
-    message = str(record.get("message", ""))
-    service = str(record.get("service", ""))
-    try:
-        if issubclass(cls, RateLimitExceeded):
-            return cls(message, service=service,
-                       retry_after=float(record.get("retry_after", 1.0)))
-        if issubclass(cls, ServiceUnavailable):
-            return cls(message, service=service,
-                       permanent=bool(record.get("permanent", False)))
-        if issubclass(cls, CircuitOpen):
-            return cls(message, service=service)
-        return cls(message, service=service,
-                   retryable=bool(record.get("retryable", False)))
-    except TypeError:
-        return ServiceError(message, service=service,
-                            retryable=bool(record.get("retryable", False)))

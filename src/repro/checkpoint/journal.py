@@ -118,10 +118,9 @@ def _validate_record(record: Any) -> bool:
 class RunJournal:
     """Append-only, fsync'd journal for one checkpointed pipeline run."""
 
-    def __init__(self, directory: Path, *, sync: bool = True,
+    def __init__(self, directory: Path, *,
                  kill_after_writes: Optional[int] = None):
         self.directory = Path(directory)
-        self.sync = sync
         self.kill_after_writes = kill_after_writes
         self.manifest: Optional[Dict[str, Any]] = None
         #: Records recovered from disk (resume mode); [] for a fresh run.
@@ -135,7 +134,7 @@ class RunJournal:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def create(cls, directory, *, sync: bool = True,
+    def create(cls, directory, *,
                kill_after_writes: Optional[int] = None) -> "RunJournal":
         """Start a fresh journal in an empty (or new) directory."""
         path = Path(directory)
@@ -159,10 +158,10 @@ class RunJournal:
                 f"(found {', '.join(existing[:5])}); refusing to mix a run "
                 f"journal into unrelated files"
             )
-        return cls(path, sync=sync, kill_after_writes=kill_after_writes)
+        return cls(path, kill_after_writes=kill_after_writes)
 
     @classmethod
-    def load(cls, directory, *, sync: bool = True) -> "RunJournal":
+    def load(cls, directory) -> "RunJournal":
         """Open an existing journal, recovering its longest valid prefix."""
         path = Path(directory)
         manifest_path = path / MANIFEST_NAME
@@ -182,7 +181,7 @@ class RunJournal:
                 f"{manifest.get('format') if isinstance(manifest, dict) else manifest!r} "
                 f"(this code writes format {JOURNAL_FORMAT})"
             )
-        journal = cls(path, sync=sync)
+        journal = cls(path)
         journal.manifest = manifest
         journal.records, valid_bytes, dropped = journal._scan()
         journal_path = path / JOURNAL_NAME
@@ -241,10 +240,8 @@ class RunJournal:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
-            if self.sync:
-                _fsync_file(handle)
-        if self.sync:
-            _fsync_dir(self.directory)
+            _fsync_file(handle)
+        _fsync_dir(self.directory)
         self.manifest = payload
 
     def append(self, record: Dict[str, Any]) -> None:
@@ -254,8 +251,7 @@ class RunJournal:
         if self._handle is None:
             self._handle = open(self.directory / JOURNAL_NAME, "ab")
         self._handle.write(canonical_json(record).encode("utf-8") + b"\n")
-        if self.sync:
-            _fsync_file(self._handle)
+        _fsync_file(self._handle)
         self.writes += 1
         if (self.kill_after_writes is not None
                 and self.writes >= self.kill_after_writes):
@@ -273,10 +269,8 @@ class RunJournal:
         path = self.directory / name
         with open(path, "wb") as handle:
             handle.write(raw)
-            if self.sync:
-                _fsync_file(handle)
-        if self.sync:
-            _fsync_dir(self.directory)
+            _fsync_file(handle)
+        _fsync_dir(self.directory)
         return {"file": name, "sha256": hashlib.sha256(raw).hexdigest(),
                 "bytes": len(raw)}
 

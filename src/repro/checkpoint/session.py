@@ -71,8 +71,6 @@ def build_manifest(scenario, config, fault_plan, policy,
             "keywords": list(config.keywords),
             "windows": str(config.windows),
             "vision_miss_rate": config.vision_miss_rate,
-            "evaluation_sample_size": config.evaluation_sample_size,
-            "case_study_posts": config.case_study_posts,
         }),
         "faults": faults_to_dict(fault_plan, rules=True),
         "execution": policy_to_dict(policy),
@@ -157,18 +155,18 @@ class CheckpointSession:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def record(cls, directory, *, sync: bool = True,
+    def record(cls, directory, *,
                kill_after_writes: Optional[int] = None,
                cli: Optional[Dict[str, Any]] = None) -> "CheckpointSession":
-        session = cls(RunJournal.create(directory, sync=sync,
+        session = cls(RunJournal.create(directory,
                                         kill_after_writes=kill_after_writes),
                       "record")
         session._cli = cli
         return session
 
     @classmethod
-    def resume(cls, directory, *, sync: bool = True) -> "CheckpointSession":
-        return cls(RunJournal.load(directory, sync=sync), "resume")
+    def resume(cls, directory) -> "CheckpointSession":
+        return cls(RunJournal.load(directory), "resume")
 
     @property
     def manifest(self) -> Dict[str, Any]:

@@ -41,7 +41,3 @@ class PipelineConfig:
     #: ingester (:mod:`repro.stream`) curate epoch-by-epoch and still
     #: match a single full-window run image-for-image.
     stable_vision: bool = False
-    #: Sample size for the §3.4 annotation evaluation.
-    evaluation_sample_size: int = 150
-    #: Sample size for the §6 active case study.
-    case_study_posts: int = 200

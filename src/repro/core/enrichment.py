@@ -337,13 +337,10 @@ class Enricher:
     # -- precompute (the engine's pure, parallel phase) -----------------------
 
     def _cached_value(self, service: str, subject: str):
-        """A memoised value for one lookup, or None (miss / non-value)."""
+        """A memoised value for one lookup, or None (uncached or a miss)."""
         if self._cache is None:
             return None
-        entry = self._cache.get(service, subject)
-        if entry is not None and entry.is_value:
-            return entry.value
-        return None
+        return self._cache.get(service, subject)
 
     def _precompute(self, dataset: SmishingDataset) -> None:
         """Fill the cache with every expensive pure compute, sharded
@@ -363,9 +360,9 @@ class Enricher:
         those ship, as picklable tasks (:class:`AnnotateShardTask`,
         :class:`ScanShardTask`) carrying pure inputs and returning
         ``(subject, value)`` pairs; then every unique subject is looked
-        up in canonical order — one hit, or one miss and one store —
-        the counter trajectory of a serial fill, with no subject
-        computed twice.
+        up with ``get`` in canonical order and each miss is stored — one
+        hit, or one miss and one store, the counter trajectory of a
+        serial fill, with no subject computed twice.
         """
         if self._cache is None:
             return
@@ -394,8 +391,8 @@ class Enricher:
                                                       pool.workers)):
                         computed.update(chunk)
                 for subject in subjects:
-                    cache.lookup(service, subject,
-                                 lambda s=subject: computed[s])
+                    if cache.get(service, subject) is None:
+                        cache.store(service, subject, computed[subject])
 
     # -- senders (§3.3.1) -----------------------------------------------------
 

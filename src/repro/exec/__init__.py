@@ -2,7 +2,7 @@
 
 ``repro.exec`` lets the pipeline shard the enrichment precompute
 per-unique-subject across a :class:`WorkerPool` (serial at one worker,
-processes above) and memoise per-(service, subject) lookups in an
+processes above) and memoise its per-(service, subject) values in an
 :class:`EnrichmentCache`, while guaranteeing the resulting
 :class:`~repro.core.pipeline.PipelineRun` is byte-identical to the
 sequential uncached run — the argument lives in
@@ -10,28 +10,24 @@ sequential uncached run — the argument lives in
 ``tests/test_exec_equivalence.py``.
 """
 
-from .cache import CacheEntry, EnrichmentCache, EntryKind
+from .cache import EnrichmentCache
 from .engine import SEQUENTIAL, ExecutionEngine, ExecutionPolicy
 from .pool import (
     ProcessPool,
     SerialPool,
     WorkerPool,
-    canonical_merge,
     make_pool,
     shard,
 )
 
 __all__ = [
-    "CacheEntry",
     "EnrichmentCache",
-    "EntryKind",
     "ExecutionEngine",
     "ExecutionPolicy",
     "ProcessPool",
     "SEQUENTIAL",
     "SerialPool",
     "WorkerPool",
-    "canonical_merge",
     "make_pool",
     "shard",
 ]

@@ -4,7 +4,7 @@
 ``--no-cache``); :class:`ExecutionEngine` turns it into concrete
 resources for one pipeline run — one worker pool for the parallel
 precompute, serial at one worker and processes above, and an unbounded
-:class:`~repro.exec.cache.EnrichmentCache` for memoisation — and owns
+:class:`~repro.exec.cache.EnrichmentCache` value memo — and owns
 their lifecycle (the engine is a context manager; the pool it built is
 shut down on exit).
 
@@ -30,8 +30,9 @@ into two phases with very different rules:
   call, never whether the call happens, so call indices, meter charges,
   backoff, and gap timestamps are untouched.
 
-Locks live here (well, in the cache the engine builds) — the simulated
-services themselves stay lock-free and concurrency-unaware.
+Nothing here takes a lock: workers share no mutable state, and the
+cache, the pool accounting and every service are touched only by the
+calling thread, so the simulated services stay concurrency-unaware.
 
 The same phase split is what makes checkpoint/resume exact
 (:mod:`repro.checkpoint`): the parallel phases are pure, so a resumed

@@ -28,7 +28,6 @@ they only add overhead to the pure-Python precompute.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
@@ -43,7 +42,9 @@ class WorkerPool:
     Pools also keep per-worker task accounting (task count, busy wall
     seconds) for the performance observatory — timing is observational
     only and never feeds back into scheduling, so it cannot perturb the
-    canonical merge.
+    canonical merge. Both pools record it on the calling thread (a
+    worker process's timing travels back with its result), so the
+    accounting needs no lock.
     """
 
     #: How many tasks may run concurrently (1 for serial pools).
@@ -55,29 +56,26 @@ class WorkerPool:
         self.tasks = 0
         self.busy_seconds = 0.0
         self._per_worker: Dict[str, Dict[str, float]] = {}
-        self._stats_lock = threading.Lock()
 
     def _record_task(self, worker: str, seconds: float) -> None:
-        with self._stats_lock:
-            self.tasks += 1
-            self.busy_seconds += seconds
-            slot = self._per_worker.setdefault(
-                worker, {"tasks": 0, "busy_seconds": 0.0})
-            slot["tasks"] += 1
-            slot["busy_seconds"] += seconds
+        self.tasks += 1
+        self.busy_seconds += seconds
+        slot = self._per_worker.setdefault(
+            worker, {"tasks": 0, "busy_seconds": 0.0})
+        slot["tasks"] += 1
+        slot["busy_seconds"] += seconds
 
     def stats(self) -> Dict[str, object]:
         """Task accounting for the observatory's exec snapshot."""
-        with self._stats_lock:
-            return {
-                "label": self.label,
-                "kind": type(self).__name__,
-                "workers": self.workers,
-                "tasks": self.tasks,
-                "busy_seconds": self.busy_seconds,
-                "per_worker": {name: dict(slot) for name, slot
-                               in sorted(self._per_worker.items())},
-            }
+        return {
+            "label": self.label,
+            "kind": type(self).__name__,
+            "workers": self.workers,
+            "tasks": self.tasks,
+            "busy_seconds": self.busy_seconds,
+            "per_worker": {name: dict(slot) for name, slot
+                           in sorted(self._per_worker.items())},
+        }
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         raise NotImplementedError
@@ -178,14 +176,6 @@ def make_pool(workers: int) -> WorkerPool:
     if workers <= 1:
         return SerialPool()
     return ProcessPool(workers)
-
-
-def canonical_merge(chunks: Sequence[Sequence[R]]) -> List[R]:
-    """Flatten per-shard result lists in shard order (helper for tests)."""
-    merged: List[R] = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    return merged
 
 
 def shard(items: Sequence[T], shards: int) -> List[List[T]]:

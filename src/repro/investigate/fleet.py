@@ -57,9 +57,11 @@ from .session import InvestigationSession
 
 #: Retry discipline for the charged scan phase (same shape the
 #: enrichment engine uses; seeded so backoff jitter is reproducible).
-DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.5,
-                                   multiplier=2.0, max_delay=60.0,
-                                   jitter=0.1, seed=0)
+RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.5,
+                           multiplier=2.0, max_delay=60.0,
+                           jitter=0.1, seed=0)
+#: Family inference over scan reports (stateless, so one serves all).
+UNIFIER = EuphonyUnifier()
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,6 @@ class InvestigationFleet:
         workers: int = 1,
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        unifier: Optional[EuphonyUnifier] = None,
     ):
         self.world = world
         self.dataset = dataset
@@ -207,8 +207,6 @@ class InvestigationFleet:
         self._crash = plan.crash_point("scan")
         self._kill_at = self._crash.at_call if self._crash else -1
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._retry = retry_policy or DEFAULT_RETRY_POLICY
-        self._unifier = unifier or EuphonyUnifier()
 
     # -- phase 1: pure probes -------------------------------------------------
 
@@ -309,7 +307,7 @@ class InvestigationFleet:
         try:
             report = call_with_policy(
                 lambda: virustotal.scan_file(sha),
-                policy=self._retry,
+                policy=RETRY_POLICY,
                 clock=self.world.clock,
                 service="virustotal",
                 key=f"scan:{sha}",
@@ -317,7 +315,7 @@ class InvestigationFleet:
             )
         except ServiceError:
             return None  # a scan gap, recorded in the evidence custody
-        return self._unifier.unify(report)
+        return UNIFIER.unify(report)
 
     # -- evidence assembly ----------------------------------------------------
 
@@ -524,11 +522,10 @@ def run_case_study_playbook(
     androzoo_hits = sum(
         1 for sha in payloads if world.androzoo.lookup(sha) is not None
     )
-    unifier = EuphonyUnifier()
     verdicts: List[FamilyVerdict] = []
     for sha in sorted(payloads):
         report = world.virustotal.scan_file(sha)
-        verdicts.append(unifier.unify(report))
+        verdicts.append(UNIFIER.unify(report))
     return CaseStudyReport(
         sampled_reports=len(sample),
         investigated_urls=len(investigations),

@@ -15,7 +15,7 @@ signals into one mode:
   per-sender battery). The breaker's half-open probe/success counters
   make the reason string distinguish "recovering" from "still failing".
 * **meter budgets** — a metered service whose remaining lifetime quota
-  falls under ``quota_floor`` would burn its last calls on a backlog;
+  falls under :data:`QUOTA_FLOOR` would burn its last calls on a backlog;
   degrade before it hits zero.
 * **quarantine pressure** — an optional hostile-input signal from the
   sanitizer (:mod:`repro.core.quarantine`): when a recent batch was
@@ -36,6 +36,10 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..resilience.breaker import BreakerState
+
+#: Degrade when a metered service's remaining quota fraction dips under
+#: this floor.
+QUOTA_FLOOR = 0.1
 
 
 class ServeMode(str, enum.Enum):
@@ -65,7 +69,6 @@ class DegradationController:
 
     def __init__(self, clock, *, high_watermark: int, low_watermark: int,
                  breakers: Dict[str, Any], meters: Dict[str, Any],
-                 quota_floor: float = 0.1,
                  quarantine_pressure: Optional[
                      Callable[[], Optional[str]]] = None):
         if low_watermark >= high_watermark:
@@ -73,7 +76,6 @@ class DegradationController:
         self.clock = clock
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
-        self.quota_floor = quota_floor
         self._breakers = breakers
         self._meters = meters
         #: Optional hostile-input signal: returns a reason string while
@@ -101,7 +103,7 @@ class DegradationController:
             if meter.quota is None:
                 continue
             remaining = meter.remaining_quota
-            if remaining / meter.quota < self.quota_floor:
+            if remaining / meter.quota < QUOTA_FLOOR:
                 return (f"{name} quota nearly exhausted "
                         f"({remaining}/{meter.quota} left)")
         if self._quarantine_pressure is not None:

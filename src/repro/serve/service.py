@@ -61,11 +61,17 @@ from .state import ServeState
 
 #: The serve directory's manifest file name.
 SERVE_MANIFEST_NAME = "SERVE.json"
-#: Version 2: the policy lost its cache bound; version 1 is refused.
-SERVE_FORMAT_VERSION = 2
+#: Version 3: cache entries commit as (service, subject, value) triples
+#: and the config lost its unset knobs; older versions are refused.
+SERVE_FORMAT_VERSION = 3
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
 FRONT_DOOR_REASONS = ("rate_limited", "queue_full", "shedding", "draining")
+
+#: The shed latch engages at this fraction of the queue capacity and
+#: releases at the low one.
+SHED_HIGH_FRACTION = 0.9
+SHED_LOW_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,17 +82,8 @@ class ServeConfig:
     batch_size: int = 32
     #: Simulated seconds between batch drains.
     drain_interval: float = 20.0
-    #: Shed latch engages at ``high`` × capacity, releases at ``low`` ×.
-    shed_high_fraction: float = 0.9
-    shed_low_fraction: float = 0.5
     #: Arrivals between durable commits (with a ``serve_dir``).
     commit_every: int = 500
-    #: Degrade when a metered service's remaining quota fraction dips
-    #: under this floor.
-    quota_floor: float = 0.1
-    #: Per-reporter token bucket (see AdmissionPolicy).
-    reporter_rate: float = 1.0 / 30.0
-    reporter_burst: float = 4.0
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -95,21 +92,17 @@ class ServeConfig:
             raise ConfigurationError("batch size must be at least 1")
         if self.drain_interval <= 0:
             raise ConfigurationError("drain interval must be positive")
-        if not 0.0 < self.shed_low_fraction < self.shed_high_fraction <= 1.0:
-            raise ConfigurationError(
-                "need 0 < shed_low_fraction < shed_high_fraction <= 1"
-            )
         if self.commit_every < 1:
             raise ConfigurationError("commit_every must be at least 1")
 
     @property
     def high_watermark(self) -> int:
-        return max(2, int(self.queue_capacity * self.shed_high_fraction))
+        return max(2, int(self.queue_capacity * SHED_HIGH_FRACTION))
 
     @property
     def low_watermark(self) -> int:
         return max(1, min(self.high_watermark - 1,
-                          int(self.queue_capacity * self.shed_low_fraction)))
+                          int(self.queue_capacity * SHED_LOW_FRACTION)))
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -193,11 +186,7 @@ class IntakeService:
         self.state = ServeState()
         self.ledger = DedupLedger()
         self.queue = BoundedQueue(self.config.queue_capacity)
-        self.admission = AdmissionController(
-            AdmissionPolicy(reporter_rate=self.config.reporter_rate,
-                            reporter_burst=self.config.reporter_burst),
-            self.clock,
-        )
+        self.admission = AdmissionController(AdmissionPolicy(), self.clock)
         # Single source of truth for the rejection ledger: the durable
         # state owns the list, the admission controller appends to it.
         self.admission.rejections = self.state.rejections
@@ -215,7 +204,6 @@ class IntakeService:
             low_watermark=self.config.low_watermark,
             breakers=self.stages.breakers,
             meters=self.services.meters(),
-            quota_floor=self.config.quota_floor,
             quarantine_pressure=self._quarantine_pressure,
         )
         #: Absolute sim time of the next scheduled batch drain (None

@@ -128,25 +128,20 @@ class EpochScheduler:
     window) and the *target* — how many of those epochs the session
     intends to run. ``repro watch --epochs N`` sets the target to N;
     ``repro ingest`` raises it one epoch at a time, paging forward from
-    the committed high-water mark. The scheduler also carries the one
-    clock policy the stream layer has: ``idle_seconds`` of simulated
-    time elapse between epochs (default 0.0, which keeps an N-epoch run
-    byte-comparable with a single batch run).
+    the committed high-water mark. No simulated time elapses between
+    epochs, which keeps an N-epoch run byte-comparable with a single
+    batch run.
     """
 
-    def __init__(self, plan: List[EpochWindow], *, target: int,
-                 idle_seconds: float = 0.0):
+    def __init__(self, plan: List[EpochWindow], *, target: int):
         if not plan:
             raise ConfigurationError("epoch plan is empty")
         if not 1 <= target <= len(plan):
             raise ConfigurationError(
                 f"target of {target} epochs does not fit a plan of "
                 f"{len(plan)} windows")
-        if idle_seconds < 0:
-            raise ConfigurationError("idle_seconds must be >= 0")
         self.plan = list(plan)
         self.target = target
-        self.idle_seconds = idle_seconds
 
     @property
     def capacity(self) -> int:

@@ -59,8 +59,10 @@ from .watermarks import WatermarkStore
 #: The stream directory's manifest file name.
 STREAM_MANIFEST_NAME = "STREAM.json"
 STREAM_STATE_NAME = STATE_NAME
-#: Version 2: the policy lost its cache bound; version 1 is refused.
-STREAM_FORMAT_VERSION = 2
+#: Version 3: cache entries commit as (service, subject, value) triples
+#: and the manifest lost its unused inter-epoch idle time; older
+#: versions are refused.
+STREAM_FORMAT_VERSION = 3
 
 
 class StreamSession:
@@ -124,7 +126,6 @@ class StreamSession:
                execution: Optional[ExecutionPolicy] = None,
                telemetry_factory: Optional[Callable[[World], Telemetry]] = None,
                stream_dir: Optional[Path] = None,
-               idle_seconds: float = 0.0,
                cli: Optional[Dict[str, Any]] = None) -> "StreamSession":
         """Start a fresh session (``repro watch``).
 
@@ -148,8 +149,7 @@ class StreamSession:
                     f"0..{target - 1}"
                 )
         world = build_world(scenario)
-        scheduler = EpochScheduler(plan, target=target,
-                                   idle_seconds=idle_seconds)
+        scheduler = EpochScheduler(plan, target=target)
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
         store = _stream_store(stream_dir) if stream_dir is not None else None
@@ -180,9 +180,7 @@ class StreamSession:
                             start=dt.datetime.fromisoformat(start),
                             end=dt.datetime.fromisoformat(end))
                 for i, (start, end) in enumerate(manifest["plan"])]
-        scheduler = EpochScheduler(plan, target=int(manifest["target_epochs"]),
-                                   idle_seconds=float(
-                                       manifest.get("idle_seconds", 0.0)))
+        scheduler = EpochScheduler(plan, target=int(manifest["target_epochs"]))
         telemetry = (telemetry_factory(world) if telemetry_factory is not None
                      else None)
         session = cls(world, scheduler=scheduler,
@@ -209,8 +207,6 @@ class StreamSession:
             with self.stages.running():
                 for epoch in self.scheduler.pending(
                         self.state.committed_epochs):
-                    if epoch.index > 0 and self.scheduler.idle_seconds:
-                        self.world.clock.advance(self.scheduler.idle_seconds)
                     self._run_epoch(epoch)
         finally:
             self.telemetry.capture_stream(self.stats(), self.stages.mirrored)
@@ -392,7 +388,6 @@ class StreamSession:
                                self.policy),
             "plan": [[w.start.isoformat(), w.end.isoformat()]
                      for w in self.scheduler.plan],
-            "idle_seconds": self.scheduler.idle_seconds,
             "target_epochs": self.scheduler.target,
             "committed": self.state.committed_epochs,
             "next_record_index": self.state.next_record_index,

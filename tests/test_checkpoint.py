@@ -2,7 +2,7 @@
 
 The differential kill harness (``test_checkpoint_equivalence.py``)
 proves the end-to-end guarantee; these tests pin the pieces it rests on:
-the value/exception codec, the state registry, journal creation and
+the value codec, the state registry, journal creation and
 corruption recovery, manifest mismatch rejection, and the CLI's early
 input validation.
 """
@@ -19,9 +19,7 @@ from repro.checkpoint import (
     CheckpointWarning,
     RunJournal,
     StateRegistry,
-    decode_exception,
     decode_value,
-    encode_exception,
     encode_value,
     resume_pipeline,
 )
@@ -30,15 +28,10 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import (
     CheckpointError,
     CheckpointMismatch,
-    CircuitOpen,
     ConfigurationError,
-    RateLimitExceeded,
-    ServiceError,
-    ServiceUnavailable,
     SimulatedCrash,
 )
 from repro.exec import ExecutionPolicy
-from repro.exec.cache import EnrichmentCache, EntryKind
 from repro.faults import CrashPoint, ErrorRate, FaultPlan, build_fault_plan
 from repro.world.scenario import ScenarioConfig, build_world
 
@@ -64,63 +57,6 @@ def test_value_codec_rejects_garbage():
         decode_value({"pickle": "not base64 pickle!!"})
     with pytest.raises(CheckpointError):
         decode_value({})
-
-
-# -- codec: exceptions (satellite: structured failure round-trip) --------------
-
-
-@pytest.mark.parametrize("exc", [
-    ServiceError("boom", service="whois", retryable=True),
-    ServiceError("perm", service="hlr", retryable=False),
-    RateLimitExceeded("slow down", service="virustotal", retry_after=2.5),
-    ServiceUnavailable("down", service="gsb", permanent=True),
-    ServiceUnavailable("blip", service="gsb", permanent=False),
-    CircuitOpen("open", service="crtsh"),
-])
-def test_exception_codec_round_trips(exc):
-    rebuilt = decode_exception(encode_exception(exc))
-    assert type(rebuilt) is type(exc)
-    assert str(rebuilt) == str(exc)
-    assert rebuilt.service == exc.service
-    assert rebuilt.retryable == exc.retryable
-    if isinstance(exc, RateLimitExceeded):
-        assert rebuilt.retry_after == exc.retry_after
-    if isinstance(exc, ServiceUnavailable):
-        assert rebuilt.permanent == exc.permanent
-
-
-def test_exception_codec_unknown_type_degrades_to_service_error():
-    record = {"type": "NoSuchError", "message": "m", "service": "s",
-              "retryable": True}
-    rebuilt = decode_exception(record)
-    assert type(rebuilt) is ServiceError
-    assert rebuilt.retryable is True
-    # Types outside the ServiceError tree never come back as themselves.
-    rebuilt = decode_exception({"type": "ValueError", "message": "m"})
-    assert type(rebuilt) is ServiceError
-
-
-def test_cache_failure_entries_carry_the_exception():
-    """put_failure stores the instance; the journal codec round-trips it."""
-    cache = EnrichmentCache()
-    original = RateLimitExceeded("throttled", service="whois",
-                                 retry_after=3.0)
-    cache.put_failure("whois", "example.com", kind="rate_limit",
-                      detail="throttled", attempts=4, exception=original)
-    entry = cache.peek("whois", "example.com")
-    assert entry.kind is EntryKind.FAILURE
-    assert entry.failure_exception is original
-    rebuilt = decode_exception(encode_exception(entry.failure_exception))
-    assert type(rebuilt) is RateLimitExceeded
-    assert rebuilt.retry_after == 3.0
-    # Equality ignores the exception object: two records of the same
-    # failure compare equal even though exception instances never do.
-    twin = cache.put_failure("whois", "other.com", kind="rate_limit",
-                             detail="throttled", attempts=4,
-                             exception=RateLimitExceeded(
-                                 "throttled", service="whois",
-                                 retry_after=3.0))
-    assert entry == twin
 
 
 # -- state registry ------------------------------------------------------------

@@ -1,27 +1,19 @@
 """Unit tests for ``repro.exec``: pools, the enrichment cache, the
 engine's policy handling, and the telemetry capture of cache stats."""
 
-import threading
 import time
 
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    NotFound,
-    RateLimitExceeded,
-    ServiceUnavailable,
-)
+from repro.errors import ConfigurationError
 from repro.exec import (
     SEQUENTIAL,
     EnrichmentCache,
-    EntryKind,
     ExecutionEngine,
     ExecutionPolicy,
     ProcessPool,
     SerialPool,
     WorkerPool,
-    canonical_merge,
     make_pool,
 )
 from repro.obs import Telemetry
@@ -56,9 +48,6 @@ class TestPools:
             assert isinstance(pool, ProcessPool)
             assert pool.workers == 3
 
-    def test_canonical_merge_flattens_in_shard_order(self):
-        assert canonical_merge([[1, 2], [], [3], [4, 5]]) == [1, 2, 3, 4, 5]
-
     def test_worker_pool_interface_is_abstract(self):
         with pytest.raises(NotImplementedError):
             WorkerPool().map(lambda x: x, [1])
@@ -68,85 +57,42 @@ class TestEnrichmentCache:
     def test_value_round_trip_counts_hit_and_miss(self):
         cache = EnrichmentCache()
         assert cache.get("whois", "a.com") is None
-        cache.put_value("whois", "a.com", {"registrar": "x"})
-        entry = cache.get("whois", "a.com")
-        assert entry.is_value and entry.value == {"registrar": "x"}
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        cache.store("whois", "a.com", {"registrar": "x"})
+        assert cache.get("whois", "a.com") == {"registrar": "x"}
+        totals = cache.stats()["totals"]
+        assert totals["hits"] == 1 and totals["misses"] == 1
+        assert cache.stats()["hit_rate"] == pytest.approx(0.5)
 
     def test_peek_does_not_touch_counters(self):
         cache = EnrichmentCache()
-        cache.put_value("hlr", "123", "rec")
-        assert cache.peek("hlr", "123").is_value
+        cache.store("hlr", "123", "rec")
+        assert cache.peek("hlr", "123") == "rec"
         assert cache.peek("hlr", "456") is None
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_not_found_is_cached_as_an_answer(self):
-        cache = EnrichmentCache()
-        cache.put_not_found("whois", "ghost.com")
-        entry = cache.get("whois", "ghost.com")
-        assert entry.is_not_found and not entry.is_value
-
-    def test_failure_entry_carries_gap_classification(self):
-        cache = EnrichmentCache()
-        cache.put_failure("gsb-transparency", "https://x.test",
-                          kind="error", detail="blocked", attempts=3)
-        entry = cache.get("gsb-transparency", "https://x.test")
-        assert entry.is_failure
-        assert entry.failure_kind == "error"
-        assert entry.failure_detail == "blocked"
-        assert entry.failure_attempts == 3
+        totals = cache.stats()["totals"]
+        assert totals["hits"] == 0 and totals["misses"] == 0
 
     def test_lookup_memoises_compute(self):
+        """The precompute's pattern: ``get``, then compute and ``store``
+        only on a miss, so a repeated subject computes once."""
         cache = EnrichmentCache()
         calls = []
 
-        def compute():
-            calls.append(1)
-            return "value"
+        def lookup(subject):
+            value = cache.get("vt", subject)
+            if value is None:
+                calls.append(subject)
+                value = f"report:{subject}"
+                cache.store("vt", subject, value)
+            return value
 
-        first = cache.lookup("vt", "u", compute)
-        second = cache.lookup("vt", "u", compute)
-        assert first.value == second.value == "value"
-        assert len(calls) == 1
-
-    def test_lookup_caches_not_found(self):
-        cache = EnrichmentCache()
-
-        def compute():
-            raise NotFound("nope", service="whois")
-
-        entry = cache.lookup("whois", "gone.com", compute)
-        assert entry.is_not_found
-        # Second lookup never re-runs compute (which would raise).
-        assert cache.lookup("whois", "gone.com",
-                            lambda: 1 / 0).is_not_found
-
-    def test_lookup_caches_permanent_failure_and_reraises(self):
-        cache = EnrichmentCache()
-
-        def compute():
-            raise ServiceUnavailable("dead", service="twitter",
-                                     permanent=True)
-
-        with pytest.raises(ServiceUnavailable):
-            cache.lookup("twitter", "k", compute)
-        entry = cache.peek("twitter", "k")
-        assert entry.is_failure
-        assert entry.failure_kind == "ServiceUnavailable"
-
-    def test_lookup_never_caches_transient_failure(self):
-        cache = EnrichmentCache()
-
-        with pytest.raises(RateLimitExceeded):
-            cache.lookup("vt", "k",
-                         lambda: (_ for _ in ()).throw(
-                             RateLimitExceeded("slow down", service="vt")))
-        assert cache.peek("vt", "k") is None
+        assert lookup("u") == lookup("u") == "report:u"
+        assert calls == ["u"]
+        assert cache.stats()["services"]["vt"] == {
+            "hits": 1, "misses": 1, "stores": 1, "seeded": 0}
 
     def test_stats_shape(self):
         cache = EnrichmentCache()
-        cache.put_value("openai", "hello", "ann")
+        cache.store("openai", "hello", "ann")
         cache.get("openai", "hello")
         cache.get("vt", "u")
         stats = cache.stats()
@@ -156,27 +102,21 @@ class TestEnrichmentCache:
         assert stats["totals"]["stores"] == 1
         assert stats["hit_rate"] == pytest.approx(0.5)
 
-    def test_concurrent_lookups_converge_on_one_entry(self):
+    def test_seed_adopts_exported_entries_as_seeded(self):
+        """A commit's exported triples seed a fresh cache: the values
+        come back, counted as seeded rather than stored."""
         cache = EnrichmentCache()
-        results = []
-
-        def compute_factory(i):
-            return lambda: f"value-{i}"
-
-        def worker(i):
-            results.append(
-                cache.lookup("svc", "subject", compute_factory(i)).value
-            )
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Whichever compute won, every caller saw the same value.
-        assert len(set(results)) == 1
-        assert len(cache) == 1
+        cache.store("openai", "hello", "ann")
+        cache.store("virustotal", "http://x.test", "report")
+        entries = cache.export_entries()
+        assert entries == (("openai", "hello", "ann"),
+                           ("virustotal", "http://x.test", "report"))
+        fresh = EnrichmentCache()
+        assert fresh.seed(entries) == 2
+        assert fresh.export_entries() == entries
+        assert fresh.peek("openai", "hello") == "ann"
+        totals = fresh.stats()["totals"]
+        assert totals["seeded"] == 2 and totals["stores"] == 0
 
 
 class TestExecutionPolicy:
@@ -234,7 +174,7 @@ class TestTelemetryCacheCapture:
     def test_capture_cache_snapshots_and_counts(self):
         telemetry = Telemetry.create()
         cache = EnrichmentCache()
-        cache.put_value("openai", "text", "ann")
+        cache.store("openai", "text", "ann")
         cache.get("openai", "text")
         cache.get("openai", "other")
         telemetry.capture_cache(cache)
@@ -250,14 +190,14 @@ class TestTelemetryCacheCapture:
     def test_disabled_telemetry_ignores_capture(self):
         telemetry = Telemetry(enabled=False)
         cache = EnrichmentCache()
-        cache.put_value("s", "k", 1)
+        cache.store("s", "k", 1)
         telemetry.capture_cache(cache)
         assert telemetry.cache_snapshot == {}
 
     def test_trace_json_carries_cache_section(self):
         telemetry = Telemetry.create()
         cache = EnrichmentCache()
-        cache.put_value("s", "k", 1)
+        cache.store("s", "k", 1)
         cache.get("s", "k")
         telemetry.capture_cache(cache)
         payload = telemetry.to_dict()

@@ -14,7 +14,9 @@ charges — run through the same table of workloads
 (``tests.differential``) in the test file of each kind.
 """
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -60,20 +62,29 @@ def test_cli_kill_then_resume_prints_the_uninterrupted_output(kind, tmp_path,
     assert _comparable(kind, resumed) == _comparable(kind, clean)
 
 
-def test_resume_refuses_a_version_1_serve_directory(tmp_path, capsys):
-    """A serve directory written before the policy lost its cache bound
-    and thread pool is refused with one error line, not misread."""
-    world, command, kill = CLI_CASES["serve"]
+@pytest.mark.parametrize("kind", ["stream", "serve"])
+def test_resume_refuses_a_version_2_directory(kind, tmp_path, capsys):
+    """A stream or serve directory written before cache entries became
+    ``(service, subject, value)`` triples is refused with one error line
+    before its state file is unpickled."""
+    world, command, kill = CLI_CASES[kind]
+    manifest_name = f"{kind.upper()}.json"
     run_dir = tmp_path / "run"
     assert main(world + ["--quiet", "--run-dir", str(run_dir),
                          "--kill-at", kill] + command) == 75
-    manifest_path = run_dir / "SERVE.json"
+    # A version-2 state file names the deleted entry class, so
+    # unpickling it would fail with a traceback, not a refusal.
+    state = b"crepro.exec.cache\nCacheEntry\n."
+    with pytest.raises(AttributeError):
+        pickle.loads(state)
+    (run_dir / "state.pkl").write_bytes(state)
+    manifest_path = run_dir / manifest_name
     manifest = json.loads(manifest_path.read_text())
-    manifest["version"] = 1
-    manifest["execution"].update(pool="thread", cache_max_entries=None)
+    manifest.update(version=2, state_file="state.pkl",
+                    state_sha256=hashlib.sha256(state).hexdigest())
     manifest_path.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["--quiet", "resume", str(run_dir)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("repro: error:"), err
-    assert "SERVE.json version 1" in err[0]
+    assert f"{manifest_name} version 2" in err[0]

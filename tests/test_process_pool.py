@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.enrichment import AnnotateShardTask, ScanShardTask
 from repro.exec import (
-    EnrichmentCache,
     ExecutionPolicy,
     ProcessPool,
     SerialPool,
@@ -45,23 +44,6 @@ def _explode_on_odd(value):
 
 
 # -- pickling regressions ------------------------------------------------------
-
-
-def test_enrichment_cache_round_trips_through_pickle():
-    """The cache guards itself with a lock, which cannot be pickled;
-    ``__getstate__``/``__setstate__`` must drop and rebuild it so worker
-    startup can ship a warm cache."""
-    cache = EnrichmentCache()
-    cache.put_value("openai", "hello", {"label": 1})
-    cache.put_value("whois", "evil.test", "registrar")
-    restored = pickle.loads(pickle.dumps(cache))
-    assert restored.get("openai", "hello").value == {"label": 1}
-    assert restored.get("whois", "evil.test").value == "registrar"
-    # The rebuilt lock must actually work: a post-restore lookup takes it.
-    assert restored.lookup("openai", "hello",
-                           lambda: None).value == {"label": 1}
-    stats = restored.stats()
-    assert stats["services"]["openai"]["hits"] >= 1
 
 
 @pytest.mark.parametrize("profile", ["none", "flaky", "outage"])

@@ -28,7 +28,6 @@ from repro.exec import (
     EnrichmentCache,
     ExecutionPolicy,
     ProcessPool,
-    canonical_merge,
     shard,
 )
 from repro.errors import CheckpointError, ValidationError
@@ -295,20 +294,20 @@ class TestExecutionEngineProperties:
         # distinct subjects never collide — each gets its own value back.
         cache = EnrichmentCache()
         for index, subject in enumerate(subjects):
-            cache.put_value(service, subject, index)
+            cache.store(service, subject, index)
         for index, subject in enumerate(subjects):
-            assert cache.get(service, subject).value == index
-            assert cache.peek(service, subject).value == index
+            assert cache.get(service, subject) == index
+            assert cache.peek(service, subject) == index
 
     @given(subjects)
     def test_cache_keys_do_not_collide_across_services(self, subjects):
         cache = EnrichmentCache()
         for subject in subjects:
-            cache.put_value("whois", subject, "w:" + subject)
-            cache.put_value("hlr", subject, "h:" + subject)
+            cache.store("whois", subject, "w:" + subject)
+            cache.store("hlr", subject, "h:" + subject)
         for subject in subjects:
-            assert cache.get("whois", subject).value == "w:" + subject
-            assert cache.get("hlr", subject).value == "h:" + subject
+            assert cache.get("whois", subject) == "w:" + subject
+            assert cache.get("hlr", subject) == "h:" + subject
 
     @given(st.permutations(list(range(6))))
     @example(order=[5, 4, 3, 2, 1, 0])  # later-submitted items finish first
@@ -339,7 +338,7 @@ class TestExecutionEngineProperties:
         for chunk in chunks:
             indices = [index for index, _ in chunk]
             assert indices == sorted(indices)  # each shard a subsequence
-        merged = canonical_merge(chunks)
+        merged = [item for chunk in chunks for item in chunk]
         assert sorted(merged) == sorted(indexed)  # loss-free permutation
         assert shard(indexed, shards) == chunks  # deterministic repartition
 
@@ -361,9 +360,11 @@ class TestExecutionEngineProperties:
         computes = []
 
         def run_batch():
+            # The precompute's pattern: compute and store only a miss.
             for service, subject in batch:
-                cache.lookup(service, subject,
-                             lambda: computes.append((service, subject)))
+                if cache.get(service, subject) is None:
+                    computes.append((service, subject))
+                    cache.store(service, subject, len(computes))
 
         run_batch()
         first_pass = len(computes)

@@ -16,6 +16,7 @@ test session.
 """
 
 import json
+import pickle
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.exec import ExecutionPolicy
 from repro.faults import CrashPoint, build_fault_plan
 from repro.serve import (
     FRONT_DOOR_REASONS,
+    IntakeService,
     LoadSpec,
     ServeConfig,
     serve_fingerprint,
@@ -90,6 +92,25 @@ class TestKillResumeEquivalence:
         third = SERVE.resume(serve_dir)
         assert serve_fingerprint(third) == serve_fingerprint(
             baselines["flaky"])
+
+    def test_resume_holds_exactly_the_committed_cache_entries(self,
+                                                              tmp_path):
+        """A reopened service's cache is the last commit's, seeded, not
+        stored. A load that dropped them would still converge, because
+        the precompute recomputes what the cache lacks, so only the
+        cache itself shows it."""
+        (scenario, faults, policy), shape = _args("flaky")
+        serve_dir = tmp_path / "serve-cache"
+        with pytest.raises(SimulatedCrash):
+            SERVE.start(scenario, faults.extended(CrashPoint("arrival", 211)),
+                        policy, serve_dir, **shape)
+        committed = pickle.loads(
+            (serve_dir / "state.pkl").read_bytes())["cache_entries"]
+        assert committed  # the last commit before the kill holds 25
+        cache = IntakeService.load(serve_dir).stages.cache
+        assert cache.export_entries() == committed
+        assert cache.stats()["totals"] == {
+            "hits": 0, "misses": 0, "stores": 0, "seeded": len(committed)}
 
 
 class TestWorkerEquivalence:
