@@ -13,7 +13,8 @@
 # available, stdlib function-coverage tracer otherwise). The
 # observability smoke test runs the full pipeline at the default
 # scale with telemetry enabled and asserts the trace JSON carries spans
-# for every forum and enrichment service. The chaos smoke test re-runs
+# for every forum and enrichment stage, and a service.requests counter
+# for every enrichment service. The chaos smoke test re-runs
 # the pipeline under the `flaky` fault profile and asserts it exits 0
 # with a non-empty enrichment-gap report. The parallel smoke test runs
 # a `--workers 4` report (the precompute in four worker processes),
@@ -134,14 +135,18 @@ trace = json.load(open(sys.argv[1]))
 names = {span["name"] for span in trace["spans"]}
 forums = {"collect/Twitter", "collect/Reddit", "collect/Smishing.eu",
           "collect/Pastebin", "collect/Smishtank"}
-services = {"enrich/hlr", "enrich/whois", "enrich/crtsh",
-            "enrich/spamhaus-pdns", "enrich/ipinfo", "enrich/virustotal",
-            "enrich/gsb", "enrich/openai"}
-missing = (forums | services) - names
+stages = {"enrich/precompute", "enrich/senders", "enrich/urls",
+          "enrich/annotate"}
+missing = (forums | stages) - names
 assert not missing, f"missing spans: {sorted(missing)}"
 counters = {c["name"] for c in trace["metrics"]["counters"]}
 assert {"service.requests", "service.retries",
         "service.backoff_seconds"} <= counters, sorted(counters)
+services = {"hlr", "whois", "crtsh", "spamhaus-pdns", "ipinfo",
+            "virustotal", "gsb", "openai"}
+requested = {c["labels"].get("service") for c in trace["metrics"]["counters"]
+             if c["name"] == "service.requests"}
+assert services <= requested, f"no requests counted for {sorted(services - requested)}"
 print(f"smoke ok: {len(trace['spans'])} spans, "
       f"{len(trace['metrics']['counters'])} counters")
 PY

@@ -337,10 +337,11 @@ class Enricher:
     # -- precompute (the engine's pure, parallel phase) -----------------------
 
     def _cached_value(self, service: str, subject: str):
-        """A memoised value for one lookup, or None (uncached or a miss)."""
+        """A memoised value for one lookup, or None (uncached). The
+        precompute already counted this lookup, so it only peeks."""
         if self._cache is None:
             return None
-        return self._cache.get(service, subject)
+        return self._cache.peek(service, subject)
 
     def _precompute(self, dataset: SmishingDataset) -> None:
         """Fill the cache with every expensive pure compute, sharded
@@ -359,28 +360,29 @@ class Enricher:
         counts nothing) finds the unique subjects the cache lacks; only
         those ship, as picklable tasks (:class:`AnnotateShardTask`,
         :class:`ScanShardTask`) carrying pure inputs and returning
-        ``(subject, value)`` pairs; then every unique subject is looked
-        up with ``get`` in canonical order and each miss is stored — one
-        hit, or one miss and one store, the counter trajectory of a
-        serial fill, with no subject computed twice.
+        ``(subject, value)`` pairs. Then each lookup the replay makes —
+        every record's text for openai, every unique URL for
+        virustotal — goes through ``get`` in canonical order, and each
+        miss is stored: a hit is a lookup answered without a compute,
+        and no subject is computed twice. The replay itself only peeks.
         """
         if self._cache is None:
             return
         cache, services, pool = self._cache, self._services, self._pool
-        texts = list(dict.fromkeys(r.text for r in dataset))
+        texts = [r.text for r in dataset]
         urls = list(dict.fromkeys(
             str(r.url) for r in dataset if r.url is not None
         ))
         with self._telemetry.tracer.span(
-            "enrich/precompute", unique_texts=len(texts),
+            "enrich/precompute", unique_texts=len(set(texts)),
             unique_urls=len(urls), workers=pool.workers,
         ):
-            for service, subjects, task in (
+            for service, lookups, task in (
                     ("openai", texts,
                      AnnotateShardTask(services.openai._annotator)),
                     ("virustotal", urls,
                      ScanShardTask(services.virustotal._known_bad_hosts))):
-                missing = [subject for subject in subjects
+                missing = [subject for subject in dict.fromkeys(lookups)
                            if cache.peek(service, subject) is None]
                 computed: Dict[str, object] = {}
                 if missing:
@@ -390,7 +392,7 @@ class Enricher:
                     for chunk in pool.map(task, shard(missing,
                                                       pool.workers)):
                         computed.update(chunk)
-                for subject in subjects:
+                for subject in lookups:
                     if cache.get(service, subject) is None:
                         cache.store(service, subject, computed[subject])
 
@@ -514,42 +516,6 @@ class Enricher:
 
     # -- the full battery ---------------------------------------------------------------
 
-    def _metered_stage(self, name: str, meters, stage, result) -> None:
-        """Run one stage under a span, with one ``enrich/<service>`` child
-        span per meter carrying the request/retry/backoff delta the stage
-        caused (the services themselves stay telemetry-unaware)."""
-        tracer = self._telemetry.tracer
-        metrics = self._telemetry.metrics
-        with tracer.span(name):
-            accounting = []
-            for meter in meters:
-                span = tracer.start(f"enrich/{meter.service}")
-                accounting.append((span, meter, meter.snapshot()))
-            try:
-                stage(result)
-            finally:
-                # Close the accounting spans even when the stage dies
-                # (a SimulatedCrash mid-enrichment): a crashed run's
-                # trace still attributes whatever the stage charged
-                # before it went down, and no span is left open on the
-                # tracer stack to corrupt later nesting.
-                for span, meter, before in reversed(accounting):
-                    after = meter.snapshot()
-                    requests = after["used"] - before["used"]
-                    retries = (after["throttle_events"]
-                               - before["throttle_events"])
-                    backoff = (after.get("backoff_seconds", 0.0)
-                               - before.get("backoff_seconds", 0.0))
-                    span.set(requests=requests, retries=retries,
-                             backoff_seconds=round(backoff, 3))
-                    tracer.end(span)
-                    metrics.counter("enrichment.requests",
-                                    service=meter.service).inc(requests)
-                    metrics.counter("enrichment.retries",
-                                    service=meter.service).inc(retries)
-                    metrics.counter("enrichment.backoff_seconds",
-                                    service=meter.service).inc(backoff)
-
     def run(self, dataset: SmishingDataset, *,
             annotate_only: bool = False) -> EnrichedDataset:
         """Run the measurement battery over ``dataset``.
@@ -562,25 +528,16 @@ class Enricher:
         labels without burning a failing tier's budget.
         """
         result = EnrichedDataset(dataset=dataset)
-        services = self._services
-        with self._telemetry.tracer.span("enrich", records=len(dataset)) as sp:
+        tracer = self._telemetry.tracer
+        with tracer.span("enrich", records=len(dataset)) as sp:
             self._precompute(dataset)
             if not annotate_only:
-                self._metered_stage(
-                    "enrich/senders", [services.hlr.meter],
-                    self.enrich_senders, result,
-                )
-                self._metered_stage(
-                    "enrich/urls",
-                    [services.whois.meter, services.crtsh.meter,
-                     services.passivedns.meter, services.ipinfo.meter,
-                     services.virustotal.meter, services.gsb.meter],
-                    self.enrich_urls, result,
-                )
-            self._metered_stage(
-                "enrich/annotate", [services.openai.meter],
-                self.annotate, result,
-            )
+                with tracer.span("enrich/senders"):
+                    self.enrich_senders(result)
+                with tracer.span("enrich/urls"):
+                    self.enrich_urls(result)
+            with tracer.span("enrich/annotate"):
+                self.annotate(result)
             sp.set(unique_urls=len(result.urls),
                    unique_senders=len(result.senders),
                    annotations=len(result.annotations),

@@ -109,8 +109,6 @@ class Stages:
         )
         #: Stats of every checkpoint session closed here, summed.
         self._checkpoint: Dict[str, Any] = {}
-        #: Source totals already mirrored into telemetry counters.
-        self.mirrored: Dict[Tuple, float] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -144,10 +142,9 @@ class Stages:
             for breaker in self.breakers.values():
                 telemetry.capture_breaker(breaker)
             if self.cache is not None:
-                telemetry.capture_cache(self.cache, self.mirrored)
+                telemetry.capture_cache(self.cache)
             if self._checkpoint:
-                telemetry.capture_checkpoint(dict(self._checkpoint),
-                                             self.mirrored)
+                telemetry.capture_checkpoint(dict(self._checkpoint))
             telemetry.capture_exec(self._engine.stats())
 
     def close_checkpoint(self, checkpoint) -> None:

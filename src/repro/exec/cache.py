@@ -5,11 +5,11 @@ produced — ``(service, subject)`` → an annotation or a URL scan report —
 so duplicate message texts and URLs hit each service's compute path
 once per run. Within a run the precompute
 (:meth:`~repro.core.enrichment.Enricher._precompute`) is its only
-writer: it looks each unique subject up with :meth:`get` and saves
-the misses with :meth:`store` — one hit, or one miss and one store, per
-subject under any worker count — and the serial replay reads the
-values back with :meth:`get`. Those values are never None, so
-:meth:`get` answers a miss with None.
+writer: it makes each lookup the serial replay will make with
+:meth:`get` and saves the misses with :meth:`store`, so a hit is a
+lookup answered without a compute, under any worker count. The replay
+then reads the values back with :meth:`peek`, which counts nothing.
+Those values are never None, so :meth:`get` answers a miss with None.
 
 Only values are memoised. The computes the precompute runs are pure
 and cannot fail; a service call that fails files its gap in the serial

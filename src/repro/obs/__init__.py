@@ -5,24 +5,18 @@ the in-repo table renderer) and splits into four layers:
 
 * :mod:`repro.obs.trace` — nested spans with wall-clock and simulated
   timestamps, and a no-op tracer for disabled runs.
-* :mod:`repro.obs.metrics` — labelled counters/histograms.
-* :mod:`repro.obs.profile` — the performance observatory's analysis
-  layer: self/cumulative hot-path attribution, deterministic latency
-  percentile digests, and Chrome trace export.
+* :mod:`repro.obs.metrics` — labelled counters.
+* :mod:`repro.obs.profile` — deterministic latency percentile digests
+  and Chrome trace export.
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade the
   pipeline threads through its stages, meter event hooks, JSON export,
-  and the ``repro stats`` summary tables.
+  and the ``repro stats`` summary tables, whose one stage table gives
+  each span name its count and wall, self and simulated seconds.
 """
 
-from .metrics import Counter, Histogram, MetricsRegistry, NullMetrics
+from .metrics import Counter, MetricsRegistry, NullMetrics
 from .trace import NULL_SPAN, NullTracer, Span, Tracer
-from .profile import (
-    PercentileDigest,
-    Profile,
-    StageProfile,
-    build_profile,
-    chrome_trace,
-)
+from .profile import PercentileDigest, chrome_trace
 from .telemetry import (
     NULL_TELEMETRY,
     TRACE_FORMAT_VERSION,
@@ -33,7 +27,6 @@ from .telemetry import (
 
 __all__ = [
     "Counter",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_SPAN",
@@ -41,9 +34,6 @@ __all__ = [
     "Span",
     "Tracer",
     "PercentileDigest",
-    "Profile",
-    "StageProfile",
-    "build_profile",
     "chrome_trace",
     "NULL_TELEMETRY",
     "TRACE_FORMAT_VERSION",

@@ -1,14 +1,13 @@
-"""Counters and histograms for pipeline runs.
+"""Counters for pipeline runs.
 
-A :class:`MetricsRegistry` hands out labelled :class:`Counter` and
-:class:`Histogram` instruments keyed by ``(name, labels)``, so the same
-metric name can be split per forum or per service (``service.requests
-{service=whois}``). Instruments are plain Python objects — no export
-protocol, no background thread — and serialise to dicts for the JSON
-trace dump.
+A :class:`MetricsRegistry` hands out labelled :class:`Counter`
+instruments keyed by ``(name, labels)``, so the same metric name can be
+split per forum or per service (``service.requests{service=whois}``).
+Counters are plain Python objects — no export protocol, no background
+thread — and serialise to dicts for the JSON trace dump.
 
-:class:`NullMetrics` is the disabled twin: it returns shared no-op
-instruments so instrumentation sites cost one method call and allocate
+:class:`NullMetrics` is the disabled twin: it returns one shared no-op
+counter so instrumentation sites cost one method call and allocate
 nothing when observability is off.
 
 Zero-dependency constraint: standard library only.
@@ -16,7 +15,7 @@ Zero-dependency constraint: standard library only.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -45,43 +44,13 @@ class Counter:
                 "value": self.value}
 
 
-class Histogram:
-    """Streaming summary of observed values (count/total/min/max/mean)."""
-
-    __slots__ = ("name", "labels", "count", "total", "min", "max")
-
-    def __init__(self, name: str, labels: Dict[str, str]):
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> Optional[float]:
-        return None if self.count == 0 else self.total / self.count
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "labels": dict(self.labels),
-                "count": self.count, "total": self.total,
-                "min": self.min, "max": self.max, "mean": self.mean}
-
-
 class MetricsRegistry:
-    """Get-or-create registry of labelled instruments."""
+    """Get-or-create registry of labelled counters."""
 
     enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[LabelKey, Counter] = {}
-        self._histograms: Dict[LabelKey, Histogram] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
         key = _key(name, labels)
@@ -89,14 +58,6 @@ class MetricsRegistry:
         if instrument is None:
             instrument = Counter(name, {k: str(v) for k, v in labels.items()})
             self._counters[key] = instrument
-        return instrument
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = _key(name, labels)
-        instrument = self._histograms.get(key)
-        if instrument is None:
-            instrument = Histogram(name, {k: str(v) for k, v in labels.items()})
-            self._histograms[key] = instrument
         return instrument
 
     def value(self, name: str, **labels: Any) -> float:
@@ -107,14 +68,8 @@ class MetricsRegistry:
     def counters(self) -> List[Counter]:
         return list(self._counters.values())
 
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "counters": [c.to_dict() for c in self._counters.values()],
-            "histograms": [h.to_dict() for h in self._histograms.values()],
-        }
+        return {"counters": [c.to_dict() for c in self._counters.values()]}
 
 
 class _NullCounter:
@@ -124,27 +79,16 @@ class _NullCounter:
         pass
 
 
-class _NullHistogram:
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
 _NULL_COUNTER = _NullCounter()
-_NULL_HISTOGRAM = _NullHistogram()
 
 
 class NullMetrics:
-    """Metrics disabled: shared no-op instruments, empty export."""
+    """Metrics disabled: one shared no-op counter, empty export."""
 
     enabled = False
 
     def counter(self, name: str, **labels: Any) -> _NullCounter:
         return _NULL_COUNTER
-
-    def histogram(self, name: str, **labels: Any) -> _NullHistogram:
-        return _NULL_HISTOGRAM
 
     def value(self, name: str, **labels: Any) -> float:
         return 0.0
@@ -152,8 +96,5 @@ class NullMetrics:
     def counters(self) -> List[Counter]:
         return []
 
-    def histograms(self) -> List[Histogram]:
-        return []
-
     def to_dict(self) -> Dict[str, Any]:
-        return {"counters": [], "histograms": []}
+        return {"counters": []}

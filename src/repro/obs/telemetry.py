@@ -18,15 +18,15 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from ..utils.tables import Table
 from .metrics import MetricsRegistry, NullMetrics
-from .profile import Profile, build_profile, chrome_trace
-from .trace import NullTracer, Tracer
+from .profile import chrome_trace
+from .trace import NullTracer, Span, Tracer
 
 #: Trace JSON schema version, bumped on incompatible layout changes.
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 
 def stderr_sink(line: str) -> None:
@@ -94,6 +94,8 @@ class Telemetry:
         Events: ``request`` (successful charge), ``throttle`` (rate limit
         raised — i.e. the caller will retry), ``backoff`` (simulated
         seconds slept before a retry), ``quota`` (hard quota rejection).
+        The hook fires on every charge, so its ``service.*`` counters
+        also hold what a crashed run charged live.
         """
         metrics = self.metrics
 
@@ -162,66 +164,29 @@ class Telemetry:
 
     # -- cache wiring ---------------------------------------------------------
 
-    def _mirror(self, mirrored: Optional[Dict[Tuple, float]], name: str,
-                total: float, **labels: Any) -> None:
-        """Raise counter ``name`` by what a source's running ``total``
-        gained since ``mirrored`` recorded it (None: since zero), keyed by
-        name and service: a checkpoint's ``mode`` names its latest session,
-        not a total of its own. A session captures its cache, ledger and
-        checkpoint totals after every run; each capture adds its gain."""
-        key = (name, labels.get("service"))
-        gain = total - (mirrored or {}).get(key, 0)
-        if mirrored is not None:
-            mirrored[key] = total
-        if gain:
-            self.metrics.counter(name, **labels).inc(gain)
-
-    def capture_cache(self, cache: Any,
-                      mirrored: Optional[Dict] = None) -> None:
-        """Store the enrichment cache's final ``stats()`` and mirror its
-        per-service hit/miss counts into the metrics registry
-        (``cache.hits``/``cache.misses``; see :meth:`_mirror`)."""
+    def capture_cache(self, cache: Any) -> None:
+        """Store the enrichment cache's final ``stats()``."""
         if not self.enabled:
             return
-        stats = cache.stats()
-        self.cache_snapshot = stats
-        for service, counters in stats.get("services", {}).items():
-            for event in ("hits", "misses"):
-                self._mirror(mirrored, f"cache.{event}",
-                             counters.get(event, 0), service=service)
+        self.cache_snapshot = cache.stats()
 
     # -- checkpoint wiring ----------------------------------------------------
 
-    def capture_checkpoint(self, stats: Dict[str, Any],
-                           mirrored: Optional[Dict] = None) -> None:
-        """Store a checkpoint session's final ``stats()`` and mirror the
-        write/replay volumes into counters (``checkpoint.barriers`` /
-        ``checkpoint.lookups_recorded`` / ``checkpoint.lookups_replayed``,
-        labelled with the latest session's mode; see :meth:`_mirror`)."""
+    def capture_checkpoint(self, stats: Dict[str, Any]) -> None:
+        """Store a checkpoint session's final ``stats()``."""
         if not self.enabled:
             return
         self.checkpoint_snapshot = dict(stats)
-        for event in ("barriers_written", "lookups_recorded",
-                      "lookups_replayed"):
-            self._mirror(mirrored, f"checkpoint.{event}",
-                         stats.get(event, 0), mode=stats["mode"])
 
     # -- stream wiring --------------------------------------------------------
 
-    def capture_stream(self, stats: Optional[Dict[str, Any]],
-                       mirrored: Optional[Dict] = None) -> None:
+    def capture_stream(self, stats: Optional[Dict[str, Any]]) -> None:
         """Store a stream session's final stats (see
-        :meth:`repro.stream.StreamState.stats`) and mirror the dedup
-        ledger's hit/miss volumes into counters
-        (``stream.ledger_hits`` / ``stream.ledger_misses``; see
-        :meth:`_mirror`). ``stats`` of None (a batch run) is a no-op."""
+        :meth:`repro.stream.StreamState.stats`). ``stats`` of None (a
+        batch run) is a no-op."""
         if not self.enabled or stats is None:
             return
         self.stream_snapshot = dict(stats)
-        ledger = stats.get("ledger", {})
-        for event in ("hits", "misses"):
-            self._mirror(mirrored, f"stream.ledger_{event}",
-                         ledger.get(event, 0))
 
     # -- serve wiring ---------------------------------------------------------
 
@@ -277,10 +242,6 @@ class Telemetry:
             return
         self.exec_snapshot = dict(stats)
 
-    def profile(self) -> Profile:
-        """Hot-path attribution built from this run's spans."""
-        return build_profile(self.tracer.spans)
-
     # -- export ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -293,7 +254,6 @@ class Telemetry:
             "format": TRACE_FORMAT_VERSION,
             "spans": self.tracer.to_dicts(),
             "metrics": self.metrics.to_dict(),
-            "profile": self.profile().to_dict(),
             "meters": {name: dict(snap)
                        for name, snap in self.meter_snapshots.items()},
             "breakers": {name: dict(snap)
@@ -325,32 +285,56 @@ class Telemetry:
     # -- human-readable summaries ---------------------------------------------
 
     def span_table(self) -> Table:
-        """Stage timings: wall-clock and simulated seconds per span."""
+        """One row per span name, in first-start order.
+
+        Count is how often the name ran, flagging spans that never
+        finished (a crashed region). Wall, Self and Sim sum the finished
+        spans' wall-clock, self and simulated seconds, where a span's
+        self time is its wall minus its direct children's wall, floored
+        at zero; an unfinished span adds no time, never a bogus zero.
+        Detail shows up to four attributes of a name that ran once; the
+        trace JSON keeps every span's attributes.
+        """
+        spans = self.tracer.spans
+        children: Dict[int, float] = {}
+        by_name: Dict[str, List[Span]] = {}
+        for span in spans:
+            wall = span.wall_seconds
+            if span.parent_id is not None and wall is not None:
+                children[span.parent_id] = (
+                    children.get(span.parent_id, 0.0) + wall)
+            by_name.setdefault(span.name, []).append(span)
         table = Table(title="Pipeline stages",
-                      columns=["Stage", "Wall (s)", "Sim (s)", "Detail"])
-        for span in self.tracer.spans:
-            interesting = {
-                k: v for k, v in span.attributes.items()
-                if isinstance(v, (int, float, str)) and k != "error"
-            }
-            detail = ", ".join(f"{k}={v}" for k, v in
-                               sorted(interesting.items())[:4])
+                      columns=["Stage", "Count", "Wall (s)", "Self (s)",
+                               "Sim (s)", "Detail"])
+        for name, group in by_name.items():
+            finished = [span for span in group if span.finished]
+            sims = [span.sim_seconds for span in group
+                    if span.sim_seconds is not None]
+            unfinished = len(group) - len(finished)
             table.add_row(
-                span.name,
-                round(span.wall_seconds, 4)
-                if span.wall_seconds is not None else None,
-                round(span.sim_seconds, 1)
-                if span.sim_seconds is not None else None,
-                detail or None,
+                name,
+                f"{len(group)} ({unfinished} unfinished)" if unfinished
+                else len(group),
+                round(sum(span.wall_seconds for span in finished), 4)
+                if finished else None,
+                round(sum(max(0.0, span.wall_seconds
+                              - children.get(span.span_id, 0.0))
+                          for span in finished), 4)
+                if finished else None,
+                round(sum(sims), 1) if sims else None,
+                _detail(group[0]) if len(group) == 1 else None,
             )
         return table
 
-    def profile_table(self) -> Table:
-        """Hot-path attribution: self/cum wall, latency digests, rec/s."""
-        return self.profile().table()
-
     def service_table(self) -> Table:
-        """Per-service request/retry/backoff accounting from counters."""
+        """Per-service accounting from the meter hook's ``service.*``
+        counters, the one tally of what each service was charged.
+
+        Throttled reads ``service.retries``: the meter's throttle waits
+        (rate-limit refills waited out), not retry-policy attempts,
+        which the Resilience table counts as its Retries.
+        """
         services: Dict[str, Dict[str, float]] = {}
         for counter in self.metrics.counters():
             service = counter.labels.get("service")
@@ -360,7 +344,7 @@ class Telemetry:
             services.setdefault(service, {})[field] = counter.value
         table = Table(
             title="Service telemetry",
-            columns=["Service", "Requests", "Retries", "Backoff (sim s)",
+            columns=["Service", "Requests", "Throttled", "Backoff (sim s)",
                      "Quota hits", "Remaining"],
         )
         for service in sorted(services):
@@ -641,8 +625,7 @@ class Telemetry:
                       columns=["Counter", "Labels", "Value"])
         for counter in sorted(self.metrics.counters(),
                               key=lambda c: (c.name, sorted(c.labels.items()))):
-            if counter.name.startswith(("service.", "resilience.", "cache.",
-                                        "checkpoint.", "stream.")):
+            if counter.name.startswith(("service.", "resilience.")):
                 continue
             labels = ", ".join(f"{k}={v}" for k, v in
                                sorted(counter.labels.items()))
@@ -654,7 +637,6 @@ class Telemetry:
     def summary(self) -> str:
         """The full human-readable stats report."""
         parts = [self.span_table().to_text(),
-                 self.profile_table().to_text(),
                  self.service_table().to_text()]
         resilience = self.resilience_table()
         if resilience.rows:
@@ -678,6 +660,14 @@ class Telemetry:
             parts.append(self.quarantine_table().to_text())
         parts.append(self.counter_table().to_text())
         return "\n\n".join(parts)
+
+
+def _detail(span: Span) -> Optional[str]:
+    """Up to four of a span's scalar attributes, name-sorted."""
+    interesting = {k: v for k, v in span.attributes.items()
+                   if isinstance(v, (int, float, str)) and k != "error"}
+    return ", ".join(f"{k}={v}" for k, v in
+                     sorted(interesting.items())[:4]) or None
 
 
 #: Shared disabled telemetry: no spans, no counters, near-zero overhead.

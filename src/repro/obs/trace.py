@@ -1,11 +1,11 @@
 """Span tracing for pipeline runs.
 
 A :class:`Tracer` produces nested :class:`Span` records — ``pipeline →
-collect/<forum> → curate → enrich/<service> → annotate`` — each stamped
+collect/<forum> → curate → enrich → enrich/<stage>`` — each stamped
 with wall-clock time (``time.perf_counter``) and, when a
 :class:`~repro.services.base.SimClock` is bound, simulated time. Spans
-carry free-form attributes (counts, drop reasons, meter deltas) and
-serialise to plain dicts for JSON export.
+carry free-form attributes (counts, drop reasons) and serialise to
+plain dicts for JSON export.
 
 When tracing is disabled the pipeline runs against :class:`NullTracer`,
 whose ``span()`` hands back one shared, immutable no-op handle — no

@@ -209,7 +209,7 @@ class StreamSession:
                         self.state.committed_epochs):
                     self._run_epoch(epoch)
         finally:
-            self.telemetry.capture_stream(self.stats(), self.stages.mirrored)
+            self.telemetry.capture_stream(self.stats())
         return self.state
 
     def ingest(self, epochs: int = 1) -> StreamState:

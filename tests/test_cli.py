@@ -219,7 +219,7 @@ class TestCommands:
         assert "Pipeline stages" in out
         assert "Service telemetry" in out
         assert "collect/Twitter" in out
-        assert "enrich/openai" in out
+        assert "enrich/annotate" in out
 
     def test_trace_out_writes_json(self, tmp_path, capsys):
         import json

@@ -178,11 +178,11 @@ class TestTelemetryCacheCapture:
         cache.get("openai", "text")
         cache.get("openai", "other")
         telemetry.capture_cache(cache)
-        assert telemetry.cache_snapshot["totals"]["hits"] == 1
-        counters = {(c.name, c.labels.get("service")): c.value
-                    for c in telemetry.metrics.counters()}
-        assert counters[("cache.hits", "openai")] == 1
-        assert counters[("cache.misses", "openai")] == 1
+        assert telemetry.cache_snapshot == cache.stats()
+        assert telemetry.cache_snapshot["services"]["openai"] == {
+            "hits": 1, "misses": 1, "stores": 1, "seeded": 0}
+        # The snapshot is the one account: no counter repeats it.
+        assert telemetry.metrics.counters() == []
         table = telemetry.cache_table().to_text()
         assert "openai" in table and "50.0%" in table
         assert "Cache" in telemetry.summary()

@@ -86,7 +86,11 @@ def test_rerun_of_same_policy_is_deterministic():
 
 
 def test_cached_run_reports_hits_without_changing_outputs():
-    """The cache must *measure* its savings while changing nothing."""
+    """The cache must *measure* its savings while changing nothing.
+
+    Each lookup the replay makes counts once: every record's text for
+    openai, every unique URL for virustotal. A miss is computed and
+    stored, so a hit is a lookup answered without a compute."""
     world = build_world(ScenarioConfig(seed=5, n_campaigns=_CAMPAIGNS))
     from repro.obs import Telemetry
 
@@ -97,12 +101,16 @@ def test_cached_run_reports_hits_without_changing_outputs():
     assert snapshot, "cached run captured no cache stats"
     assert snapshot["totals"]["hits"] > 0
     assert snapshot["hit_rate"] > 0.0
-    # Precompute fills one entry per unique text (a miss + store each);
-    # the replay then looks up once per record, and every lookup hits.
-    openai = snapshot["services"]["openai"]
-    assert openai["hits"] == len(run.dataset)
-    assert openai["misses"] == openai["stores"]
-    assert openai["stores"] == len({r.text for r in run.dataset})
+    texts = [record.text for record in run.dataset]
+    urls = {str(record.url) for record in run.dataset
+            if record.url is not None}
+    for service, lookups, unique in (
+            ("openai", len(texts), len(set(texts))),
+            ("virustotal", len(urls), len(urls))):
+        counts = snapshot["services"][service]
+        assert counts["hits"] + counts["misses"] == lookups, service
+        assert counts["misses"] == counts["stores"] == unique, service
+    assert fingerprint_run(run) == run_fingerprint(5, "none", SEQUENTIAL)
 
 
 def test_uncached_run_captures_no_cache_stats():

@@ -15,6 +15,7 @@ from repro.obs import (
     MetricsRegistry,
     NullMetrics,
     NullTracer,
+    TRACE_FORMAT_VERSION,
     Telemetry,
     Tracer,
 )
@@ -24,10 +25,10 @@ from repro.types import Forum
 from repro.world.scenario import ScenarioConfig, build_world
 
 FORUM_SPANS = {f"collect/{forum.value}" for forum in Forum}
-SERVICE_SPANS = {
-    "enrich/hlr", "enrich/whois", "enrich/crtsh", "enrich/spamhaus-pdns",
-    "enrich/ipinfo", "enrich/virustotal", "enrich/gsb", "enrich/openai",
-}
+ENRICH_STAGE_SPANS = {"enrich/precompute", "enrich/senders", "enrich/urls",
+                      "enrich/annotate"}
+ENRICHMENT_SERVICES = ("hlr", "whois", "crtsh", "spamhaus-pdns", "ipinfo",
+                       "virustotal", "gsb", "openai")
 
 
 @pytest.fixture(scope="module")
@@ -114,21 +115,10 @@ class TestMetrics:
                   for c in registry.counters()}
         assert values == {(("forum", "a"),): 1, (("forum", "b"),): 2}
 
-    def test_histogram_summary(self):
-        histogram = MetricsRegistry().histogram("latency")
-        for value in (2.0, 4.0, 9.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.total == 15.0
-        assert histogram.min == 2.0
-        assert histogram.max == 9.0
-        assert histogram.mean == 5.0
-
     def test_null_metrics_noop(self):
         metrics = NullMetrics()
         metrics.counter("x", service="s").inc(10)
-        metrics.histogram("y").observe(1.0)
-        assert metrics.to_dict() == {"counters": [], "histograms": []}
+        assert metrics.to_dict() == {"counters": []}
 
 
 class TestNullTracer:
@@ -257,13 +247,14 @@ class TestJsonRoundTrip:
         path = tmp_path / "trace.json"
         telemetry.write_json(path)
         loaded = json.loads(path.read_text())
-        assert loaded["format"] >= 1
+        assert loaded["format"] == TRACE_FORMAT_VERSION == 3
+        assert "profile" not in loaded
         (span,) = loaded["spans"]
         assert span["name"] == "pipeline"
         assert span["sim_seconds"] == pytest.approx(5.0)
-        (counter,) = loaded["metrics"]["counters"]
-        assert counter == {"name": "service.requests",
-                           "labels": {"service": "hlr"}, "value": 3.0}
+        assert loaded["metrics"] == {"counters": [
+            {"name": "service.requests", "labels": {"service": "hlr"},
+             "value": 3.0}]}
         assert loaded["meters"]["hlr"]["used"] == 1
 
 
@@ -274,9 +265,20 @@ class TestPipelineTelemetry:
             assert names.count(name) == 1, name
 
     def test_one_span_per_enrichment_service(self, obs_run):
-        names = obs_run.telemetry.tracer.names()
-        for name in SERVICE_SPANS:
+        """Each enrichment stage has one span; each enrichment service
+        is tallied once, by the meter hook's ``service.requests``."""
+        telemetry = obs_run.telemetry
+        names = telemetry.tracer.names()
+        for name in ENRICH_STAGE_SPANS:
             assert names.count(name) == 1, name
+        assert not [name for name in names if name.startswith("enrich/")
+                    and name not in ENRICH_STAGE_SPANS]
+        requests = [counter for counter in telemetry.metrics.counters()
+                    if counter.name == "service.requests"]
+        for service in ENRICHMENT_SERVICES:
+            matching = [c for c in requests
+                        if c.labels == {"service": service}]
+            assert len(matching) == 1 and matching[0].value > 0, service
 
     def test_stage_spans_nest_under_pipeline(self, obs_run):
         tracer = obs_run.telemetry.tracer
@@ -313,3 +315,15 @@ class TestPipelineTelemetry:
         assert "Pipeline stages" in summary
         assert "Service telemetry" in summary
         assert "openai" in summary
+
+    def test_self_column_sums_to_root_wall(self, obs_run):
+        """On a live clock every second of the root span belongs to
+        exactly one row's Self, so the column adds up to the root's
+        Wall (each cell is rounded to 4 places)."""
+        table = obs_run.telemetry.span_table()
+        rows = dict(zip(table.column("Stage"), table.rows))
+        wall = table.columns.index("Wall (s)")
+        root_wall = rows["pipeline"][wall]
+        assert root_wall > 0
+        assert sum(table.column("Self (s)")) == pytest.approx(
+            root_wall, abs=1e-4 * len(rows))

@@ -1,18 +1,15 @@
 """Unit tests for the performance observatory's analysis layer.
 
-Covers the percentile digest, self/cumulative hot-path attribution and
-Chrome trace export.
+Covers the percentile digest, the stage table's per-name count, wall
+and self-time attribution, and Chrome trace export.
 """
 
 import json
 
 import pytest
 
-from repro.obs.profile import (
-    PercentileDigest,
-    build_profile,
-    chrome_trace,
-)
+from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.profile import PercentileDigest, chrome_trace
 from repro.obs.trace import Tracer
 
 
@@ -24,6 +21,12 @@ def _fake_clock():
         state["now"] += seconds
 
     return (lambda: state["now"]), advance
+
+
+def _stage_rows(tracer):
+    """``Telemetry.span_table`` over ``tracer``'s spans, keyed by Stage."""
+    table = Telemetry(tracer=tracer, metrics=MetricsRegistry()).span_table()
+    return {row[0]: dict(zip(table.columns, row)) for row in table.rows}
 
 
 class TestPercentileDigest:
@@ -68,6 +71,9 @@ class TestPercentileDigest:
 
 
 class TestBuildProfile:
+    """The per-name profile ``Telemetry.span_table`` builds: one row per
+    span name with its count and its summed wall and self seconds."""
+
     def test_self_time_excludes_direct_children(self):
         now, advance = _fake_clock()
         tracer = Tracer(time_source=now)
@@ -79,37 +85,27 @@ class TestBuildProfile:
         advance(0.5)                     # more parent-only work
         tracer.end(parent)
 
-        profile = build_profile(tracer.spans)
-        enrich = profile.stages["enrich"]
-        urls = profile.stages["enrich/urls"]
-        assert enrich.cum_seconds == pytest.approx(4.5)
-        assert enrich.self_seconds == pytest.approx(1.5)
-        assert urls.self_seconds == pytest.approx(3.0)
-        assert profile.total_seconds == pytest.approx(4.5)
+        rows = _stage_rows(tracer)
+        assert list(rows) == ["enrich", "enrich/urls"]
+        assert rows["enrich"]["Wall (s)"] == pytest.approx(4.5)
+        assert rows["enrich"]["Self (s)"] == pytest.approx(1.5)
+        assert rows["enrich/urls"]["Self (s)"] == pytest.approx(3.0)
 
     def test_stages_aggregate_by_name(self):
         now, advance = _fake_clock()
         tracer = Tracer(time_source=now)
         for seconds in (1.0, 2.0, 3.0):
-            span = tracer.start("collect/Twitter")
+            span = tracer.start("collect/Twitter", posts_seen=1)
             advance(seconds)
             tracer.end(span)
-        profile = build_profile(tracer.spans)
-        stage = profile.stages["collect/Twitter"]
-        assert stage.count == 3
-        assert stage.cum_seconds == pytest.approx(6.0)
-        assert stage.durations.p50 == pytest.approx(2.0)
-
-    def test_throughput_off_records_attribute(self):
-        now, advance = _fake_clock()
-        tracer = Tracer(time_source=now)
-        span = tracer.start("curate")
-        span.set(records_out=300)
-        advance(2.0)
-        tracer.end(span)
-        profile = build_profile(tracer.spans)
-        assert profile.stages["curate"].records_per_sec \
-            == pytest.approx(150.0)
+        rows = _stage_rows(tracer)
+        assert list(rows) == ["collect/Twitter"]
+        row = rows["collect/Twitter"]
+        assert row["Count"] == 3
+        assert row["Wall (s)"] == pytest.approx(6.0)
+        assert row["Self (s)"] == pytest.approx(6.0)
+        # A repeated name shows no attributes; the trace keeps each span's.
+        assert row["Detail"] is None
 
     def test_unfinished_span_counted_not_timed(self):
         now, advance = _fake_clock()
@@ -118,24 +114,12 @@ class TestBuildProfile:
         tracer.start("enrich")           # never ended by its owner...
         advance(1.0)
         tracer.end(parent)               # ...pops it without a timestamp
-        profile = build_profile(tracer.spans)
-        enrich = profile.stages["enrich"]
-        assert enrich.unfinished == 1
-        assert enrich.cum_seconds == 0.0
-        assert enrich.durations.count == 0
-        # The unfinished row is visible in the table, not dropped.
-        text = profile.table().to_text()
-        assert "1 unfinished" in text
-
-    def test_hot_paths_orders_by_self_time(self):
-        now, advance = _fake_clock()
-        tracer = Tracer(time_source=now)
-        for name, seconds in (("fast", 1.0), ("slow", 5.0), ("mid", 2.0)):
-            span = tracer.start(name)
-            advance(seconds)
-            tracer.end(span)
-        names = [s.name for s in build_profile(tracer.spans).hot_paths()]
-        assert names == ["slow", "mid", "fast"]
+        rows = _stage_rows(tracer)
+        assert rows["enrich"]["Count"] == "1 (1 unfinished)"
+        assert rows["enrich"]["Wall (s)"] is None
+        assert rows["enrich"]["Self (s)"] is None
+        # The unfinished child subtracts nothing from its parent.
+        assert rows["pipeline"]["Self (s)"] == pytest.approx(1.0)
 
 
 class TestChromeTrace:

@@ -398,12 +398,11 @@ class TestBreakerSnapshotsOnFailedRuns:
 class TestSpansSurviveCrashes:
     """Regression: a crashed run's trace must still serialise coherently.
 
-    Stage accounting spans are closed in a ``finally``
-    (``Enricher._metered_stage``) and any span the crash left open on
-    the tracer stack is flagged + ended by ``Tracer.abandon_open`` in
-    ``run_pipeline``'s own ``finally`` — so a partial trace always
-    exports, and unfinished spans serialise with ``wall_seconds=None``
-    rather than a bogus zero.
+    Stage spans are context managers that close (stamping the error) as
+    the crash propagates, and any span the crash left open on the tracer
+    stack is flagged + ended by ``Tracer.abandon_open`` in the run's own
+    teardown — so a partial trace always exports, and unfinished spans
+    serialise with ``wall_seconds=None`` rather than a bogus zero.
     """
 
     def _crash_run(self):
@@ -425,25 +424,24 @@ class TestSpansSurviveCrashes:
     def test_partial_spans_captured_and_serialisable(self):
         telemetry, json_mod = self._crash_run()
         spans = {span.name: span for span in telemetry.tracer.spans}
-        # The stage that died still has its accounting span, closed by
-        # the finally with the requests it charged before the crash.
-        assert "enrich/whois" in spans
-        assert spans["enrich/whois"].finished
-        assert spans["enrich/whois"].attributes["requests"] >= 1
-        # Ancestor spans saw the crash propagate: each context manager
-        # closed its span on the way out, stamping the error.
-        assert spans["pipeline"].finished
-        assert "SimulatedCrash" in spans["pipeline"].attributes["error"]
-        assert "SimulatedCrash" in spans["enrich"].attributes["error"]
-        # Nothing is left open, and the whole trace exports as JSON —
-        # including the profile built over the partial span set.
+        # The meter hook counted what the dying stage charged live
+        # before the crash.
+        assert telemetry.metrics.value("service.requests",
+                                       service="whois") >= 1
+        # The stage that died and its ancestors saw the crash
+        # propagate: each context manager closed its span on the way
+        # out, stamping the error.
+        for name in ("enrich/urls", "enrich", "pipeline"):
+            assert spans[name].finished, name
+            assert "SimulatedCrash" in spans[name].attributes["error"]
+        # Nothing is left open, and the whole trace exports as JSON.
         assert telemetry.tracer.open_spans() == []
         document = json_mod.loads(telemetry.to_json())
         assert document["spans"], "crashed run serialised no spans"
-        assert document["profile"]["stages"], "crashed run lost profile"
+        assert "profile" not in document
 
     def test_unfinished_spans_serialise_as_none_not_zero(self):
-        from repro.obs.profile import build_profile
+        from repro.obs import MetricsRegistry, Telemetry
         from repro.obs.trace import Tracer
 
         tracer = Tracer(time_source=lambda: 0.0)
@@ -452,9 +450,10 @@ class TestSpansSurviveCrashes:
         tracer.end(parent)
         dumped = {span["name"]: span for span in tracer.to_dicts()}
         assert dumped["enrich"]["wall_seconds"] is None
-        profile = build_profile(tracer.spans)
-        assert profile.stages["enrich"].unfinished == 1
-        assert profile.stages["enrich"].durations.count == 0
+        table = Telemetry(tracer=tracer,
+                          metrics=MetricsRegistry()).span_table()
+        rows = {row[0]: row for row in table.rows}
+        assert rows["enrich"][1:4] == ["1 (1 unfinished)", None, None]
 
     def test_abandon_open_flags_error_and_empties_stack(self):
         from repro.obs.trace import Tracer

@@ -323,6 +323,17 @@ class TestBurstLoadSmoke:
         transitions = service.telemetry.serve_transition_table()
         assert any("shedding" in str(row) for row in transitions.rows)
 
+    def test_stage_table_has_one_row_per_span_name(self, service):
+        """Thousands of batch spans fold into one row per span name, in
+        first-start order, and the batch row counts every batch."""
+        telemetry = service.telemetry
+        table = telemetry.span_table()
+        names = table.column("Stage")
+        assert names == list(dict.fromkeys(telemetry.tracer.names()))
+        counts = dict(zip(names, table.column("Count")))
+        assert counts["serve/batch"] == service.stats()["batches"] > 1
+        assert counts["serve"] == 1
+
 
 class TestDegradedOperation:
     def test_outage_faults_push_service_degraded(self):

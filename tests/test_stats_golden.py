@@ -1,13 +1,13 @@
 """Golden-snapshot tests for the ``repro stats`` CLI surface.
 
 The full stdout of ``python -m repro stats`` at a fixed seed — header
-line, Pipeline stages, Hot paths, Service telemetry, Resilience, Cache,
-and Run counters tables, plus the per-service gap report — is checked
-in under
+line, Pipeline stages, Service telemetry, Resilience, Cache, and Run
+counters tables, plus the per-service gap report — is checked in under
 ``tests/golden/`` and compared byte-for-byte. Wall-clock span timings
 are the one nondeterministic ingredient, so the tests freeze the
-tracer's time source at 0.0 (every "Wall (s)" cell renders as 0.0);
-everything else is a pure function of the seed and the sim clock.
+tracer's time source at 0.0 (every "Wall (s)" and "Self (s)" cell
+renders as 0.00); everything else is a pure function of the seed and
+the sim clock.
 
 Regenerating after an intentional output change::
 

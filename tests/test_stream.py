@@ -422,11 +422,11 @@ class TestIngest:
         assert manifest["committed"] == manifest["target_epochs"] == 3
 
     def test_run_then_ingest_counts_each_source_once(self, tmp_path):
-        """Every ``run()`` ends by mirroring the session's cache, ledger
-        and checkpoint totals into counters. Those sources count over
-        the whole session, so ``run(); ingest(1)`` in one process must
-        leave each counter equal to its source, not to the sum of the
-        two captures."""
+        """Every ``run()`` ends by capturing the session's cache, stream
+        and checkpoint snapshots. Those sources count over the whole
+        session, so after ``run(); ingest(1)`` in one process each
+        snapshot equals its source, and no counter repeats (and so
+        double-counts) their totals."""
         from repro.obs import Telemetry
 
         stream_dir = tmp_path / "run"
@@ -437,14 +437,15 @@ class TestIngest:
             telemetry_factory=lambda world: telemetry)
         session.run()
         session.ingest(1)
-        value = telemetry.metrics.value
-        for service, counts in telemetry.cache_snapshot["services"].items():
-            for event in ("hits", "misses"):
-                assert value(f"cache.{event}", service=service) \
-                    == counts[event] > 0
-        ledger = session.ledger.stats()
-        assert value("stream.ledger_hits") == ledger["hits"] > 0
-        assert value("stream.ledger_misses") == ledger["misses"] > 0
+        assert telemetry.cache_snapshot == session.stages.cache.stats()
+        assert telemetry.cache_snapshot["totals"]["hits"] > 0
+        assert telemetry.stream_snapshot == session.stats()
+        ledger = telemetry.stream_snapshot["ledger"]
+        assert ledger == session.ledger.stats()
+        assert ledger["hits"] > 0 and ledger["misses"] > 0
+        assert not [counter.name for counter in telemetry.metrics.counters()
+                    if counter.name.startswith(
+                        ("cache.", "checkpoint.", "stream."))]
         journaled = {"barrier": 0, "lookup": 0}
         for journal in sorted(stream_dir.glob("epochs/*/journal.jsonl")):
             for line in journal.read_text().splitlines():
@@ -452,10 +453,10 @@ class TestIngest:
                 if kind in journaled:
                     journaled[kind] += 1
         assert journaled["barrier"] == 3 * 3  # epoch-start, collection, curation
-        assert value("checkpoint.barriers_written", mode="record") \
-            == journaled["barrier"]
-        assert value("checkpoint.lookups_recorded", mode="record") \
-            == journaled["lookup"] > 0
+        checkpoint = telemetry.checkpoint_snapshot
+        assert checkpoint["mode"] == "record"
+        assert checkpoint["barriers_written"] == journaled["barrier"]
+        assert checkpoint["lookups_recorded"] == journaled["lookup"] > 0
 
     def test_ingest_requires_caught_up_stream(self, tmp_path):
         from repro.errors import SimulatedCrash
