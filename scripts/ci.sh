@@ -5,7 +5,8 @@
 # workload reads "correct": true, a coverage gate, and smoke tests of the
 # CLI surface: observability, chaos, parallel execution on the process
 # pool, five kill/resume legs, Chrome trace export, hostile input, the
-# investigation fleet and the garbage collector.
+# investigation fleet and the garbage collector, and a run of every
+# example script.
 #
 # Usage: scripts/ci.sh
 # The coverage gate (scripts/coverage_gate.py) fails the build when
@@ -33,9 +34,11 @@
 # `--hostile poison` run quarantines with exact three-bucket accounting
 # while the clean run quarantines nothing. The investigation smoke test
 # checks that a 4-worker fleet prints the serial run's fingerprint.
-# The GC smoke test runs one report normally and once with
-# the collector disabled for the whole process, and diffs the two byte
-# for byte. Speed is not gated here: bench/run.py measures it against
+# The examples leg runs each examples/*.py to completion (exit 0),
+# from inside the scratch directory because dataset_release.py writes
+# its release to the current directory. The GC smoke test runs one
+# report normally and once with the collector disabled for the whole
+# process, and diffs the two byte for byte. Speed is not gated here: bench/run.py measures it against
 # the bounds in BENCHMARK.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -332,6 +335,17 @@ if [ -z "$serial_invest_fp" ] || [ "$serial_invest_fp" != "$proc_invest_fp" ]; t
   exit 1
 fi
 echo "investigate ok: worker-count + kill-and-resume fingerprints match"
+
+echo "== examples =="
+root="$(pwd)"
+for example in examples/*.py; do
+  if ! (cd "$work" && PYTHONPATH="$root/src" python "$root/$example" \
+      > /dev/null); then
+    echo "examples FAILED: $example did not exit 0" >&2
+    exit 1
+  fi
+  echo "example ok: $example"
+done
 
 echo "== GC smoke test (collector disabled for the whole process) =="
 # The engine freezes the heap for a run; the collector must never change

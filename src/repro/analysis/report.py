@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.active import CaseStudyReport, run_case_study
 from ..core.evaluation import EvaluationReport, evaluate_annotation
 from ..core.pipeline import PipelineRun
+from ..investigate import CaseStudyReport, run_case_study
 from ..utils.tables import Table
 from .detection import build_table9, build_table18
 from .domains import build_table6, build_table16, build_table17

@@ -74,7 +74,6 @@ from .checkpoint import (
     resume_pipeline,
 )
 from .checkpoint.identity import policy_from_dict
-from .core.active import run_case_study
 from .core.anonymize import build_release, save_release
 from .core.pipeline import PipelineRun, run_pipeline
 from .errors import CheckpointError, ConfigurationError, SimulatedCrash
@@ -84,6 +83,7 @@ from .investigate import (
     INVESTIGATE_MANIFEST_NAME,
     PLAYBOOKS,
     fleet_fingerprint,
+    run_case_study,
     run_investigation,
     write_packages,
 )

@@ -343,9 +343,10 @@ class Enricher:
             return None
         return self._cache.peek(service, subject)
 
-    def _precompute(self, dataset: SmishingDataset) -> None:
-        """Fill the cache with every expensive pure compute, sharded
-        per-unique-subject over the worker pool.
+    def _precompute(self, dataset: SmishingDataset, *,
+                    annotate_only: bool) -> None:
+        """Fill the cache with every expensive pure compute the replay
+        will read, sharded per-unique-subject over the worker pool.
 
         Only side-effect-free paths run here: the annotator directly
         (reached via ``_annotator``, below the fault proxy and the
@@ -361,18 +362,22 @@ class Enricher:
         those ship, as picklable tasks (:class:`AnnotateShardTask`,
         :class:`ScanShardTask`) carrying pure inputs and returning
         ``(subject, value)`` pairs. Then each lookup the replay makes —
-        every record's text for openai, every unique URL for
-        virustotal — goes through ``get`` in canonical order, and each
-        miss is stored: a hit is a lookup answered without a compute,
-        and no subject is computed twice. The replay itself only peeks.
+        every record's text for openai; for virustotal every unique URL
+        not in ``known_urls``, and none under ``annotate_only``, which
+        scans nothing — goes through ``get`` in canonical order, and
+        each miss is stored: a hit is a lookup answered without a
+        compute, and no subject is computed twice. The replay itself
+        only peeks.
         """
         if self._cache is None:
             return
         cache, services, pool = self._cache, self._services, self._pool
         texts = [r.text for r in dataset]
-        urls = list(dict.fromkeys(
-            str(r.url) for r in dataset if r.url is not None
-        ))
+        urls = [] if annotate_only else [
+            url for url in dict.fromkeys(
+                str(r.url) for r in dataset if r.url is not None)
+            if url not in self._known_urls
+        ]
         with self._telemetry.tracer.span(
             "enrich/precompute", unique_texts=len(set(texts)),
             unique_urls=len(urls), workers=pool.workers,
@@ -530,7 +535,7 @@ class Enricher:
         result = EnrichedDataset(dataset=dataset)
         tracer = self._telemetry.tracer
         with tracer.span("enrich", records=len(dataset)) as sp:
-            self._precompute(dataset)
+            self._precompute(dataset, annotate_only=annotate_only)
             if not annotate_only:
                 with tracer.span("enrich/senders"):
                     self.enrich_senders(result)

@@ -8,7 +8,8 @@ into engineering:
   (``resolve_shortener`` → ``check_dns`` → ``fetch(device=…)`` → …)
   with two shipped presets: ``case-study`` (the §6 protocol, verbatim)
   and ``full-funnel`` (adds redirect-following and synthetic-PII form
-  submission through multi-page kits).
+  submission through multi-page kits). :func:`run_case_study` runs the
+  ``case-study`` preset over the §6 Twitter sample.
 * :mod:`repro.investigate.investigator` — the interpreter: one pure,
   picklable :class:`Investigator` navigates one URL's funnel and emits
   a :class:`FunnelProbe` (outcome, pages visited, payload, step trace).
@@ -34,13 +35,13 @@ from .evidence import (
     write_packages,
 )
 from .fleet import (
+    CaseStudyReport,
     FleetItem,
     FleetReport,
     InvestigationFleet,
     ProbeShardTask,
-    case_study_sample,
     fleet_items,
-    run_case_study_playbook,
+    run_case_study,
     run_fleet,
 )
 from .harness import (
@@ -55,7 +56,6 @@ from .investigator import (
     Investigator,
     StepTrace,
     step_latency_ms,
-    to_url_investigation,
 )
 from .playbook import (
     PLAYBOOKS,
@@ -79,6 +79,7 @@ __all__ = [
     "STEP_OPS",
     "SYNTHETIC_PII",
     "UNATTRIBUTED",
+    "CaseStudyReport",
     "CustodyEntry",
     "EvidencePackage",
     "FleetItem",
@@ -92,17 +93,15 @@ __all__ = [
     "PlaybookStep",
     "ProbeShardTask",
     "StepTrace",
-    "case_study_sample",
     "charged_calls",
     "fleet_fingerprint",
     "fleet_items",
     "get_playbook",
     "registry_keys",
-    "run_case_study_playbook",
+    "run_case_study",
     "run_fleet",
     "run_investigation",
     "step_latency_ms",
-    "to_url_investigation",
     "verify_package",
     "verify_package_dict",
     "write_packages",

@@ -17,9 +17,9 @@ uses everywhere else:
    resumes at the cursor with zero duplicate charges; a
    ``CrashPoint("scan", N)`` in the plan kills the fleet before scan N.
 
-The §6 case study is the degenerate fleet: the ``case-study`` playbook
-over the §6 Twitter sample; :func:`run_case_study_playbook` reproduces
-:func:`repro.core.active.run_case_study` byte-identically.
+The §6 case study (:func:`run_case_study`) is the degenerate fleet: the
+``case-study`` playbook over a seeded sample of Twitter reports, probed
+serially, then one unguarded VirusTotal scan per unique payload.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..checkpoint.state import (
     PROXY_PREFIX,
     StateRegistry,
 )
-from ..core.active import CaseStudyReport
 from ..core.dataset import SmishingDataset, SmishingRecord
 from ..errors import ServiceError
 from ..exec import WorkerPool, make_pool, shard
@@ -51,7 +50,7 @@ from ..services.webhost import ApkPayload
 from ..types import Forum
 from ..world.scenario import World
 from .evidence import UNATTRIBUTED, EvidencePackage
-from .investigator import FunnelProbe, Investigator, to_url_investigation
+from .investigator import FunnelProbe, Investigator
 from .playbook import Playbook, get_playbook
 from .session import InvestigationSession
 
@@ -126,6 +125,13 @@ def _investigation_date(record: SmishingRecord) -> Optional[dt.date]:
     return None
 
 
+def _family_distribution(verdicts: List[FamilyVerdict]) -> Dict[str, int]:
+    """Files per unified family, in first-seen order; a file no vendor
+    labelled counts as ``(unlabelled)``."""
+    return dict(Counter(verdict.family or "(unlabelled)"
+                        for verdict in verdicts))
+
+
 @dataclass
 class FleetReport:
     """Everything one investigation fleet produced."""
@@ -146,10 +152,7 @@ class FleetReport:
     workers: int = 1
 
     def family_distribution(self) -> Dict[str, int]:
-        counts: Counter = Counter()
-        for verdict in self.verdicts:
-            counts[verdict.family or "(unlabelled)"] += 1
-        return dict(counts)
+        return _family_distribution(self.verdicts)
 
     def stats(self) -> Dict[str, Any]:
         """Snapshot for telemetry's Investigations table and history."""
@@ -215,7 +218,7 @@ class InvestigationFleet:
             self.playbook,
             resolver=self.world.shortener_resolver,
             webhost=self.world.webhost,
-            zones=self.world.dns.zones if self.world.dns else None,
+            zones=self.world.dns,
         )
 
     def run_probes(self, items: List[FleetItem],
@@ -464,74 +467,81 @@ def run_fleet(
 
 
 # ---------------------------------------------------------------------------
-# §6 as a thin playbook preset.
+# §6: the case-study playbook over the paper's Twitter sample.
 # ---------------------------------------------------------------------------
 
 
-def case_study_sample(dataset: SmishingDataset, *, sample_posts: int = 200,
-                      seed: int = 6) -> List[SmishingRecord]:
-    """The exact §6 sampling protocol (shared with ``ActiveCaseStudy``)."""
-    rng = random.Random(seed)
-    twitter_records = [
-        record for record in dataset.by_forum(Forum.TWITTER)
-        if record.collected_at is not None
-    ]
-    return (
-        twitter_records if len(twitter_records) <= sample_posts
-        else rng.sample(twitter_records, sample_posts)
-    )
+@dataclass
+class CaseStudyReport:
+    """The §6 numbers plus the Table 19 family distribution."""
+
+    sampled_reports: int
+    investigated_urls: int
+    dead_short_links: int
+    apk_downloads: int
+    androzoo_hits: int
+    family_verdicts: List[FamilyVerdict] = field(default_factory=list)
+    investigations: List[FunnelProbe] = field(default_factory=list)
+
+    def family_distribution(self) -> Dict[str, int]:
+        return _family_distribution(self.family_verdicts)
+
+    @property
+    def dominant_family(self) -> Optional[str]:
+        distribution = self.family_distribution()
+        if not distribution:
+            return None
+        return max(distribution.items(), key=lambda kv: kv[1])[0]
 
 
-def run_case_study_playbook(
+def run_case_study(
     world: World,
     dataset: SmishingDataset,
     *,
     sample_posts: int = 200,
     seed: int = 6,
 ) -> CaseStudyReport:
-    """§6 reimplemented as the ``case-study`` playbook.
+    """The §6 protocol: follow the URLs of sampled Twitter reports.
 
-    Byte-identical to :func:`repro.core.active.run_case_study`: same
-    sampling, same per-URL step order, same payload bookkeeping, same
-    sorted-hash VirusTotal submissions, same Euphony unification.
+    Samples ``sample_posts`` dated Twitter records with
+    ``random.Random(seed)`` (all of them when there are no more), probes
+    each URL with the ``case-study`` playbook on its collection date,
+    while the shortener and the name may still be alive, then checks
+    each unique payload against AndroZoo and submits it to VirusTotal
+    in sorted-hash order, unifying the vendor labels with Euphony.
     """
-    playbook = get_playbook("case-study")
+    twitter_records = [
+        record for record in dataset.by_forum(Forum.TWITTER)
+        if record.collected_at is not None
+    ]
+    sample = (
+        twitter_records if len(twitter_records) <= sample_posts
+        else random.Random(seed).sample(twitter_records, sample_posts)
+    )
     investigator = Investigator(
-        playbook,
+        get_playbook("case-study"),
         resolver=world.shortener_resolver,
         webhost=world.webhost,
-        zones=world.dns.zones if world.dns else None,
+        zones=world.dns,
     )
-    sample = case_study_sample(dataset, sample_posts=sample_posts,
-                               seed=seed)
-    investigations = []
-    payloads: Dict[str, ApkPayload] = {}
-    dead_links = 0
-    for index, record in enumerate(sample):
-        if record.url is None:
-            continue
-        on = record.collected_at.date()
-        probe = investigator.probe(index, record.record_id, record.url, on)
-        investigation = to_url_investigation(probe)
-        investigations.append(investigation)
-        if investigation.shortener_dead:
-            dead_links += 1
-        if investigation.apk is not None:
-            payloads[investigation.apk.sha256] = investigation.apk
-
+    probes = [
+        investigator.probe(index, record.record_id, record.url,
+                           record.collected_at.date())
+        for index, record in enumerate(sample) if record.url is not None
+    ]
+    shas = sorted({probe.apk.sha256 for probe in probes
+                   if probe.apk is not None})
     androzoo_hits = sum(
-        1 for sha in payloads if world.androzoo.lookup(sha) is not None
+        1 for sha in shas if world.androzoo.lookup(sha) is not None
     )
-    verdicts: List[FamilyVerdict] = []
-    for sha in sorted(payloads):
-        report = world.virustotal.scan_file(sha)
-        verdicts.append(UNIFIER.unify(report))
+    verdicts = [UNIFIER.unify(world.virustotal.scan_file(sha))
+                for sha in shas]
     return CaseStudyReport(
         sampled_reports=len(sample),
-        investigated_urls=len(investigations),
-        dead_short_links=dead_links,
-        apk_downloads=len(payloads),
+        investigated_urls=len(probes),
+        dead_short_links=sum(probe.shortener_dead for probe in probes),
+        apk_downloads=len(shas),
         androzoo_hits=androzoo_hits,
         family_verdicts=verdicts,
-        investigations=investigations,
+        investigations=probes,
     )

@@ -168,7 +168,7 @@ class Investigator:
         *,
         resolver: ShortenerResolver,
         webhost: WebHostService,
-        zones: Optional[DnsZoneDatabase] = None,
+        zones: DnsZoneDatabase,
     ):
         self.playbook = playbook
         self._resolver = resolver
@@ -204,9 +204,6 @@ class Investigator:
         self._trace(draft, step, f"{service} -> {target.host}", "ok")
 
     def _check_dns(self, draft: _ProbeDraft, step: PlaybookStep) -> None:
-        if self._zones is None:
-            self._trace(draft, step, "no zone database", "skipped")
-            return
         host = draft.resolved.host if draft.resolved else draft.original.host
         alive = any(
             record.alive_on(draft.on)
@@ -317,27 +314,3 @@ class Investigator:
             handlers[step.op](draft, step)
         return draft.freeze()
 
-
-def to_url_investigation(probe: FunnelProbe):
-    """Project a probe onto the §6 :class:`UrlInvestigation` shape.
-
-    The case-study preset's report is assembled from these projections;
-    field-for-field equality with ``ActiveCaseStudy.investigate_url`` is
-    what the byte-identity acceptance test pins.
-    """
-    from ..core.active import UrlInvestigation
-
-    if probe.shortener_dead:
-        return UrlInvestigation(original=probe.original,
-                                shortener=probe.shortener,
-                                shortener_dead=True)
-    return UrlInvestigation(
-        original=probe.original,
-        resolved=probe.resolved,
-        shortener=probe.shortener,
-        nxdomain=probe.nxdomain,
-        desktop_kind=probe.desktop_kind,
-        android_kind=probe.android_kind,
-        apk=probe.apk,
-        chain=probe.chain,
-    )

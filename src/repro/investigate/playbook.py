@@ -10,8 +10,8 @@ interprets a playbook against the world's service simulators.
 
 Two presets ship:
 
-* ``case-study`` — the exact §6 protocol. Interpreted over the §6 sample
-  it reproduces :func:`repro.core.active.run_case_study` byte-identically.
+* ``case-study`` — the exact §6 protocol, which
+  :func:`repro.investigate.fleet.run_case_study` runs over the §6 sample.
 * ``full-funnel`` — the case-study protocol plus funnel navigation:
   follow redirects, submit synthetic PII into credential and payment/OTP
   forms, so multi-step kits are walked to the bottom.
@@ -20,7 +20,7 @@ Two presets ship:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigurationError
 
@@ -41,7 +41,8 @@ class PlaybookStep:
     """One step: an operation plus its parameters.
 
     ``params`` is stored as a sorted tuple of ``(key, value)`` pairs so
-    steps are hashable, picklable, and render canonically.
+    steps are hashable, picklable, and equal whatever order their
+    parameters were given in.
     """
 
     op: str
@@ -63,21 +64,6 @@ class PlaybookStep:
                 return value
         return default
 
-    def describe(self) -> str:
-        if not self.params:
-            return self.op
-        rendered = ", ".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.op}({rendered})"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"op": self.op, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "PlaybookStep":
-        params = data.get("params") or {}
-        return cls.make(str(data["op"]),
-                        **{str(k): str(v) for k, v in dict(params).items()})
-
 
 @dataclass(frozen=True)
 class Playbook:
@@ -92,28 +78,6 @@ class Playbook:
             raise ConfigurationError(
                 f"playbook {self.name!r} has no steps"
             )
-
-    def has_op(self, op: str) -> bool:
-        return any(step.op == op for step in self.steps)
-
-    def describe(self) -> str:
-        return " -> ".join(step.describe() for step in self.steps)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "steps": [step.to_dict() for step in self.steps],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Playbook":
-        return cls(
-            name=str(data["name"]),
-            description=str(data.get("description", "")),
-            steps=tuple(PlaybookStep.from_dict(step)
-                        for step in data.get("steps", [])),
-        )
 
 
 def _case_study_steps() -> Tuple[PlaybookStep, ...]:

@@ -1,9 +1,13 @@
-"""Authoritative DNS zones and a resolving client for the active crawl.
+"""Authoritative DNS zones for the active crawl.
 
 Passive DNS (:mod:`repro.services.passivedns`) answers *historical*
 questions; the §6 case study needs *live* resolution: when the crawler
-follows a URL, the hostname must resolve right now, or the fetch dies
+follows a URL, the hostname must resolve on that day, or the fetch dies
 with NXDOMAIN — one of the takedown states active measurement observes.
+The crawler's ``check_dns`` step reads the name's records from
+:meth:`DnsZoneDatabase.records_for`; the name resolves when one of them
+is :meth:`~DnsRecord.alive_on` that day. The zones never change after
+the world is built, so an answer needs no cache.
 
 The zone database is populated from the world's domain assets. Records
 expire when a registrar suspends the domain (modelled off the host
@@ -16,9 +20,8 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
-from ..errors import NotFound
 from ..utils.rng import stable_hash
 from .ipaddr import IPv4
 
@@ -76,68 +79,3 @@ class DnsZoneDatabase:
     def __len__(self) -> int:
         return len(self._records)
 
-
-@dataclass(frozen=True)
-class ResolutionResult:
-    """Outcome of one live query."""
-
-    name: str
-    addresses: Tuple[IPv4, ...]
-    from_cache: bool = False
-
-    @property
-    def resolved(self) -> bool:
-        return bool(self.addresses)
-
-
-class DnsResolver:
-    """Caching stub resolver over the zone database.
-
-    The cache honours record TTLs in *queries*, not wall-clock time: each
-    ``resolve`` advances a query counter and entries expire after
-    ``ttl_queries`` lookups — a deterministic stand-in for time-based
-    expiry that still exercises the cache-consistency paths.
-    """
-
-    def __init__(self, zones: DnsZoneDatabase, *, ttl_queries: int = 50):
-        self._zones = zones
-        self.zones = zones  # public: stateless probes read records directly
-        self._ttl = ttl_queries
-        self._cache: Dict[Tuple[str, dt.date], Tuple[int, ResolutionResult]] = {}
-        self._clock = 0
-        self.queries = 0
-        self.cache_hits = 0
-
-    def resolve(self, name: str, on: dt.date) -> ResolutionResult:
-        """Resolve ``name`` as of ``on``; raises NXDOMAIN as NotFound."""
-        self._clock += 1
-        self.queries += 1
-        key = (name.lower().strip("."), on)
-        cached = self._cache.get(key)
-        if cached is not None and self._clock - cached[0] <= self._ttl:
-            self.cache_hits += 1
-            result = cached[1]
-            if not result.resolved:
-                raise NotFound(f"NXDOMAIN (cached): {name}", service="dns")
-            return ResolutionResult(
-                name=result.name, addresses=result.addresses, from_cache=True
-            )
-        alive = tuple(
-            record.address for record in self._zones.records_for(name)
-            if record.alive_on(on)
-        )
-        result = ResolutionResult(name=key[0], addresses=alive)
-        self._cache[key] = (self._clock, result)
-        if not alive:
-            raise NotFound(f"NXDOMAIN: {name}", service="dns")
-        return result
-
-    def try_resolve(self, name: str, on: dt.date) -> Optional[ResolutionResult]:
-        try:
-            return self.resolve(name, on)
-        except NotFound:
-            return None
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.queries if self.queries else 0.0

@@ -22,7 +22,7 @@ from ..forums.smishtank import SmishtankService
 from ..forums.twitter import TwitterService
 from ..imaging.renderer import ScreenshotRenderer
 from ..net.asn import AsRegistry
-from ..net.dns import DnsResolver, DnsZoneDatabase
+from ..net.dns import DnsZoneDatabase
 from ..net.tld import TldRegistry, default_registry
 from ..services.androzoo import AndroZooService
 from ..services.base import SimClock
@@ -114,7 +114,7 @@ class World:
     shortener_resolver: ShortenerResolver
     webhost: WebHostService
     androzoo: AndroZooService
-    dns: DnsResolver = None  # type: ignore[assignment]
+    dns: DnsZoneDatabase
     _events_by_id: Dict[str, SmishingEvent] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -256,6 +256,6 @@ def build_world(config: Optional[ScenarioConfig] = None) -> World:
         ),
         webhost=webhost,
         androzoo=AndroZooService(config.androzoo_corpus_size),
-        dns=DnsResolver(DnsZoneDatabase.from_assets(infrastructure.assets)),
+        dns=DnsZoneDatabase.from_assets(infrastructure.assets),
     )
     return world

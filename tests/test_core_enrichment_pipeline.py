@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import Stages, run_pipeline
+from repro.exec import ExecutionPolicy
 from repro.services.shorteners import KNOWN_SHORTENERS
 from repro.types import GsbStatus, SenderIdKind
 from repro.world.infrastructure import FREE_HOSTING_WEIGHTS
+from repro.world.scenario import ScenarioConfig, build_world
 
 
 class TestSenderEnrichment:
@@ -131,3 +135,38 @@ class TestPipelineRun:
         dataset = pipeline_run.dataset
         assert len(dataset.unique_messages()) <= len(dataset)
         assert len(dataset.unique_senders()) <= len(dataset)
+
+
+def _virustotal_lookups(*, annotate_only=False, know_every_url=False):
+    """Enrich a fresh small world's dataset through ``Stages.enrich``
+    with a cache; return the unique URL count and the cache's
+    virustotal ``[hits, misses, stores]``."""
+    world = build_world(ScenarioConfig(seed=7, n_campaigns=3))
+    dataset = run_pipeline(world).dataset
+    urls = {str(record.url) for record in dataset if record.url is not None}
+    assert urls, "the world must carry URLs or the test proves nothing"
+    stages = Stages(world, PipelineConfig(), ExecutionPolicy(), None)
+    with stages.running():
+        stages.enrich(dataset, stages.services, annotate_only=annotate_only,
+                      known_urls=urls if know_every_url else ())
+    services = stages.cache.stats()["services"]
+    assert services["openai"]["misses"] > 0  # the precompute ran
+    counts = services.get("virustotal", {})
+    return len(urls), [counts.get(key, 0)
+                       for key in ("hits", "misses", "stores")]
+
+
+class TestPrecomputeLookups:
+    """The precompute looks a URL up only when the replay scans it."""
+
+    def test_every_unique_url_is_looked_up_once(self):
+        unique, counts = _virustotal_lookups()
+        assert counts == [0, unique, unique]
+
+    def test_annotate_only_looks_up_no_url(self):
+        _, counts = _virustotal_lookups(annotate_only=True)
+        assert counts == [0, 0, 0]
+
+    def test_known_urls_are_not_looked_up(self):
+        _, counts = _virustotal_lookups(know_every_url=True)
+        assert counts == [0, 0, 0]

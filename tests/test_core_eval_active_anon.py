@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.active import run_case_study
 from repro.core.anonymize import (
     build_release,
     save_release,
@@ -10,6 +9,7 @@ from repro.core.anonymize import (
     validate_release,
 )
 from repro.core.evaluation import evaluate_annotation
+from repro.investigate import run_case_study
 from repro.types import Forum
 
 

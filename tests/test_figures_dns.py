@@ -11,8 +11,7 @@ from repro.analysis.figures import (
     figure3_series,
     yearly_volume_series,
 )
-from repro.errors import NotFound
-from repro.net.dns import DnsRecord, DnsResolver, DnsZoneDatabase
+from repro.net.dns import DnsRecord, DnsZoneDatabase
 from repro.net.ipaddr import IPv4
 
 
@@ -97,41 +96,24 @@ class TestDnsZones:
                 asset.hosting.proxy_asn
 
 
+def _resolves(zones, name, day):
+    return [str(record.address) for record in zones.records_for(name)
+            if record.alive_on(day)]
+
+
 class TestDnsResolver:
+    """Live resolution as the crawler's ``check_dns`` step does it: a
+    name resolves on a day when one of its records is alive then."""
+
     def test_resolves_live_name(self):
-        resolver = DnsResolver(_zone())
-        result = resolver.resolve("evil.example.com", dt.date(2022, 1, 5))
-        assert result.resolved
-        assert str(result.addresses[0]) == "192.0.2.10"
+        assert _resolves(_zone(), "evil.example.com",
+                         dt.date(2022, 1, 5)) == ["192.0.2.10"]
 
     def test_nxdomain_after_takedown(self):
-        resolver = DnsResolver(_zone(lifetime_days=3))
-        with pytest.raises(NotFound):
-            resolver.resolve("evil.example.com", dt.date(2022, 2, 1))
+        zones = _zone(lifetime_days=3)
+        assert _resolves(zones, "evil.example.com", dt.date(2022, 1, 4))
+        assert not _resolves(zones, "evil.example.com", dt.date(2022, 2, 1))
 
     def test_unknown_name_nxdomain(self):
-        resolver = DnsResolver(_zone())
-        with pytest.raises(NotFound):
-            resolver.resolve("nope.example.org", dt.date(2022, 1, 5))
-
-    def test_cache_hit(self):
-        resolver = DnsResolver(_zone())
-        first = resolver.resolve("evil.example.com", dt.date(2022, 1, 5))
-        second = resolver.resolve("evil.example.com", dt.date(2022, 1, 5))
-        assert not first.from_cache
-        assert second.from_cache
-        assert resolver.cache_hit_rate == 0.5
-
-    def test_negative_answers_cached(self):
-        resolver = DnsResolver(_zone())
-        for _ in range(2):
-            with pytest.raises(NotFound):
-                resolver.resolve("gone.example.com", dt.date(2022, 1, 5))
-        assert resolver.cache_hits == 1
-
-    def test_cache_expires_by_queries(self):
-        resolver = DnsResolver(_zone(), ttl_queries=1)
-        resolver.resolve("evil.example.com", dt.date(2022, 1, 5))
-        resolver.resolve("evil.example.com", dt.date(2022, 1, 6))
-        third = resolver.resolve("evil.example.com", dt.date(2022, 1, 5))
-        assert not third.from_cache  # expired after ttl_queries lookups
+        assert not _resolves(_zone(), "nope.example.org",
+                             dt.date(2022, 1, 5))

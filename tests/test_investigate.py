@@ -3,8 +3,9 @@
 Covers the acceptance guarantees end to end:
 
 * playbook validation and the shipped presets,
-* §6 byte-identity: the ``case-study`` preset reproduces
-  ``run_case_study`` field-for-field (and table-for-table),
+* §6: ``run_case_study`` (the ``case-study`` preset over the §6 Twitter
+  sample) identical, part by part, to a golden dump of every scalar,
+  verdict and URL row, its sample draw and the tables it renders,
 * worker-count equivalence: serial and process-pool fleets produce the
   same fingerprint, with and without fault profiles,
 * evidence-package integrity (verification, tamper detection, on-disk
@@ -13,36 +14,42 @@ Covers the acceptance guarantees end to end:
   the shared differential harness (``tests.differential``).
 """
 
+import dataclasses
 import datetime as dt
+import json
+import os
+import random
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.malware import build_table19, family_distribution_table
 from repro.checkpoint import StateRegistry
-from repro.core.active import run_case_study
 from repro.core.pipeline import run_pipeline
 from repro.errors import CheckpointError, ConfigurationError
 from repro.exec import ExecutionPolicy
 from repro.faults import CrashPoint
 from repro.investigate import (
+    CaseStudyReport,
     EvidencePackage,
     InvestigationSession,
     Playbook,
     PlaybookStep,
     PLAYBOOKS,
-    case_study_sample,
     charged_calls,
     fleet_fingerprint,
     fleet_items,
     get_playbook,
     registry_keys,
-    run_case_study_playbook,
+    run_case_study,
     run_fleet,
     run_investigation,
     verify_package,
     verify_package_dict,
     write_packages,
 )
+from repro.services.euphony import FamilyVerdict
+from repro.types import Forum
 from repro.world.scenario import ScenarioConfig, build_world
 
 from tests.differential import INVESTIGATE, baseline, kill_then_resume
@@ -105,8 +112,9 @@ class TestPlaybooks:
 
     def test_full_funnel_preset_adds_funnel_navigation(self):
         playbook = get_playbook("full-funnel")
-        assert playbook.has_op("follow_redirects")
-        assert playbook.has_op("submit_form")
+        ops = [step.op for step in playbook.steps]
+        assert "follow_redirects" in ops
+        assert "submit_form" in ops
         submit = next(s for s in playbook.steps if s.op == "submit_form")
         assert submit.param("pii") == "synthetic"
 
@@ -114,66 +122,147 @@ class TestPlaybooks:
         step = PlaybookStep.make("fetch", device="android")
         assert step.param("device") == "android"
         assert step.param("missing", "fallback") == "fallback"
-        assert PlaybookStep.from_dict(step.to_dict()) == step
-        playbook = get_playbook("full-funnel")
-        assert Playbook.from_dict(playbook.to_dict()) == playbook
 
-    def test_describe_renders_params(self):
-        step = PlaybookStep.make("fetch", device="desktop")
-        assert step.describe() == "fetch(device=desktop)"
-        assert "->" in get_playbook("case-study").describe()
+
+CASE_STUDY_GOLDEN = (Path(__file__).parent / "golden"
+                     / "casestudy_seed7_apk.json")
+#: Posts §6 samples; the fleet scenario has more dated Twitter records
+#: than this, so the seeded draw (not the take-all branch) is pinned.
+CASE_STUDY_POSTS = 200
+
+
+def _case_study_dump(study, world) -> str:
+    """Canonical JSON of one §6 run: every scalar, every verdict, one
+    row per URL with every field and hop, and what the run charged."""
+
+    def url(value):
+        return None if value is None else str(value)
+
+    rows = [
+        {
+            "original": str(inv.original),
+            "resolved": url(inv.resolved),
+            "shortener": inv.shortener,
+            "shortener_dead": inv.shortener_dead,
+            "nxdomain": inv.nxdomain,
+            "desktop_kind": inv.desktop_kind,
+            "android_kind": inv.android_kind,
+            "apk": dataclasses.asdict(inv.apk) if inv.apk else None,
+            "chain": ([str(hop) for hop in inv.chain]
+                      if inv.chain is not None else None),
+        }
+        for inv in study.investigations
+    ]
+    return json.dumps({
+        "sampled_reports": study.sampled_reports,
+        "investigated_urls": study.investigated_urls,
+        "dead_short_links": study.dead_short_links,
+        "apk_downloads": study.apk_downloads,
+        "androzoo_hits": study.androzoo_hits,
+        "family_verdicts": [
+            [v.sha256, v.family, v.support, v.total_labels]
+            for v in study.family_verdicts
+        ],
+        "investigations": rows,
+        "virustotal_used": world.virustotal.meter.used,
+        "clock": world.clock.now,
+    }, indent=1, sort_keys=True) + "\n"
 
 
 class TestCaseStudyIdentity:
-    """The §6 preset must be byte-identical to ``run_case_study``."""
+    """§6 at the fleet scenario must be identical to its golden dump.
 
-    CONFIG = ScenarioConfig(seed=7, n_campaigns=10)
-    SAMPLE_POSTS = 50
+    Each test compares one part of ``run_case_study``'s output with
+    ``casestudy_seed7_apk.json``. Regenerate after an intentional change
+    with ``REPRO_UPDATE_GOLDEN=1`` and review the diff like any other
+    code change.
+    """
 
     @pytest.fixture(scope="class")
-    def reports(self):
-        # Two independently built worlds: each arm charges its own
-        # meters, so they cannot share one.
-        world_a, dataset_a = _fresh_world_and_dataset(self.CONFIG)
-        world_b, dataset_b = _fresh_world_and_dataset(self.CONFIG)
-        base = run_case_study(world_a, dataset_a,
-                              sample_posts=self.SAMPLE_POSTS)
-        preset = run_case_study_playbook(world_b, dataset_b,
-                                         sample_posts=self.SAMPLE_POSTS)
-        return base, preset, world_a, world_b
+    def study(self):
+        world, dataset = _fresh_world_and_dataset(_fleet_scenario())
+        report = run_case_study(world, dataset,
+                                sample_posts=CASE_STUDY_POSTS)
+        return report, world, dataset
 
-    def test_scalar_fields_match(self, reports):
-        base, preset, _, _ = reports
-        assert preset.sampled_reports == base.sampled_reports
-        assert preset.investigated_urls == base.investigated_urls
-        assert preset.dead_short_links == base.dead_short_links
-        assert preset.apk_downloads == base.apk_downloads
-        assert preset.androzoo_hits == base.androzoo_hits
+    @pytest.fixture(scope="class")
+    def dumps(self, study):
+        """The run's dump and the golden's, both parsed."""
+        report, world, _ = study
+        output = _case_study_dump(report, world)
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            CASE_STUDY_GOLDEN.write_text(output, encoding="utf-8")
+            pytest.skip(f"updated golden {CASE_STUDY_GOLDEN.name}")
+        golden = json.loads(CASE_STUDY_GOLDEN.read_text(encoding="utf-8"))
+        return json.loads(output), golden
 
-    def test_verdicts_and_investigations_match(self, reports):
-        base, preset, _, _ = reports
-        assert preset.family_verdicts == base.family_verdicts
-        assert preset.investigations == base.investigations
+    def test_scalar_fields_match(self, dumps):
+        actual, golden = dumps
+        assert actual.keys() == golden.keys()
+        for key in ("sampled_reports", "investigated_urls",
+                    "dead_short_links", "apk_downloads", "androzoo_hits"):
+            assert actual[key] == golden[key], key
 
-    def test_tables_render_identically(self, reports):
-        base, preset, _, _ = reports
-        assert build_table19(preset).to_text() == \
-            build_table19(base).to_text()
-        assert family_distribution_table(preset).to_text() == \
-            family_distribution_table(base).to_text()
+    def test_verdicts_and_investigations_match(self, dumps):
+        actual, golden = dumps
+        assert actual["family_verdicts"] == golden["family_verdicts"]
+        assert len(actual["investigations"]) == \
+            len(golden["investigations"])
+        for index, (row, pinned) in enumerate(
+                zip(actual["investigations"], golden["investigations"])):
+            assert row == pinned, f"URL row {index} diverged"
 
-    def test_charged_calls_match(self, reports):
-        _, _, world_a, world_b = reports
-        assert charged_calls(world_b) == charged_calls(world_a)
+    def test_tables_render_identically(self, study, dumps):
+        # Table 19 and the family table read only the scalars and the
+        # verdicts, so a report rebuilt from the golden must render
+        # the live run's text.
+        report, _, _ = study
+        _, golden = dumps
+        pinned = CaseStudyReport(
+            sampled_reports=golden["sampled_reports"],
+            investigated_urls=golden["investigated_urls"],
+            dead_short_links=golden["dead_short_links"],
+            apk_downloads=golden["apk_downloads"],
+            androzoo_hits=golden["androzoo_hits"],
+            family_verdicts=[FamilyVerdict(*row)
+                             for row in golden["family_verdicts"]],
+        )
+        assert build_table19(report).to_text() == \
+            build_table19(pinned).to_text()
+        assert family_distribution_table(report).to_text() == \
+            family_distribution_table(pinned).to_text()
 
-    def test_sampling_protocol_is_exact(self, reports):
-        base, _, world_a, _ = reports
-        # The shared sampler must pick the same records §6's own
-        # sampling does (seeded Random(6) over dated Twitter records).
-        _, dataset_a = _fresh_world_and_dataset(self.CONFIG)
-        sample = case_study_sample(dataset_a,
-                                   sample_posts=self.SAMPLE_POSTS)
-        assert len(sample) == base.sampled_reports
+    def test_charged_calls_match(self, study, dumps):
+        _, world, _ = study
+        actual, golden = dumps
+        assert charged_calls(world) == \
+            {"virustotal": golden["virustotal_used"]}
+        assert actual["virustotal_used"] == golden["virustotal_used"]
+        assert actual["clock"] == golden["clock"]
+
+    def test_sampling_protocol_is_exact(self, study, dumps):
+        # §6 draws its reports with a seeded Random(6) over the dated
+        # Twitter records and follows their URLs in draw order.
+        report, _, dataset = study
+        _, golden = dumps
+        dated = [record for record in dataset.by_forum(Forum.TWITTER)
+                 if record.collected_at is not None]
+        assert len(dated) > CASE_STUDY_POSTS
+        sample = random.Random(6).sample(dated, CASE_STUDY_POSTS)
+        urls = [str(record.url) for record in sample
+                if record.url is not None]
+        assert report.sampled_reports == len(sample) == \
+            golden["sampled_reports"]
+        assert [str(inv.original) for inv in report.investigations] == urls
+        assert [row["original"] for row in golden["investigations"]] == urls
+
+    def test_golden_covers_every_outcome(self, study):
+        report, _, _ = study
+        assert {probe.outcome for probe in report.investigations} == {
+            "shortener_dead", "nxdomain", "dead_host", "phishing_page",
+            "apk_download",
+        }
+        assert report.family_verdicts, "no VirusTotal verdict is pinned"
 
 
 class TestFleetItems:
