@@ -96,6 +96,16 @@ class OpenAiVisionExtractor:
     generator per image (hashed from the seed and the image id), making
     each extraction a pure function of the image — required by the
     incremental ingester, whose epoch slicing reorders the batch.
+
+    A stable extractor therefore extracts each SMS screenshot once: it
+    memoises the result by the ``Screenshot`` object's ``id()`` and
+    returns the same :class:`VisionExtraction` for a resubmitted image.
+    Each entry holds its screenshot, so the id cannot be reused while
+    the memo lives; nothing mutates a screenshot once rendered, and
+    callers only read the result. ``processed`` and ``dismissed`` still
+    count every call. The memo is never persisted, so a resumed session
+    starts cold. A positional extractor keeps no memo: a repeat there
+    consumes fresh draws.
     """
 
     def __init__(
@@ -114,6 +124,10 @@ class OpenAiVisionExtractor:
         self.prompt = prompt
         self.processed = 0
         self.dismissed = 0
+        #: ``id(screenshot) -> (screenshot, extraction)`` when stable;
+        #: None for positional draws.
+        self._memo: Optional[Dict[int, tuple]] = (
+            None if stable_seed is None else {})
 
     def _draws_for(self, screenshot: Screenshot) -> random.Random:
         """The generator feeding one image's miss draws."""
@@ -129,7 +143,16 @@ class OpenAiVisionExtractor:
         if screenshot.kind is not ImageKind.SMS_SCREENSHOT:
             self.dismissed += 1
             return VisionExtraction("", "", "", "", dismissed=True)
+        if self._memo is None:
+            return self._extract_sms(screenshot)
+        entry = self._memo.get(id(screenshot))
+        if entry is None:
+            entry = (screenshot, self._extract_sms(screenshot))
+            self._memo[id(screenshot)] = entry
+        return entry[1]
 
+    def _extract_sms(self, screenshot: Screenshot) -> VisionExtraction:
+        """Read one SMS screenshot, drawing its misses afresh."""
         draws = self._draws_for(screenshot)
         text = self._reconstruct_body(screenshot)
         sender = ""

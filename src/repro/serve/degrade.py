@@ -77,7 +77,11 @@ class DegradationController:
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         self._breakers = breakers
-        self._meters = meters
+        #: The meters with a quota, in name order. A quota is fixed when
+        #: its service is built; the breaker dict, by contrast, gains
+        #: entries during a run and is read live.
+        self._quota_meters = [(name, meters[name]) for name in sorted(meters)
+                              if meters[name].quota is not None]
         #: Optional hostile-input signal: returns a reason string while
         #: the sanitizer is diverting an abnormal share of accepted
         #: reports (a poisoning attempt in progress), None when calm.
@@ -90,26 +94,26 @@ class DegradationController:
     # -- signal evaluation ----------------------------------------------------
 
     def _pressure(self) -> Optional[str]:
-        """A reason string when the enrichment tier is under pressure."""
-        for name in sorted(self._breakers):
-            breaker = self._breakers[name]
-            state = breaker.state
-            if state is not BreakerState.CLOSED:
-                return (f"breaker {name} {state.value} "
+        """A reason string when the enrichment tier is under pressure.
+
+        Every call polls every signal. The breakers are scanned in dict
+        order, and only when one is not closed are the names compared,
+        so the reason still names the first such breaker by name."""
+        for breaker in self._breakers.values():
+            if breaker.state is not BreakerState.CLOSED:
+                name = min(key for key, other in self._breakers.items()
+                           if other.state is not BreakerState.CLOSED)
+                breaker = self._breakers[name]
+                return (f"breaker {name} {breaker.state.value} "
                         f"({breaker.half_open_probes} probes, "
                         f"{breaker.half_open_successes} ok)")
-        for name in sorted(self._meters):
-            meter = self._meters[name]
-            if meter.quota is None:
-                continue
+        for name, meter in self._quota_meters:
             remaining = meter.remaining_quota
             if remaining / meter.quota < QUOTA_FLOOR:
                 return (f"{name} quota nearly exhausted "
                         f"({remaining}/{meter.quota} left)")
         if self._quarantine_pressure is not None:
-            reason = self._quarantine_pressure()
-            if reason is not None:
-                return reason
+            return self._quarantine_pressure()
         return None
 
     def refresh(self, queue_depth: int) -> ServeMode:

@@ -61,8 +61,8 @@ class TestCaseStudy:
 
     def test_some_short_links_dead(self, study):
         # Shortened URLs die fast (§2); a real-time crawl still hits some
-        # dead ones because reports lag receipt.
-        assert study.dead_short_links >= 0
+        # dead ones because reports lag receipt (35 of 187 URLs here).
+        assert 0 < study.dead_short_links <= study.investigated_urls
 
     def test_apks_found_and_labelled(self, study):
         assert study.apk_downloads > 0

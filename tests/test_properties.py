@@ -2,6 +2,7 @@
 
 import dataclasses
 import datetime as dt
+import functools
 import json
 import pickle
 import random
@@ -925,6 +926,163 @@ class TestServeProperties:
         assert len(control.rejections) == control.rejected
         assert (sum(control.rejected_by_reason.values())
                 == control.rejected)
+
+
+def _reference_pressure(breakers, meters, quarantine_pressure):
+    """The reference pressure check: sort the breaker and meter names
+    on every call and return the first reason found."""
+    from repro.resilience.breaker import BreakerState
+    from repro.serve.degrade import QUOTA_FLOOR
+
+    for name in sorted(breakers):
+        breaker = breakers[name]
+        state = breaker.state
+        if state is not BreakerState.CLOSED:
+            return (f"breaker {name} {state.value} "
+                    f"({breaker.half_open_probes} probes, "
+                    f"{breaker.half_open_successes} ok)")
+    for name in sorted(meters):
+        meter = meters[name]
+        if meter.quota is None:
+            continue
+        remaining = meter.remaining_quota
+        if remaining / meter.quota < QUOTA_FLOOR:
+            return (f"{name} quota nearly exhausted "
+                    f"({remaining}/{meter.quota} left)")
+    if quarantine_pressure is not None:
+        reason = quarantine_pressure()
+        if reason is not None:
+            return reason
+    return None
+
+
+class TestPressureFastPathProperties:
+    """``DegradationController._pressure`` scans breakers in dict order
+    and lists the quota meters once; it must return exactly the string
+    the sorted scan returns, on every call, while the live breaker dict
+    changes and gains entries between calls."""
+
+    _SERVICES = ("virustotal", "gsb-transparency", "whois", "openai", "hlr",
+                 "crtsh", "gsb", "ipinfo", "spamhaus-pdns")
+    _states = st.tuples(
+        st.sampled_from(("closed", "open", "half_open")),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=20),
+    )
+
+    @staticmethod
+    def _set_breaker(breaker, drawn):
+        state, probes, successes = drawn
+        breaker.restore_state({
+            "state": state, "consecutive_failures": 0,
+            "opened_at": None if state == "closed" else 0.0, "opens": 0,
+            "fast_fails": 0, "half_open_probes": probes,
+            "half_open_successes": min(successes, probes),
+        })
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pressure_equals_the_sorted_scan(self, data):
+        from repro.resilience import CircuitBreaker
+        from repro.serve.degrade import DegradationController
+        from repro.services.base import ServiceMeter, SimClock
+
+        clock = SimClock()
+        names = data.draw(st.lists(st.sampled_from(self._SERVICES),
+                                   min_size=2, max_size=9, unique=True))
+        breakers = {}
+        for name in names[:-1]:
+            breakers[name] = CircuitBreaker(name, clock)
+            self._set_breaker(breakers[name], data.draw(self._states))
+        meters = {}
+        for name in data.draw(st.lists(st.sampled_from(self._SERVICES),
+                                       max_size=9, unique=True)):
+            quota = data.draw(st.none() | st.integers(1, 50))
+            meters[name] = ServiceMeter(service=name, clock=clock,
+                                        quota=quota)
+            used = data.draw(st.integers(0, quota or 0))
+            meters[name].restore_state({**meters[name].state_dict(),
+                                        "used": used})
+        signal = data.draw(st.sampled_from(("absent", "calm", "alarm")))
+        quarantine = {"absent": None, "calm": lambda: None,
+                      "alarm": lambda: "sanitizer quarantined 60% of the "
+                                       "last batch"}[signal]
+        controller = DegradationController(
+            clock, high_watermark=8, low_watermark=4, breakers=breakers,
+            meters=meters, quarantine_pressure=quarantine)
+        assert controller._pressure() == _reference_pressure(
+            breakers, meters, quarantine)
+        # Between calls a breaker changes state and the live dict gains
+        # the lazily created last one; nothing may be remembered.
+        for name in names[:-1]:
+            self._set_breaker(breakers[name], data.draw(self._states))
+        breakers[names[-1]] = CircuitBreaker(names[-1], clock)
+        self._set_breaker(breakers[names[-1]], data.draw(self._states))
+        assert controller._pressure() == _reference_pressure(
+            breakers, meters, quarantine)
+
+
+@functools.lru_cache(maxsize=None)
+def _vision_screenshots():
+    """Every image a small world's reporters attach, SMS or not."""
+    from repro.world.scenario import build_world
+
+    world = build_world(ScenarioConfig(seed=7, n_campaigns=3))
+    return tuple(shot for post in world.reporter_output.all_posts()
+                 for shot in post.attachments)
+
+
+class TestVisionMemoProperties:
+    """A stable extractor extracts each screenshot once per session; a
+    positional one keeps no memo, so a repeat consumes fresh draws."""
+
+    @staticmethod
+    def _pool():
+        from repro.imaging.screenshot import ImageKind
+
+        shots = _vision_screenshots()
+        other = [s for s in shots if s.kind is not ImageKind.SMS_SCREENSHOT]
+        sms = [s for s in shots if s.kind is ImageKind.SMS_SCREENSHOT]
+        return other[:6] + sms[:18]
+
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**31),
+           miss_rate=st.sampled_from((0.015, 0.5)))
+    @settings(max_examples=60, deadline=None)
+    def test_stable_repeats_equal_fresh_extractions(self, data, seed,
+                                                    miss_rate):
+        from repro.imaging.screenshot import ImageKind
+        from repro.imaging.vision_openai import OpenAiVisionExtractor
+
+        sequence = data.draw(st.lists(st.sampled_from(self._pool()),
+                                      max_size=40))
+        memo = OpenAiVisionExtractor(random.Random(0), miss_rate=miss_rate,
+                                     stable_seed=seed)
+        for shot in sequence:
+            fresh = OpenAiVisionExtractor(random.Random(1),
+                                          miss_rate=miss_rate,
+                                          stable_seed=seed)
+            assert (dataclasses.asdict(memo.extract(shot))
+                    == dataclasses.asdict(fresh.extract(shot)))
+        assert memo.processed == len(sequence)
+        assert memo.dismissed == sum(
+            shot.kind is not ImageKind.SMS_SCREENSHOT for shot in sequence)
+
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_positional_repeat_consumes_fresh_draws(self, data, seed):
+        from repro.imaging.vision_openai import OpenAiVisionExtractor
+
+        drawing = [shot for shot in self._pool()
+                   if shot.timestamp_line is not None]
+        shot = data.draw(st.sampled_from(drawing))
+        states = []
+        for second in (shot, dataclasses.replace(shot)):
+            rng = random.Random(seed)
+            vision = OpenAiVisionExtractor(rng, miss_rate=0.5)
+            vision.extract(shot)
+            vision.extract(second)
+            states.append(rng.getstate())
+        assert states[0] == states[1]
 
 
 class TestStreamSessionNoopProperty:

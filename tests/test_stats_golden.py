@@ -180,6 +180,7 @@ SERVE_ARGV =["--seed", "7", "--campaigns", "10", "--quiet", "serve",
 SERVE_CASES = {
     "serve_seed7_burst.txt": SERVE_ARGV,
     "serve_seed7_burst_flaky.txt": (["--faults", "flaky"] + SERVE_ARGV),
+    "serve_seed7_burst_outage.txt": (["--faults", "outage"] + SERVE_ARGV),
 }
 
 
@@ -218,9 +219,15 @@ def test_serve_golden_covers_the_serve_tables():
     assert "breached high watermark" in served
     assert "recovered: queue depth" in served
     assert "shedding=" in served  # shed counts broken down by reason
-    # The flaky twin additionally degrades on enrichment-tier pressure.
-    flaky = (GOLDEN_DIR / "serve_seed7_burst_flaky.txt").read_text()
-    assert "degraded" in flaky
+    # The outage twin degrades on enrichment-tier pressure: an open
+    # breaker moves a healthy service to annotate-only, and the reason
+    # names the breaker. (The flaky twin's breakers never open.)
+    outage = (GOLDEN_DIR / "serve_seed7_burst_outage.txt").read_text()
+    degrades = [line.split(None, 3) for line in outage.splitlines()
+                if line.split()[1:3] == ["healthy", "degraded"]]
+    assert degrades, "outage golden has no healthy → degraded transition"
+    assert all(reason.startswith("breaker virustotal open")
+               for _at, _from, _to, reason in degrades)
 
 
 INVESTIGATE_BASE = ["--seed", "7", "--campaigns", "30", "--quiet"]
