@@ -4,9 +4,9 @@
 # every bench hook target exists and that a short traced bench run of each
 # workload reads "correct": true, a coverage gate, and smoke tests of the
 # CLI surface: observability, chaos, parallel execution on the process
-# pool, five kill/resume legs, Chrome trace export, hostile input, the
-# investigation fleet and the garbage collector, and a run of every
-# example script.
+# pool, five kill/resume legs, `repro ingest`, Chrome trace export,
+# hostile input, the investigation fleet and the garbage collector, and
+# a run of every example script.
 #
 # Usage: scripts/ci.sh
 # The coverage gate (scripts/coverage_gate.py) fails the build when
@@ -29,7 +29,10 @@
 # collection barrier (byte-identical reports), a 2-epoch `repro watch`
 # on a 2-worker process pool killed mid-epoch-2 (stream fingerprint),
 # a burst `repro serve` on a 2-worker process pool and an investigation
-# fleet (fingerprint and header line). The trace-export smoke test validates the Chrome
+# fleet (fingerprint and header line). The ingest smoke test commits a
+# 2-epoch `repro watch`, pages it forward one epoch with `repro ingest`
+# in a new process, and requires the stream fingerprint of an
+# uninterrupted 3-epoch watch. The trace-export smoke test validates the Chrome
 # trace-event fields. The hostile-input smoke test checks that a
 # `--hostile poison` run quarantines with exact three-bucket accounting
 # while the clean run quarantines nothing. The investigation smoke test
@@ -210,6 +213,24 @@ grep -q "^stream fingerprint=" "$work/watch/full.txt" || {
   echo "watch FAILED: no stream fingerprint in watch output" >&2; exit 1; }
 grep -q "(ledger)" "$work/watch/full.txt" || {
   echo "watch FAILED: no ledger row in the Stream table" >&2; exit 1; }
+
+echo "== ingest smoke test (reload a committed stream, page forward) =="
+ingest_dir="$work/ingest"
+mkdir "$ingest_dir"
+python -m repro --seed 7 --campaigns 20 --quiet --run-dir "$ingest_dir/run" \
+  watch --epoch-hours 18000 --epochs 2 > /dev/null
+python -m repro --quiet ingest "$ingest_dir/run" > "$ingest_dir/ingested.txt"
+python -m repro --seed 7 --campaigns 20 --quiet \
+  watch --epoch-hours 18000 --epochs 3 > "$ingest_dir/full.txt"
+ingested_fp="$(grep '^stream fingerprint=' "$ingest_dir/ingested.txt")"
+full_fp="$(grep '^stream fingerprint=' "$ingest_dir/full.txt")"
+if [ -z "$full_fp" ] || [ "$ingested_fp" != "$full_fp" ]; then
+  echo "ingest FAILED: 2 epochs + ingest differ from 3 uninterrupted epochs" >&2
+  echo "  ingested: $ingested_fp" >&2
+  echo "  full:     $full_fp" >&2
+  exit 1
+fi
+echo "ingest ok: 2 committed epochs + \`repro ingest\` print the 3-epoch fingerprint"
 
 echo "== serve smoke test (burst load + kill-and-resume) =="
 kill_resume serve arrival:5000 header \

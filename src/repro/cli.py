@@ -146,20 +146,14 @@ def _fault_plan(args: argparse.Namespace) -> FaultPlan:
     return plan.extended(_crash_point(args))
 
 
-def _run_argv(args: argparse.Namespace) -> List[str]:
-    """The world and policy options every recorded argv starts with."""
+def _manifest_argv(args: argparse.Namespace) -> List[str]:
+    """The argv `repro resume` replays to rebuild this exact command."""
     argv = ["--seed", str(args.seed), "--campaigns", str(args.campaigns),
             "--faults", args.faults, "--workers", str(args.workers)]
     if args.hostile != "none":
         argv += ["--hostile", args.hostile]
     if args.no_cache:
         argv.append("--no-cache")
-    return argv
-
-
-def _manifest_argv(args: argparse.Namespace) -> List[str]:
-    """The argv `repro resume` replays to rebuild this exact command."""
-    argv = _run_argv(args)
     if args.quiet:
         argv.append("--quiet")
     argv.append(args.command)
@@ -299,19 +293,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return _dump_trace(args, run.telemetry)
 
 
-def _stream_argv(args: argparse.Namespace) -> List[str]:
-    """Provenance argv recorded in STREAM.json (resume rebuilds the
-    session from the manifest itself, not from this)."""
-    argv = _run_argv(args) + [args.command]
-    if args.epochs is not None:
-        argv += ["--epochs", str(args.epochs)]
-    if args.epoch_hours is not None:
-        argv += ["--epoch-hours", str(args.epoch_hours)]
-    if args.run_dir is not None:
-        argv += ["--run-dir", str(args.run_dir)]
-    return argv
-
-
 def _telemetry_factory(args: argparse.Namespace):
     progress = None if args.quiet else stderr_sink
     return lambda world: Telemetry.create(clock=world.clock,
@@ -331,7 +312,6 @@ def _build_stream_session(args: argparse.Namespace) -> StreamSession:
         execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         stream_dir=args.run_dir,
-        cli={"argv": _stream_argv(args)},
     )
 
 
@@ -388,22 +368,6 @@ def _resume_stream(args: argparse.Namespace, directory: Path) -> int:
     return _print_stream(args, session)
 
 
-def _serve_argv(args: argparse.Namespace) -> List[str]:
-    """Provenance argv recorded in SERVE.json (resume rebuilds the
-    service from the manifest itself, not from this)."""
-    argv = _run_argv(args) + [
-        "serve", "--load-profile", args.load_profile,
-        "--requests", str(args.requests),
-        "--reporters", str(args.reporters),
-        "--queue-capacity", str(args.queue_capacity),
-        "--batch-size", str(args.batch_size),
-        "--drain-interval", str(args.drain_interval),
-        "--commit-every", str(args.commit_every)]
-    if args.run_dir is not None:
-        argv += ["--run-dir", str(args.run_dir)]
-    return argv
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     service = IntakeService.create(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
@@ -418,7 +382,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         execution=_execution_policy(args),
         telemetry_factory=_telemetry_factory(args),
         serve_dir=args.run_dir,
-        cli={"argv": _serve_argv(args)},
     )
     service.run()
     return _print_serve(args, service)

@@ -171,8 +171,8 @@ class Sanitizer:
     :meth:`observe_batch` first (so every member of a flood/poison
     cluster is diverted, not just the copies past the threshold), then
     :meth:`screen` per report. Long-running services skip the pre-scan
-    and let the cumulative counters latch instead; the counters are
-    durable via :meth:`state_dict` / :meth:`restore_state`.
+    and let the cumulative counters latch instead; a serve commit
+    pickles the sanitizer whole, so its counters survive a resume.
     """
 
     def __init__(self, limits: Optional[SanitizerLimits] = None,
@@ -350,27 +350,6 @@ class Sanitizer:
             post_id=report.post_id,
             simulated_at=report.posted_at,
         )
-
-    # -- durability (serve commits) -------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "author_counts": [[author, key, count] for (author, key), count
-                              in sorted(self._author_counts.items())],
-            "text_counts": sorted(self._text_counts.items()),
-            "screened": self.screened,
-            "quarantined": self.quarantined,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self._author_counts = {
-            (author, key): int(count)
-            for author, key, count in state.get("author_counts", [])
-        }
-        self._text_counts = {key: int(count)
-                             for key, count in state.get("text_counts", [])}
-        self.screened = int(state.get("screened", 0))
-        self.quarantined = int(state.get("quarantined", 0))
 
 
 def quarantine_by_reason(

@@ -55,7 +55,6 @@ from .investigator import (
     FunnelProbe,
     Investigator,
     StepTrace,
-    step_latency_ms,
 )
 from .playbook import (
     PLAYBOOKS,
@@ -68,7 +67,6 @@ from .session import (
     INVESTIGATE_FORMAT_VERSION,
     INVESTIGATE_MANIFEST_NAME,
     InvestigationSession,
-    registry_keys,
 )
 
 __all__ = [
@@ -97,11 +95,9 @@ __all__ = [
     "fleet_fingerprint",
     "fleet_items",
     "get_playbook",
-    "registry_keys",
     "run_case_study",
     "run_fleet",
     "run_investigation",
-    "step_latency_ms",
     "verify_package",
     "verify_package_dict",
     "write_packages",

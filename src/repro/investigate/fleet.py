@@ -43,7 +43,7 @@ from ..exec import WorkerPool, make_pool, shard
 from ..faults import FaultPlan
 from ..faults.proxy import FaultProxy, wrap_if_planned
 from ..net.url import Url
-from ..obs import NULL_TELEMETRY, PercentileDigest, Telemetry
+from ..obs import NULL_TELEMETRY, Telemetry
 from ..resilience import CircuitBreaker, RetryPolicy, call_with_policy
 from ..services.euphony import EuphonyUnifier, FamilyVerdict
 from ..services.webhost import ApkPayload
@@ -146,7 +146,6 @@ class FleetReport:
     scan_gaps: int
     packages: List[EvidencePackage] = field(default_factory=list)
     probes: List[FunnelProbe] = field(default_factory=list)
-    step_latency: Dict[str, PercentileDigest] = field(default_factory=dict)
     #: The pool class the probe phase ran on, and its width.
     pool: str = "SerialPool"
     workers: int = 1
@@ -157,6 +156,8 @@ class FleetReport:
     def stats(self) -> Dict[str, Any]:
         """Snapshot for telemetry's Investigations table and history."""
         custody = sum(len(p.custody) for p in self.packages)
+        steps = Counter(step.op for probe in self.probes
+                        for step in probe.steps)
         return {
             "playbook": self.playbook,
             "investigated": self.investigated,
@@ -172,14 +173,7 @@ class FleetReport:
             "scan_gaps": self.scan_gaps,
             "families": {k: v for k, v
                          in sorted(self.family_distribution().items())},
-            "step_latency_ms": {
-                op: {
-                    "count": digest.count,
-                    "p50": round(digest.quantile(0.5), 3),
-                    "p99": round(digest.quantile(0.99), 3),
-                }
-                for op, digest in sorted(self.step_latency.items())
-            },
+            "steps": {op: steps[op] for op in sorted(steps)},
             "pool": {"kind": self.pool, "workers": self.workers},
         }
 
@@ -417,12 +411,6 @@ class InvestigationFleet:
 
         outcomes = Counter(probe.outcome for probe in probes)
         depths = Counter(probe.funnel_depth for probe in probes)
-        latency: Dict[str, PercentileDigest] = {}
-        for probe in probes:
-            for step in probe.steps:
-                latency.setdefault(step.op, PercentileDigest()).add(
-                    step.latency_ms
-                )
 
         report = FleetReport(
             playbook=self.playbook.name,
@@ -435,7 +423,6 @@ class InvestigationFleet:
             scan_gaps=scan_gaps,
             packages=list(packages.values()),
             probes=probes,
-            step_latency=latency,
             pool=type(pool).__name__,
             workers=self.workers,
         )

@@ -10,11 +10,10 @@ byte-identical (the same split the enrichment engine uses); everything
 charged — VirusTotal file submissions — happens later, serially, in
 canonical order.
 
-Per-step latencies are *synthetic* simulated milliseconds derived from a
-stable hash of ``(op, record_id)``. They feed the Investigations table's
-percentiles and the evidence chain of custody without ever advancing the
-shared :class:`~repro.services.base.SimClock`, so a playbook run cannot
-perturb the §6 numbers or any meter's refill schedule.
+Each executed step is recorded as a :class:`StepTrace` (op, detail,
+outcome) for the evidence chain of custody and the Investigations
+table's step counts. A step is not timed: no clock runs while a probe
+executes, so there is no latency to report.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from ..net.url import RedirectChain, Url
 from ..services.shorteners import ShortenerResolver, shortener_for_url
 from ..services.webhost import ApkPayload, WebHostService
 from ..types import DeviceProfile
-from ..utils.rng import stable_hash
 from .playbook import Playbook, PlaybookStep
 
 #: Synthetic PII a ``submit_form`` step feeds into funnel forms. Values
@@ -49,11 +47,6 @@ _DEVICES = {
 }
 
 
-def step_latency_ms(op: str, record_id: str) -> float:
-    """Deterministic synthetic latency for one step of one probe."""
-    return 5.0 + stable_hash(f"step-latency:{op}:{record_id}") % 900 / 4.0
-
-
 @dataclass(frozen=True)
 class StepTrace:
     """One executed playbook step, for the chain of custody."""
@@ -61,7 +54,6 @@ class StepTrace:
     op: str
     detail: str
     outcome: str  # "ok" | "skipped" | "terminal"
-    latency_ms: float
 
 
 @dataclass(frozen=True)
@@ -179,12 +171,8 @@ class Investigator:
 
     def _trace(self, draft: _ProbeDraft, step: PlaybookStep, detail: str,
                outcome: str) -> None:
-        draft.steps.append(StepTrace(
-            op=step.op,
-            detail=detail,
-            outcome=outcome,
-            latency_ms=step_latency_ms(step.op, draft.record_id),
-        ))
+        draft.steps.append(StepTrace(op=step.op, detail=detail,
+                                     outcome=outcome))
 
     def _resolve_shortener(self, draft: _ProbeDraft,
                            step: PlaybookStep) -> None:

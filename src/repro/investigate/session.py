@@ -26,13 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..checkpoint.identity import identity_from_dict, identity_to_dict
-from ..checkpoint.state import (
-    BREAKER_PREFIX,
-    CLOCK_KEY,
-    METER_PREFIX,
-    PROXY_PREFIX,
-    StateRegistry,
-)
+from ..checkpoint.state import StateRegistry
 from ..exec import ExecutionPolicy
 from ..faults import FaultPlan
 from ..services.euphony import FamilyVerdict
@@ -163,14 +157,3 @@ def _investigate_store(directory) -> SnapshotStore:
     return SnapshotStore(directory, INVESTIGATE_MANIFEST_NAME,
                          INVESTIGATE_FORMAT_VERSION)
 
-
-def registry_keys(*, proxied: bool) -> Tuple[str, ...]:
-    """The state keys an investigation fleet registers."""
-    keys = [
-        CLOCK_KEY,
-        METER_PREFIX + "virustotal",
-        BREAKER_PREFIX + "virustotal",
-    ]
-    if proxied:
-        keys.append(PROXY_PREFIX + "virustotal")
-    return tuple(keys)

@@ -61,7 +61,7 @@ class Telemetry:
         #: transitions), when the run was a :mod:`repro.serve` session.
         self.serve_snapshot: Dict[str, Any] = {}
         #: Final investigation-fleet stats (funnel outcomes, evidence
-        #: volumes, step latency), when the run was a
+        #: volumes, steps run), when the run was a
         #: :mod:`repro.investigate` fleet.
         self.investigate_snapshot: Dict[str, Any] = {}
         #: Final per-pool execution stats (tasks, busy seconds per
@@ -593,13 +593,12 @@ class Telemetry:
             ", ".join(f"{family}={count}"
                       for family, count in sorted(families.items())) or "none",
         )
-        for op, digest in sorted(
-                snapshot.get("step_latency_ms", {}).items()):
-            table.add_row(
-                f"Step {op} p50/p99 (ms)",
-                f"{digest.get('p50', 0.0):.1f}/{digest.get('p99', 0.0):.1f}"
-                f" (n={int(digest.get('count', 0))})",
-            )
+        steps = snapshot.get("steps", {})
+        table.add_row(
+            "Steps run",
+            ", ".join(f"{op}={count}"
+                      for op, count in sorted(steps.items())) or "none",
+        )
         table.add_row("Pool",
                       f"{pool.get('kind', 'serial')} "
                       f"× {int(pool.get('workers', 1))}")

@@ -16,8 +16,8 @@ unprocessed work it had, and loses nothing.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,6 @@ class QueueItem:
     post_index: int
     enqueued_at: float
     deadline: Optional[float] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "QueueItem":
-        return cls(**payload)
 
 
 class BoundedQueue:
@@ -83,20 +76,3 @@ class BoundedQueue:
 
     def items(self) -> Tuple[QueueItem, ...]:
         return tuple(self._items)
-
-    # -- checkpoint support ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, Any]:
-        return {
-            "items": [item.to_dict() for item in self._items],
-            "max_depth": self.max_depth,
-            "offered": self.offered,
-            "refused": self.refused,
-        }
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        self._items = deque(QueueItem.from_dict(payload)
-                            for payload in state["items"])
-        self.max_depth = int(state["max_depth"])
-        self.offered = int(state["offered"])
-        self.refused = int(state["refused"])

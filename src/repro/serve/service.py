@@ -22,15 +22,16 @@ until the backlog clears; *draining* finishes queued work and rejects
 everything new.
 
 Durability follows the stream layer's commit discipline: every
-``commit_every`` arrivals (and at drain), the full service state —
-dataset, queue contents, admission buckets, controller history, dedup
-ledger, and the clock/meter/breaker/fault-proxy registry — is pickled
-under a sha-bound ``SERVE.json`` manifest. A killed server resumes from
-the last commit and *replays* the deterministic schedule from there:
-in-memory effects past the commit died with the process, the restored
-meters re-charge identically, and the final state is byte-equal to an
-uninterrupted run — no accepted report lost, none double-processed,
-zero duplicate charges (``tests/test_serve_equivalence.py``).
+``commit_every`` arrivals (and at drain), the full service state — the
+state, queue, dedup ledger and sanitizer objects themselves, plus the
+admission buckets, controller history and the clock/meter/breaker/
+fault-proxy registry — is pickled under a sha-bound ``SERVE.json``
+manifest. A killed server resumes from the last commit and *replays*
+the deterministic schedule from there: in-memory effects past the
+commit died with the process, the restored meters re-charge
+identically, and the final state is byte-equal to an uninterrupted run
+— no accepted report lost, none double-processed, zero duplicate
+charges (``tests/test_serve_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -61,9 +62,12 @@ from .state import ServeState
 
 #: The serve directory's manifest file name.
 SERVE_MANIFEST_NAME = "SERVE.json"
-#: Version 3: cache entries commit as (service, subject, value) triples
-#: and the config lost its unset knobs; older versions are refused.
-SERVE_FORMAT_VERSION = 3
+#: Version 4: ``state.pkl`` pickles the state, queue, ledger and
+#: sanitizer objects whole, beside the admission and controller state,
+#: the next drain instant, the cache's (service, subject, value) triples
+#: and the registry state; the manifest records no argv. Older versions
+#: are refused.
+SERVE_FORMAT_VERSION = 4
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
 FRONT_DOOR_REASONS = ("rate_limited", "queue_full", "shedding", "draining")
@@ -139,8 +143,7 @@ class IntakeService:
                  fault_plan: Optional[FaultPlan] = None,
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
-                 store: Optional[SnapshotStore] = None,
-                 cli: Optional[Dict[str, Any]] = None):
+                 store: Optional[SnapshotStore] = None):
         self.world = world
         self.clock = world.clock
         self.load = load
@@ -153,7 +156,6 @@ class IntakeService:
                              self.policy, telemetry, forums={})
         self.telemetry = self.stages.telemetry
         self._store = store
-        self._cli = dict(cli) if cli else {}
         self._plan = (fault_plan.without_crash_points()
                       if fault_plan is not None else None)
         #: The injected kill, and the arrival index it fires before (-1,
@@ -193,7 +195,7 @@ class IntakeService:
         #: One session-lifetime sanitizer: its flood/cluster counters
         #: latch *across* batches (a reporter cannot dodge flood
         #: detection by spreading copies over drains) and survive a
-        #: resume via the commit payload.
+        #: resume because every commit pickles the object whole.
         self._sanitizer = Sanitizer(stage="serve")
         #: Sanitizer share of the most recent processed batch — the
         #: quarantine-pressure signal the controller reads.
@@ -219,8 +221,7 @@ class IntakeService:
                fault_plan: Optional[FaultPlan] = None,
                execution: Optional[ExecutionPolicy] = None,
                telemetry_factory=None,
-               serve_dir: Optional[Path] = None,
-               cli: Optional[Dict[str, Any]] = None) -> "IntakeService":
+               serve_dir: Optional[Path] = None) -> "IntakeService":
         """Start a fresh service (``repro serve``).
 
         With a ``serve_dir`` the directory must not already hold a
@@ -237,7 +238,7 @@ class IntakeService:
         store = _serve_store(serve_dir) if serve_dir is not None else None
         service = cls(world, load=spec, config=config, fault_plan=fault_plan,
                       execution=execution, telemetry=telemetry,
-                      store=store, cli=cli)
+                      store=store)
         if store is not None:
             store.create(service._manifest())
         return service
@@ -249,11 +250,11 @@ class IntakeService:
 
         Rebuilds the world and the deterministic load schedule from the
         manifest, restores the committed state — queue contents,
-        admission buckets, controller history, dedup ledger, and the
-        clock/meter/breaker/fault-proxy registry — and is then ready to
-        continue from ``arrival_index + 1``. Injected kills are never
-        inherited: a resume only crashes again if *this* call passes an
-        ``arrival`` crash point as ``kill_at``.
+        admission buckets, controller history, dedup ledger, sanitizer
+        counters and the clock/meter/breaker/fault-proxy registry — and
+        is then ready to continue from ``arrival_index + 1``. Injected
+        kills are never inherited: a resume only crashes again if *this*
+        call passes an ``arrival`` crash point as ``kill_at``.
         """
         store = _serve_store(serve_dir)
         manifest, payload = store.load()
@@ -272,21 +273,19 @@ class IntakeService:
             execution=execution,
             telemetry=telemetry,
             store=store,
-            cli=manifest.get("cli") or {},
         )
         if payload is not None:
-            service.state = ServeState.from_payload(payload["state"])
+            service.state = payload["state"]
+            service.queue = payload["queue"]
+            service.ledger = payload["ledger"]
+            service._sanitizer = payload["sanitizer"]
             service.admission.rejections = service.state.rejections
             service.admission.restore_state(payload["admission"])
             service.controller.restore_state(payload["controller"])
-            service.queue.restore_state(payload["queue"])
-            service.ledger = DedupLedger.from_dict(payload["ledger"])
-            if payload.get("sanitizer"):
-                service._sanitizer.restore_state(payload["sanitizer"])
             service._next_due = payload["next_due"]
             if service.stages.cache is not None:
-                service.stages.cache.seed(payload.get("cache_entries", ()))
-            service._registry.restore(payload.get("registry_state", {}))
+                service.stages.cache.seed(payload["cache_entries"])
+            service._registry.restore(payload["registry_state"])
         return service
 
     # -- the HTTP-shaped surface ----------------------------------------------
@@ -541,19 +540,18 @@ class IntakeService:
     def _commit(self) -> None:
         """Make everything up to the last handled arrival durable."""
         self.state.commits += 1
-        payload = {
-            "state": self.state.to_payload(),
+        self._store.commit({
+            "state": self.state,
+            "queue": self.queue,
+            "ledger": self.ledger,
+            "sanitizer": self._sanitizer,
             "admission": self.admission.state_dict(),
             "controller": self.controller.state_dict(),
-            "queue": self.queue.state_dict(),
-            "ledger": self.ledger.to_dict(),
-            "sanitizer": self._sanitizer.state_dict(),
             "next_due": self._next_due,
-            "registry_state": self._registry.capture(),
             "cache_entries": (self.stages.cache.export_entries()
                               if self.stages.cache is not None else ()),
-        }
-        self._store.commit(payload, self._manifest())
+            "registry_state": self._registry.capture(),
+        }, self._manifest())
 
     def _manifest(self) -> Dict[str, Any]:
         return {
@@ -562,7 +560,6 @@ class IntakeService:
             "config": self.config.to_dict(),
             "committed_arrival": self.state.arrival_index,
             "commits": self.state.commits,
-            "cli": self._cli,
         }
 
     # -- reporting ------------------------------------------------------------

@@ -4,11 +4,12 @@ One :class:`ServeState` accumulates the products of every processed
 batch — the growing dataset, enrichment maps, structured gap/rejection
 ledgers, per-request statuses, latency/queue-depth digests — plus the
 progress cursor (``arrival_index``) a resume continues from. The commit
-protocol in :mod:`repro.serve.service` pickles the whole thing (with the
-admission/controller/queue/registry state alongside) under a sha-bound
-manifest, exactly the discipline :mod:`repro.stream` uses: a crash at
-any instant leaves either the previous commit or the new one, never a
-torn mixture.
+protocol in :mod:`repro.serve.service` pickles the object whole (with
+the queue, ledger and sanitizer objects and the admission, controller
+and registry state alongside) under a sha-bound manifest, exactly the
+discipline :mod:`repro.stream` uses: a crash at any instant leaves
+either the previous commit or the new one, never a torn mixture, and a
+field added here survives a resume with no codec to edit.
 """
 
 from __future__ import annotations
@@ -62,63 +63,6 @@ class ServeState:
     queue_depths: PercentileDigest = field(default_factory=PercentileDigest)
     #: Submit-to-processed simulated seconds, one sample per report.
     latencies: PercentileDigest = field(default_factory=PercentileDigest)
-
-    # -- persistence ----------------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A picklable snapshot (rich objects ride the pickle whole —
-        same trade the stream state makes; the manifest digest guards
-        integrity)."""
-        return {
-            "records": self.records,
-            "urls": self.urls,
-            "senders": self.senders,
-            "annotations": self.annotations,
-            "raw_annotations": self.raw_annotations,
-            "gaps": self.gaps,
-            "rejections": self.rejections,
-            "statuses": self.statuses,
-            "duplicate_of": self.duplicate_of,
-            "arrival_index": self.arrival_index,
-            "next_record_index": self.next_record_index,
-            "counters": {
-                "submitted": self.submitted,
-                "processed": self.processed,
-                "timed_out": self.timed_out,
-                "quarantined": self.quarantined,
-                "batches": self.batches,
-                "degraded_batches": self.degraded_batches,
-                "commits": self.commits,
-            },
-            "queue_depths": list(self.queue_depths._values),
-            "latencies": list(self.latencies._values),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ServeState":
-        counters = payload["counters"]
-        return cls(
-            records=list(payload["records"]),
-            urls=dict(payload["urls"]),
-            senders=dict(payload["senders"]),
-            annotations=dict(payload["annotations"]),
-            raw_annotations=dict(payload["raw_annotations"]),
-            gaps=list(payload["gaps"]),
-            rejections=list(payload["rejections"]),
-            statuses=dict(payload["statuses"]),
-            duplicate_of=dict(payload["duplicate_of"]),
-            arrival_index=int(payload["arrival_index"]),
-            next_record_index=int(payload["next_record_index"]),
-            submitted=int(counters["submitted"]),
-            processed=int(counters["processed"]),
-            timed_out=int(counters["timed_out"]),
-            quarantined=int(counters.get("quarantined", 0)),
-            batches=int(counters["batches"]),
-            degraded_batches=int(counters["degraded_batches"]),
-            commits=int(counters["commits"]),
-            queue_depths=PercentileDigest(payload["queue_depths"]),
-            latencies=PercentileDigest(payload["latencies"]),
-        )
 
     # -- reporting ------------------------------------------------------------
 

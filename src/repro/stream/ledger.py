@@ -128,23 +128,6 @@ class DedupLedger:
         """Adopt an epoch's first-sighting hashes as durable entries."""
         self._entries.update(new_hashes)
 
-    # -- persistence ----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "entries": dict(sorted(self._entries.items())),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DedupLedger":
-        ledger = cls()
-        ledger._entries = dict(payload.get("entries", {}))
-        ledger.hits = int(payload.get("hits", 0))
-        ledger.misses = int(payload.get("misses", 0))
-        return ledger
-
     def stats(self) -> Dict[str, object]:
         total = self.hits + self.misses
         return {

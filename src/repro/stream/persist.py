@@ -1,9 +1,8 @@
 """Crash-safe session directories: atomic writers and the snapshot store.
 
 Every durable session artefact — a ``STREAM.json``, ``SERVE.json`` or
-``INVESTIGATE.json`` manifest, the watermark/ledger JSON, the pickled
-session state — is written with the same discipline the run journal
-uses: write to a temp file in the same directory, ``fsync`` the file,
+``INVESTIGATE.json`` manifest and the pickled session state — is
+written with the same discipline the run journal uses: write to a temp file in the same directory, ``fsync`` the file,
 atomically rename over the target, then ``fsync`` the directory so the
 rename itself is durable. A crash at any instant leaves either the old
 artefact or the new one, never a torn mixture.

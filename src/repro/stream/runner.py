@@ -59,10 +59,11 @@ from .watermarks import WatermarkStore
 #: The stream directory's manifest file name.
 STREAM_MANIFEST_NAME = "STREAM.json"
 STREAM_STATE_NAME = STATE_NAME
-#: Version 3: cache entries commit as (service, subject, value) triples
-#: and the manifest lost its unused inter-epoch idle time; older
-#: versions are refused.
-STREAM_FORMAT_VERSION = 3
+#: Version 4: ``state.pkl`` pickles the state, watermarks and ledger
+#: objects whole, beside the cache's (service, subject, value) triples
+#: and the registry state; the manifest keeps only the run identity, the
+#: epoch plan and the epoch counts. Older versions are refused.
+STREAM_FORMAT_VERSION = 4
 
 
 class StreamSession:
@@ -73,8 +74,7 @@ class StreamSession:
                  fault_plan: Optional[FaultPlan] = None,
                  execution: Optional[ExecutionPolicy] = None,
                  telemetry: Optional[Telemetry] = None,
-                 store: Optional[SnapshotStore] = None,
-                 cli: Optional[Dict[str, Any]] = None):
+                 store: Optional[SnapshotStore] = None):
         self.world = world
         self.scheduler = scheduler
         base = config or PipelineConfig()
@@ -94,7 +94,6 @@ class StreamSession:
         self.telemetry = self.stages.telemetry
         self.services = self.stages.services
         self._store = store
-        self._cli = dict(cli) if cli else {}
 
         if (store is not None and self._survivable is not None
                 and not self._survivable.is_empty
@@ -125,8 +124,7 @@ class StreamSession:
                fault_plan: Optional[FaultPlan] = None,
                execution: Optional[ExecutionPolicy] = None,
                telemetry_factory: Optional[Callable[[World], Telemetry]] = None,
-               stream_dir: Optional[Path] = None,
-               cli: Optional[Dict[str, Any]] = None) -> "StreamSession":
+               stream_dir: Optional[Path] = None) -> "StreamSession":
         """Start a fresh session (``repro watch``).
 
         With a ``stream_dir``, the directory must not already hold a
@@ -155,7 +153,7 @@ class StreamSession:
         store = _stream_store(stream_dir) if stream_dir is not None else None
         session = cls(world, scheduler=scheduler, config=base,
                       fault_plan=fault_plan, execution=execution,
-                      telemetry=telemetry, store=store, cli=cli)
+                      telemetry=telemetry, store=store)
         if store is not None:
             store.create(session._manifest())
         return session
@@ -185,18 +183,15 @@ class StreamSession:
                      else None)
         session = cls(world, scheduler=scheduler,
                       fault_plan=fault_plan, execution=execution,
-                      telemetry=telemetry, store=store,
-                      cli=manifest.get("cli") or {})
+                      telemetry=telemetry, store=store)
         if payload is not None:
-            session.state = StreamState.from_payload(payload)
+            session.state = payload["state"]
+            session.watermarks = payload["watermarks"]
+            session.ledger = payload["ledger"]
             cache = session.stages.cache
             if cache is not None:
-                session._cache_seeded = cache.seed(
-                    payload.get("cache_entries", ()))
-            session._registry.restore(payload.get("registry_state", {}))
-        session.watermarks = WatermarkStore.from_dict(
-            manifest.get("watermarks", {}))
-        session.ledger = DedupLedger.from_dict(manifest.get("ledger", {}))
+                session._cache_seeded = cache.seed(payload["cache_entries"])
+            session._registry.restore(payload["registry_state"])
         return session
 
     # -- the epoch loop -------------------------------------------------------
@@ -326,12 +321,15 @@ class StreamSession:
         self.watermarks.commit(filtered, epoch)
         self.ledger.commit(division.new_hashes)
         if self._store is not None:
-            payload = self.state.to_payload()
             cache = self.stages.cache
-            payload["cache_entries"] = (cache.export_entries()
-                                        if cache is not None else ())
-            payload["registry_state"] = self._registry.capture()
-            self._store.commit(payload, self._manifest())
+            self._store.commit({
+                "state": self.state,
+                "watermarks": self.watermarks,
+                "ledger": self.ledger,
+                "cache_entries": (cache.export_entries()
+                                  if cache is not None else ()),
+                "registry_state": self._registry.capture(),
+            }, self._manifest())
 
     # -- per-epoch helpers ----------------------------------------------------
 
@@ -390,12 +388,6 @@ class StreamSession:
                      for w in self.scheduler.plan],
             "target_epochs": self.scheduler.target,
             "committed": self.state.committed_epochs,
-            "next_record_index": self.state.next_record_index,
-            "watermarks": self.watermarks.to_dict(),
-            "ledger": self.ledger.to_dict(),
-            "epoch_stats": [stats.to_dict()
-                            for stats in self.state.epoch_stats],
-            "cli": self._cli,
         }
 
     # -- reporting ------------------------------------------------------------

@@ -3,9 +3,11 @@
 A :class:`StreamState` is what N committed epochs add up to — the merged
 collection, the merged curated dataset (duplicates included, pointing at
 their canonical twins' annotations), the merged enrichment maps, and one
-:class:`EpochStats` per committed epoch. The state is the thing
-``repro.stream`` persists between runs and the thing the analysis
-surfaces consume: :meth:`as_pipeline_run` wraps it in an ordinary
+:class:`EpochStats` per committed epoch. A durable session commits the
+object itself: ``state.pkl`` pickles it whole beside the watermarks and
+the ledger, so a field added here survives a resume with no codec to
+edit. It is also the thing the analysis surfaces consume:
+:meth:`as_pipeline_run` wraps it in an ordinary
 :class:`~repro.core.pipeline.PipelineRun` so every table, report, and
 stats view works on a stream exactly as it does on a batch run.
 """
@@ -20,7 +22,7 @@ from typing import Any, Dict, List, Optional
 from ..core.collection import CollectionResult
 from ..core.config import PipelineConfig
 from ..core.curation import CurationStats
-from ..core.dataset import SmishingDataset, SmishingRecord
+from ..core.dataset import SmishingDataset
 from ..core.enrichment import EnrichedDataset
 from ..core.pipeline import PipelineRun
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -61,10 +63,6 @@ class EpochStats:
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "EpochStats":
-        return cls(**payload)
 
 
 @dataclass
@@ -204,37 +202,3 @@ class StreamState:
             "cache_reuse": sum(s.cache_reuse for s in self.epoch_stats),
             "cache_seeded": cache_seeded,
         }
-
-    # -- persistence (heavyweight half; JSON half lives in STREAM.json) -------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The picklable payload for ``state.pkl``."""
-        return {
-            "collection": self.collection,
-            "records": self.dataset.records,
-            "urls": self.urls,
-            "senders": self.senders,
-            "annotations": self.annotations,
-            "raw_annotations": self.raw_annotations,
-            "gaps": self.gaps,
-            "curation_stats": self.curation_stats,
-            "next_record_index": self.next_record_index,
-            "epoch_stats": [stats.to_dict() for stats in self.epoch_stats],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "StreamState":
-        records: List[SmishingRecord] = list(payload["records"])
-        return cls(
-            collection=payload["collection"],
-            dataset=SmishingDataset(records),
-            urls=dict(payload["urls"]),
-            senders=dict(payload["senders"]),
-            annotations=dict(payload["annotations"]),
-            raw_annotations=dict(payload["raw_annotations"]),
-            gaps=list(payload["gaps"]),
-            curation_stats=payload["curation_stats"],
-            next_record_index=int(payload["next_record_index"]),
-            epoch_stats=[EpochStats.from_dict(entry)
-                         for entry in payload["epoch_stats"]],
-        )

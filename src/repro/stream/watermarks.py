@@ -22,8 +22,8 @@ batch multiset.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from ..core.collection import CollectionResult, RawReport
 from ..types import Forum
@@ -51,16 +51,6 @@ class ForumCursor:
             "last_post_id": self.last_post_id,
             "ingested": self.ingested,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ForumCursor":
-        raw = payload.get("last_post_at")
-        return cls(
-            last_post_at=(dt.datetime.fromisoformat(str(raw)) if raw
-                          else None),
-            last_post_id=str(payload.get("last_post_id", "")),
-            ingested=int(payload.get("ingested", 0)),
-        )
 
 
 @dataclass
@@ -142,35 +132,6 @@ class WatermarkStore:
                 cursor.advance(report)
         if self.frontier is None or epoch.end > self.frontier:
             self.frontier = epoch.end
-
-    # -- persistence ----------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "frontier": self.frontier.isoformat() if self.frontier else None,
-            "forums": {
-                forum.value: {
-                    "cursor": self.cursors[forum].to_dict(),
-                    "seen": sorted(self._seen[forum]),
-                }
-                for forum in Forum
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "WatermarkStore":
-        store = cls()
-        raw = payload.get("frontier")
-        store.frontier = (dt.datetime.fromisoformat(str(raw)) if raw
-                          else None)
-        forums = payload.get("forums", {})
-        for forum in Forum:
-            entry = forums.get(forum.value)
-            if not entry:
-                continue
-            store.cursors[forum] = ForumCursor.from_dict(entry["cursor"])
-            store._seen[forum] = set(entry.get("seen", []))
-        return store
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -311,16 +311,6 @@ class TestSanitizerReasons:
         assert "reporter_flood" in {v.reason for v in flagged}
         assert all(v.stage == "serve" for v in flagged)
 
-    def test_state_roundtrip(self):
-        sanitizer = Sanitizer()
-        for i in range(3):
-            sanitizer.screen(_report(structured={"text": "repeat me"},
-                                     author="bot", post_id=f"p{i}"))
-        clone = Sanitizer()
-        clone.restore_state(sanitizer.state_dict())
-        assert clone.state_dict() == sanitizer.state_dict()
-        assert clone.screened == sanitizer.screened
-
     def test_stamp_epoch(self):
         record = QuarantineRecord(forum=Forum.SMISHTANK, reporter="r",
                                   reason="oversize_body")

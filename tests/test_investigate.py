@@ -40,7 +40,6 @@ from repro.investigate import (
     fleet_fingerprint,
     fleet_items,
     get_playbook,
-    registry_keys,
     run_case_study,
     run_fleet,
     run_investigation,
@@ -327,9 +326,11 @@ class TestFleetEquivalence:
         assert stats["scans_completed"] == len(report.verdicts)
         assert stats["pool"] == {"kind": "SerialPool", "workers": 1}
         assert sum(stats["outcomes"].values()) == stats["investigated"]
-        for digest in stats["step_latency_ms"].values():
-            assert digest["count"] > 0
-            assert digest["p50"] <= digest["p99"]
+        steps = stats["steps"]
+        assert list(steps) == sorted(steps)
+        assert all(count > 0 for count in steps.values())
+        assert sum(steps.values()) == sum(len(probe.steps)
+                                          for probe in report.probes)
 
     def test_every_probe_outcome_is_classified(self, serial_fleet):
         report, _ = serial_fleet
@@ -456,8 +457,17 @@ class TestDurableSessions:
         with pytest.raises(CheckpointError):
             session.restore(StateRegistry())
 
-    def test_registry_keys_cover_both_shapes(self):
-        plain = registry_keys(proxied=False)
-        proxied = registry_keys(proxied=True)
-        assert set(plain) < set(proxied)
-        assert any(key.startswith("proxy:") for key in proxied)
+    def test_registry_keys_cover_both_shapes(self, tmp_path):
+        """The registry a durable fleet commits: the clock and
+        VirusTotal's meter and breaker, plus its fault proxy when a
+        fault profile wraps the service."""
+        from repro.faults import build_fault_plan
+        plain = {"clock", "meter:virustotal", "breaker:virustotal"}
+        for profile, keys in (("none", plain),
+                              ("flaky", plain | {"proxy:virustotal"})):
+            directory = tmp_path / profile
+            INVESTIGATE.start(_fleet_scenario(),
+                              build_fault_plan(profile, seed=7), None,
+                              directory, **_FLEET_SHAPE)
+            session = InvestigationSession.load(directory)
+            assert set(session.registry_state) == keys

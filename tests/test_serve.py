@@ -113,17 +113,6 @@ class TestBoundedQueue:
         assert [item.index for item in taken] == [0, 1, 2]
         assert queue.depth == 2
 
-    def test_state_roundtrip(self):
-        queue = BoundedQueue(4)
-        queue.offer(_item(0, deadline=12.5))
-        queue.offer(_item(1))
-        queue.take(1)
-        state = queue.state_dict()
-        clone = BoundedQueue(4)
-        clone.restore_state(state)
-        assert clone.state_dict() == state
-        assert [item.index for item in clone.items()] == [1]
-
 
 class TestDegradationController:
     def _controller(self, clock, breakers=None, meters=None):

@@ -113,6 +113,26 @@ class TestKillResumeEquivalence:
             "hits": 0, "misses": 0, "stores": 0, "seeded": len(committed)}
 
 
+class TestHostileKillResume:
+    def test_sanitizer_counters_survive_a_commit(self, tmp_path):
+        """The serve sanitizer's flood and cluster counters latch across
+        batches, so a poisoned spike killed mid-schedule must resume
+        with the counters its last commit held: it then quarantines
+        what the uninterrupted run does. It is the one serve cell with
+        hostile input."""
+        run = (ScenarioConfig(seed=11, n_campaigns=20, hostile="poison"),
+               None, None)
+        shape = dict(load=LoadSpec(profile="spike", requests=6000,
+                                   reporters=500, seed=11),
+                     config=ServeConfig(queue_capacity=30,
+                                        commit_every=250))
+        resumed = kill_then_resume(SERVE, tmp_path / "serve-poison", *run,
+                                   kill=CrashPoint("arrival", 3100), **shape)
+        base = baseline(SERVE, *run, **shape)
+        assert resumed.state.quarantined == base.state.quarantined == 27
+        assert serve_fingerprint(resumed) == serve_fingerprint(base)
+
+
 class TestWorkerEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_worker_count_never_changes_results(self, baselines, workers):
