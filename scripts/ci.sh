@@ -4,7 +4,7 @@
 # every bench hook target exists and that a short traced bench run of each
 # workload reads "correct": true, a coverage gate, and smoke tests of the
 # CLI surface: observability, chaos, parallel execution on the process
-# pool, five kill/resume legs, `repro ingest`, Chrome trace export,
+# pool, six kill/resume legs, `repro ingest`, Chrome trace export,
 # hostile input, the investigation fleet and the garbage collector, and
 # a run of every example script.
 #
@@ -20,7 +20,7 @@
 # with a non-empty enrichment-gap report. The parallel smoke test runs
 # a `--workers 4` report (the precompute in four worker processes),
 # diffs it byte for byte against the serial run, and asserts a non-zero
-# enrichment cache hit count in the same run's stats. Five kill/resume
+# enrichment cache hit count in the same run's stats. Six kill/resume
 # legs share one
 # routine (kill_resume): each runs a command uninterrupted, then with
 # --run-dir DIR --kill-at PHASE:N (exit 75), finishes it with `repro
@@ -28,15 +28,20 @@
 # mid-enrichment and a `--hostile poison` report killed before its
 # collection barrier (byte-identical reports), a 2-epoch `repro watch`
 # on a 2-worker process pool killed mid-epoch-2 (stream fingerprint),
-# a burst `repro serve` on a 2-worker process pool and an investigation
-# fleet (fingerprint and header line). The ingest smoke test commits a
+# a burst `repro serve` on a 2-worker process pool (fingerprint and
+# header line), a `--hostile poison` spike `repro serve` killed right
+# after a commit, whose resume must keep the quarantine-pressure
+# signal (serve fingerprint), and an investigation fleet under the
+# `flaky` profile, whose resume restores the VirusTotal fault proxy
+# (fingerprint and header line). The ingest smoke test commits a
 # 2-epoch `repro watch`, pages it forward one epoch with `repro ingest`
 # in a new process, and requires the stream fingerprint of an
 # uninterrupted 3-epoch watch. The trace-export smoke test validates the Chrome
 # trace-event fields. The hostile-input smoke test checks that a
 # `--hostile poison` run quarantines with exact three-bucket accounting
 # while the clean run quarantines nothing. The investigation smoke test
-# checks that a 4-worker fleet prints the serial run's fingerprint.
+# checks that a 4-worker flaky fleet prints the serial run's
+# fingerprint.
 # The examples leg runs each examples/*.py to completion (exit 0),
 # from inside the scratch directory because dataset_release.py writes
 # its release to the current directory. The GC smoke test runs one
@@ -256,6 +261,12 @@ print(f"serve ok: {submitted} submitted, depth {depth.group(1)}/"
       f"{depth.group(2)}, shed and recovered, "
       f"p50/p99={latency.group(1)}/{latency.group(2)}s")
 PY
+# The kill lands right after the commit at arrival 5216, so the resume
+# continues from the quarantine rate of the last batch that commit holds.
+kill_resume serve-hostile arrival:5217 fingerprint \
+  --seed 11 --campaigns 20 --quiet --hostile poison serve \
+  --load-profile spike --requests 6000 --reporters 500 --queue-capacity 30 \
+  --commit-every 5217
 
 echo "== trace-export smoke test (--trace-format chrome) =="
 chrome_trace="$work/chrome.json"
@@ -324,7 +335,7 @@ print(f"hostile accounting ok: {s.reports_curated} + {s.quarantined} + "
 PY
 echo "== investigate smoke test (fleet fingerprint + kill-and-resume) =="
 invest_proc_out="$work/invest-proc.txt"
-invest_root=(--seed 7 --campaigns 30 --quiet)
+invest_root=(--seed 7 --campaigns 30 --quiet --faults flaky)
 invest_sub=(investigate --playbook full-funnel --sample 120)
 kill_resume investigate scan:2 header \
   "${invest_root[@]}" "${invest_sub[@]}"

@@ -11,7 +11,9 @@ through them, so a field added to :class:`ScenarioConfig` or
 The readers refuse what they cannot rebuild exactly. A missing, unknown
 or ill-typed field raises :class:`~repro.errors.CheckpointError` rather
 than falling back to a default: a default is how a resumed run ends up
-on a different world or pool than the run it continues.
+on a different world or pool than the run it continues. For the same
+reason :func:`identity_to_dict`, the one writer of every session
+manifest's identity, refuses a hand-built fault plan.
 """
 
 from __future__ import annotations
@@ -106,9 +108,21 @@ def policy_from_dict(payload: Any) -> ExecutionPolicy:
 
 def identity_to_dict(scenario: ScenarioConfig, plan: Optional[FaultPlan],
                      policy: ExecutionPolicy) -> Dict[str, Any]:
-    """A session manifest's identity keys: scenario, faults, execution."""
+    """A session manifest's identity keys: scenario, faults, execution.
+
+    Refuses a plan whose crash-free rules carry no profile name:
+    :func:`plan_from_dict` rebuilds only named profiles, so a session
+    under a hand-built plan would resume without its faults. A crash
+    point grafted onto an empty plan is accepted.
+    """
+    faults = faults_to_dict(plan)
+    if faults["profile"] is None and plan is not None \
+            and not plan.without_crash_points().is_empty:
+        raise ConfigurationError(
+            "a durable session needs a *named* fault profile (hand-built "
+            "plans cannot be rebuilt at resume time)")
     return {"scenario": scenario_to_dict(scenario),
-            "faults": faults_to_dict(plan),
+            "faults": faults,
             "execution": policy_to_dict(policy)}
 
 

@@ -234,13 +234,18 @@ class RunJournal:
     # -- writes ---------------------------------------------------------------
 
     def write_manifest(self, manifest: Dict[str, Any]) -> None:
+        """Durably replace the manifest: write a temp file, fsync it and
+        rename it into place, so a kill leaves the old manifest or the
+        new one, never half of one."""
         payload = dict(manifest)
         payload["format"] = JOURNAL_FORMAT
         path = self.directory / MANIFEST_NAME
-        with open(path, "w", encoding="utf-8") as handle:
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
             _fsync_file(handle)
+        os.replace(tmp, path)
         _fsync_dir(self.directory)
         self.manifest = payload
 

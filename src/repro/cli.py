@@ -82,9 +82,9 @@ from .faults import FAULT_PROFILES, CrashPoint, FaultPlan, build_fault_plan
 from .investigate import (
     INVESTIGATE_MANIFEST_NAME,
     PLAYBOOKS,
+    InvestigationFleet,
     fleet_fingerprint,
     run_case_study,
-    run_investigation,
     write_packages,
 )
 from .obs import Telemetry, stderr_sink
@@ -428,46 +428,45 @@ def _print_serve(args: argparse.Namespace, service: IntakeService) -> int:
 
 
 def _cmd_investigate(args: argparse.Namespace) -> int:
-    progress = None if args.quiet else stderr_sink
-    telemetry = Telemetry.create(progress=progress)
-    outcome = run_investigation(
+    fleet = InvestigationFleet.create(
         ScenarioConfig(seed=args.seed, n_campaigns=args.campaigns,
                        hostile=args.hostile),
         playbook=args.playbook,
         sample=args.sample,
-        execution=_execution_policy(args),
         fault_plan=_fault_plan(args),
+        execution=_execution_policy(args),
+        telemetry=Telemetry.create(
+            progress=None if args.quiet else stderr_sink),
         invest_dir=args.run_dir,
         commit_every=args.commit_every,
-        telemetry=telemetry,
     )
-    return _print_investigation(args, outcome, telemetry)
+    fleet.run()
+    return _print_investigation(args, fleet)
 
 
 def _resume_investigation(args: argparse.Namespace, directory: Path) -> int:
-    progress = None if args.quiet else stderr_sink
-    telemetry = Telemetry.create(progress=progress)
-    outcome = run_investigation(invest_dir=directory, resume=True,
-                                telemetry=telemetry)
-    return _print_investigation(args, outcome, telemetry)
+    fleet = InvestigationFleet.load(
+        directory,
+        telemetry=Telemetry.create(
+            progress=None if args.quiet else stderr_sink))
+    fleet.run()
+    return _print_investigation(args, fleet)
 
 
-def _print_investigation(args: argparse.Namespace, outcome,
-                         telemetry: Telemetry) -> int:
-    report = outcome.report
-    world = outcome.world
-    fault_profile = (outcome.session.fault_profile
-                     if outcome.session is not None else args.faults)
+def _print_investigation(args: argparse.Namespace,
+                         fleet: InvestigationFleet) -> int:
+    report = fleet.report
+    world = fleet.world
     print(f"seed={world.config.seed} campaigns={world.config.n_campaigns} "
-          f"faults={fault_profile} "
-          f"workers={outcome.policy.workers} "
+          f"faults={fleet.fault_profile} "
+          f"workers={fleet.policy.workers} "
           f"playbook={report.playbook} "
           f"investigated={report.investigated} "
           f"packages={len(report.packages)} "
           f"payloads={len(report.payloads)} "
           f"scans={len(report.verdicts)} scan_gaps={report.scan_gaps}")
     print()
-    print(telemetry.summary())
+    print(fleet.telemetry.summary())
     evidence_dir = getattr(args, "evidence_dir", None)
     if evidence_dir is not None:
         manifest_path = write_packages(evidence_dir, report.packages)
@@ -478,7 +477,7 @@ def _print_investigation(args: argparse.Namespace, outcome,
         fleet_fingerprint(report, world).encode("utf-8")).hexdigest()
     print()
     print(f"investigate fingerprint={digest}")
-    return _dump_trace(args, telemetry)
+    return _dump_trace(args, fleet.telemetry)
 
 
 #: Every command; the batch commands that report on one pipeline run;

@@ -19,10 +19,12 @@ into engineering:
 * :mod:`repro.investigate.fleet` — runs a playbook over every
   URL-bearing record through the standard :mod:`repro.exec` pool with
   the pure-probe/serial-charged-effects split, so results are
-  byte-identical for any worker count.
-* :mod:`repro.investigate.session` / :mod:`repro.investigate.harness`
-  — durable commit/resume for the charged phase (zero duplicate
-  charges) and the fleet fingerprint that proves it.
+  byte-identical for any worker count. An :class:`InvestigationFleet`
+  is a session in the shape of a stream or a serve one: ``create`` or
+  ``load``, then ``run()``. A durable fleet commits its charged phase,
+  so a killed one resumes with zero duplicate charges.
+* :mod:`repro.investigate.harness` — the fleet fingerprint that proves
+  the worker-count and kill/resume guarantees.
 """
 
 from .evidence import (
@@ -35,6 +37,8 @@ from .evidence import (
     write_packages,
 )
 from .fleet import (
+    INVESTIGATE_FORMAT_VERSION,
+    INVESTIGATE_MANIFEST_NAME,
     CaseStudyReport,
     FleetItem,
     FleetReport,
@@ -42,14 +46,8 @@ from .fleet import (
     ProbeShardTask,
     fleet_items,
     run_case_study,
-    run_fleet,
 )
-from .harness import (
-    InvestigationOutcome,
-    charged_calls,
-    fleet_fingerprint,
-    run_investigation,
-)
+from .harness import charged_calls, fleet_fingerprint
 from .investigator import (
     SYNTHETIC_PII,
     FunnelProbe,
@@ -62,11 +60,6 @@ from .playbook import (
     Playbook,
     PlaybookStep,
     get_playbook,
-)
-from .session import (
-    INVESTIGATE_FORMAT_VERSION,
-    INVESTIGATE_MANIFEST_NAME,
-    InvestigationSession,
 )
 
 __all__ = [
@@ -84,8 +77,6 @@ __all__ = [
     "FleetReport",
     "FunnelProbe",
     "InvestigationFleet",
-    "InvestigationOutcome",
-    "InvestigationSession",
     "Investigator",
     "Playbook",
     "PlaybookStep",
@@ -96,8 +87,6 @@ __all__ = [
     "fleet_items",
     "get_playbook",
     "run_case_study",
-    "run_fleet",
-    "run_investigation",
     "verify_package",
     "verify_package_dict",
     "write_packages",

@@ -13,9 +13,14 @@ uses everywhere else:
    order, then each unique payload hash is submitted to VirusTotal —
    the fleet's only meter charges — in sorted-hash order, under a retry
    policy, a circuit breaker, and whatever ``--faults`` proxies the plan
-   demands. A durable session commits after each scan so a killed fleet
-   resumes at the cursor with zero duplicate charges; a
-   ``CrashPoint("scan", N)`` in the plan kills the fleet before scan N.
+   demands; a ``CrashPoint("scan", N)`` in the plan kills the fleet
+   before scan N.
+
+A fleet is a session in the shape of a stream or a serve one: ``create``
+or ``load``, then ``run()``. A durable fleet commits its completed scans
+and the clock/meter/breaker/fault-proxy registry, so a killed one
+resumes at the scan cursor with zero duplicate charges; the probes are
+pure and free to recompute.
 
 The §6 case study (:func:`run_case_study`) is the degenerate fleet: the
 ``case-study`` playbook over a seeded sample of Twitter reports, probed
@@ -28,8 +33,10 @@ import datetime as dt
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..checkpoint.identity import identity_from_dict, identity_to_dict
 from ..checkpoint.state import (
     BREAKER_PREFIX,
     CLOCK_KEY,
@@ -38,8 +45,9 @@ from ..checkpoint.state import (
     StateRegistry,
 )
 from ..core.dataset import SmishingDataset, SmishingRecord
+from ..core.pipeline import run_pipeline
 from ..errors import ServiceError
-from ..exec import WorkerPool, make_pool, shard
+from ..exec import ExecutionPolicy, WorkerPool, make_pool, shard
 from ..faults import FaultPlan
 from ..faults.proxy import FaultProxy, wrap_if_planned
 from ..net.url import Url
@@ -47,12 +55,18 @@ from ..obs import NULL_TELEMETRY, Telemetry
 from ..resilience import CircuitBreaker, RetryPolicy, call_with_policy
 from ..services.euphony import EuphonyUnifier, FamilyVerdict
 from ..services.webhost import ApkPayload
+from ..stream.persist import SnapshotStore
 from ..types import Forum
-from ..world.scenario import World
+from ..world.scenario import ScenarioConfig, World, build_world
 from .evidence import UNATTRIBUTED, EvidencePackage
 from .investigator import FunnelProbe, Investigator
 from .playbook import Playbook, get_playbook
-from .session import InvestigationSession
+
+#: The investigation directory's manifest file name.
+INVESTIGATE_MANIFEST_NAME = "INVESTIGATE.json"
+#: Version 3: the policy lost its cache bound; older directories
+#: (version 1 nested ``state_ref``) are refused, not misread.
+INVESTIGATE_FORMAT_VERSION = 3
 
 #: Retry discipline for the charged scan phase (same shape the
 #: enrichment engine uses; seeded so backoff jitter is reproducible).
@@ -61,6 +75,10 @@ RETRY_POLICY = RetryPolicy(max_attempts=4, base_delay=0.5,
                            jitter=0.1, seed=0)
 #: Family inference over scan reports (stateless, so one serves all).
 UNIFIER = EuphonyUnifier()
+
+#: One completed charged scan: ``(sha256, verdict-or-None, sim_time)``.
+#: ``verdict`` of None records a scan gap (the service never answered).
+ScanResult = Tuple[str, Optional[FamilyVerdict], float]
 
 
 @dataclass(frozen=True)
@@ -188,15 +206,17 @@ class InvestigationFleet:
         *,
         playbook: Playbook,
         sample: Optional[int] = None,
-        workers: int = 1,
         fault_plan: Optional[FaultPlan] = None,
+        execution: Optional[ExecutionPolicy] = None,
         telemetry: Optional[Telemetry] = None,
+        store: Optional[SnapshotStore] = None,
+        commit_every: int = 1,
     ):
         self.world = world
         self.dataset = dataset
         self.playbook = playbook
         self.sample = sample
-        self.workers = max(1, int(workers))
+        self.policy = execution or ExecutionPolicy()
         plan = fault_plan or FaultPlan()
         self._plan = plan.without_crash_points()
         #: The injected kill, and the scan index it fires before (-1,
@@ -204,6 +224,73 @@ class InvestigationFleet:
         self._crash = plan.crash_point("scan")
         self._kill_at = self._crash.at_call if self._crash else -1
         self.telemetry = telemetry or NULL_TELEMETRY
+        self._store = store
+        #: Scans between durable commits (with an ``invest_dir``).
+        self.commit_every = max(1, int(commit_every))
+        #: What a resumed fleet continues from: the committed scans and
+        #: the registry state (clock, VirusTotal meter, breaker, fault
+        #: proxy) at that commit. :meth:`run` restores them only after
+        #: evidence assembly.
+        self._scan_results: List[ScanResult] = []
+        self._registry_state: Dict[str, Dict[str, Any]] = {}
+        #: The finished run's report (None until :meth:`run` returns).
+        self.report: Optional[FleetReport] = None
+
+    # -- construction ---------------------------------------------------------
+
+    @classmethod
+    def create(cls, scenario: Optional[ScenarioConfig] = None, *,
+               playbook: str = "full-funnel",
+               sample: Optional[int] = None,
+               fault_plan: Optional[FaultPlan] = None,
+               execution: Optional[ExecutionPolicy] = None,
+               telemetry: Optional[Telemetry] = None,
+               invest_dir: Optional[Path] = None,
+               commit_every: int = 1) -> "InvestigationFleet":
+        """Start a fresh fleet (``repro investigate``).
+
+        Builds the world and runs the clean pipeline whose dataset the
+        fleet investigates: a ``--faults`` profile shapes the charged
+        phase only, so any fingerprint drift is the fleet's own. With an
+        ``invest_dir``, the directory must not already hold a session;
+        the manifest is written before any charged work, so a kill during
+        the first scan still leaves a resumable directory.
+        """
+        world = build_world(scenario or ScenarioConfig())
+        store = (_investigate_store(invest_dir) if invest_dir is not None
+                 else None)
+        fleet = cls(world, run_pipeline(world, telemetry=telemetry).dataset,
+                    playbook=get_playbook(playbook), sample=sample,
+                    fault_plan=fault_plan, execution=execution,
+                    telemetry=telemetry, store=store,
+                    commit_every=commit_every)
+        if store is not None:
+            store.create(fleet._manifest())
+        return fleet
+
+    @classmethod
+    def load(cls, invest_dir: Path, *,
+             telemetry: Optional[Telemetry] = None) -> "InvestigationFleet":
+        """Reopen a killed fleet (``repro resume``).
+
+        Rebuilds the world and the clean pipeline from the manifest's
+        scenario, which is deterministic, and takes the committed scans
+        and registry state for :meth:`run` to continue from. An
+        injected kill is never inherited.
+        """
+        store = _investigate_store(invest_dir)
+        manifest, payload = store.load()
+        scenario, fault_plan, execution = identity_from_dict(manifest)
+        world = build_world(scenario)
+        fleet = cls(world, run_pipeline(world, telemetry=telemetry).dataset,
+                    playbook=get_playbook(manifest["playbook"]),
+                    sample=manifest["sample"], fault_plan=fault_plan,
+                    execution=execution, telemetry=telemetry, store=store,
+                    commit_every=manifest["commit_every"])
+        if payload is not None:
+            fleet._scan_results = payload["scan_results"]
+            fleet._registry_state = payload["registry"]
+        return fleet
 
     # -- phase 1: pure probes -------------------------------------------------
 
@@ -234,17 +321,18 @@ class InvestigationFleet:
 
     # -- phase 2: serial charged effects --------------------------------------
 
-    def run(
-        self,
-        *,
-        session: Optional[InvestigationSession] = None,
-    ) -> FleetReport:
+    def run(self) -> FleetReport:
+        """Probe every item, then scan each unique payload once.
+
+        A durable fleet commits every ``commit_every`` scans and once at
+        the end; a resumed one skips the scans its last commit holds.
+        """
         items = fleet_items(self.dataset, self.sample)
-        with make_pool(self.workers) as pool:
+        with make_pool(self.policy.workers) as pool:
             probes = self.run_probes(items, pool)
         clock = self.world.clock
 
-        # Evidence assembly happens before any session restore, so the
+        # Evidence assembly happens before the registry restore, so the
         # probe-step custody timestamps a resumed run writes match the
         # uninterrupted run's (the clock has not jumped yet).
         packages, sha_owner, payloads = self._assemble(probes, clock.now)
@@ -265,10 +353,9 @@ class InvestigationFleet:
         if isinstance(virustotal, FaultProxy):
             registry.register(PROXY_PREFIX + "virustotal", virustotal)
 
-        scan_results: List[Tuple[str, Optional[FamilyVerdict], float]] = []
-        if session is not None and session.resuming:
-            session.restore(registry)
-            scan_results = list(session.scan_results)
+        # A key this run did not register is refused.
+        registry.restore(self._registry_state)
+        scan_results = list(self._scan_results)
 
         androzoo_hits = sum(
             1 for sha in payloads
@@ -289,15 +376,17 @@ class InvestigationFleet:
                             self._crash.check(self._plan, index, clock)
                         verdict = self._scan_one(virustotal, breaker, sha)
                         scan_results.append((sha, verdict, clock.now))
-                        if session is not None:
-                            session.maybe_commit(scan_results, registry)
-            if session is not None:
-                session.commit(scan_results, registry)
+                        if (self._store is not None and len(scan_results)
+                                % self.commit_every == 0):
+                            self._commit(scan_results, registry)
+            if self._store is not None:
+                self._commit(scan_results, registry)
         finally:
             self.telemetry.capture_breaker(breaker)
 
-        return self._finish(probes, packages, sha_owner, payloads,
-                            androzoo_hits, scan_results, pool)
+        self.report = self._finish(probes, packages, sha_owner, payloads,
+                                   androzoo_hits, scan_results, pool)
+        return self.report
 
     def _scan_one(self, virustotal, breaker,
                   sha: str) -> Optional[FamilyVerdict]:
@@ -367,7 +456,7 @@ class InvestigationFleet:
         sha_owner: Dict[str, str],
         payloads: Dict[str, ApkPayload],
         androzoo_hits: int,
-        scan_results: List[Tuple[str, Optional[FamilyVerdict], float]],
+        scan_results: List[ScanResult],
         pool: WorkerPool,
     ) -> FleetReport:
         verdicts: List[FamilyVerdict] = []
@@ -424,33 +513,41 @@ class InvestigationFleet:
             packages=list(packages.values()),
             probes=probes,
             pool=type(pool).__name__,
-            workers=self.workers,
+            workers=self.policy.workers,
         )
         self.telemetry.capture_investigate(report.stats())
         return report
 
+    # -- durability -----------------------------------------------------------
 
-def run_fleet(
-    world: World,
-    dataset: SmishingDataset,
-    *,
-    playbook: str = "full-funnel",
-    sample: Optional[int] = None,
-    workers: int = 1,
-    fault_plan: Optional[FaultPlan] = None,
-    telemetry: Optional[Telemetry] = None,
-    session: Optional[InvestigationSession] = None,
-) -> FleetReport:
-    """Convenience wrapper: build a fleet and run it end to end."""
-    fleet = InvestigationFleet(
-        world, dataset,
-        playbook=get_playbook(playbook),
-        sample=sample,
-        workers=workers,
-        fault_plan=fault_plan,
-        telemetry=telemetry,
-    )
-    return fleet.run(session=session)
+    def _commit(self, scan_results: List[ScanResult],
+                registry: StateRegistry) -> None:
+        """Durably record the completed scans plus restorable state."""
+        self._store.commit({"scan_results": list(scan_results),
+                            "registry": registry.capture()},
+                           self._manifest())
+
+    def _manifest(self) -> Dict[str, Any]:
+        return {
+            **identity_to_dict(self.world.config, self._plan, self.policy),
+            "playbook": self.playbook.name,
+            "sample": self.sample,
+            "commit_every": self.commit_every,
+        }
+
+    # -- reporting ------------------------------------------------------------
+
+    @property
+    def fault_profile(self) -> str:
+        """The named chaos profile the charged phase runs under."""
+        if self._plan.is_empty:
+            return "none"
+        return self._plan.profile or "custom"
+
+
+def _investigate_store(invest_dir) -> SnapshotStore:
+    return SnapshotStore(invest_dir, INVESTIGATE_MANIFEST_NAME,
+                         INVESTIGATE_FORMAT_VERSION)
 
 
 # ---------------------------------------------------------------------------

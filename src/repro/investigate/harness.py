@@ -1,47 +1,20 @@
-"""Investigation harness: build, run and fingerprint a fleet.
+"""The fleet fingerprint: every observable byte of a finished fleet.
 
-Everything the CLI and the equivalence suites share lives here:
-
-* :func:`run_investigation` — scenario → world → pipeline → fleet, with
-  optional durability (``invest_dir``), resume, and crash injection.
-* :func:`fleet_fingerprint` — every observable byte of a finished fleet
-  as one canonical JSON string. Two runs are equivalent iff these
-  strings are equal, which is how the worker-count and kill/resume
-  guarantees are stated and tested.
-
-The enrichment pipeline always runs clean here: a ``--faults`` profile
-shapes the *investigation's* charged phase only, so the dataset under
-investigation is identical across fault arms and any fingerprint drift
-is attributable to the fleet itself.
+:func:`fleet_fingerprint` renders a finished fleet as one canonical JSON
+string, and :func:`charged_calls` reads its charged-call totals. Two
+runs are equivalent iff their fingerprints are equal, which is how the
+worker-count and kill/resume guarantees are stated and tested; the CLI
+prints the fingerprint's digest.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from ..core.pipeline import run_pipeline
-from ..exec import ExecutionPolicy
-from ..faults import FaultPlan, build_fault_plan
-from ..obs import Telemetry
-from ..world.scenario import ScenarioConfig, World, build_world
-from .fleet import FleetReport, InvestigationFleet
+from ..world.scenario import World
+from .fleet import FleetReport
 from .investigator import FunnelProbe
-from .playbook import get_playbook
-from .session import InvestigationSession
-
-
-@dataclasses.dataclass
-class InvestigationOutcome:
-    """One finished (or crashed-and-finished) investigation run."""
-
-    report: FleetReport
-    world: World
-    #: The policy the fleet ran under (a resume's comes from its manifest).
-    policy: ExecutionPolicy
-    session: Optional[InvestigationSession] = None
 
 
 def charged_calls(world: World) -> Dict[str, int]:
@@ -90,65 +63,3 @@ def fleet_fingerprint(report: FleetReport, world: World) -> str:
         "clock_now": world.clock.now,
     }
     return json.dumps(payload, sort_keys=True, default=str)
-
-
-def run_investigation(
-    scenario: Optional[ScenarioConfig] = None,
-    *,
-    playbook: str = "full-funnel",
-    sample: Optional[int] = None,
-    execution: Optional[ExecutionPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    invest_dir: Optional[Path] = None,
-    resume: bool = False,
-    commit_every: int = 1,
-    telemetry: Optional[Telemetry] = None,
-) -> InvestigationOutcome:
-    """Scenario → world → pipeline → investigation fleet, end to end.
-
-    With ``invest_dir`` the charged phase commits durably; ``resume``
-    reopens a crashed directory (run parameters, the execution policy
-    included, come from its manifest, not the arguments). A
-    ``CrashPoint("scan", N)`` in ``fault_plan`` injects a crash before
-    scan N — it propagates :class:`~repro.errors.SimulatedCrash` after
-    the last commit, leaving the directory resumable. ``execution``
-    defaults to one serial worker.
-    """
-    session: Optional[InvestigationSession] = None
-    if resume:
-        if invest_dir is None:
-            raise ValueError("resume requires invest_dir")
-        session = InvestigationSession.load(invest_dir)
-        scenario = session.scenario
-        playbook = session.playbook
-        sample = session.sample
-        plan = session.fault_plan
-        policy = session.policy
-    else:
-        scenario = scenario or ScenarioConfig()
-        plan = fault_plan or build_fault_plan("none")
-        policy = execution or ExecutionPolicy()
-        if invest_dir is not None:
-            session = InvestigationSession.create(
-                invest_dir,
-                scenario=scenario,
-                playbook=playbook,
-                sample=sample,
-                commit_every=commit_every,
-                fault_plan=plan,
-                policy=policy,
-            )
-
-    world = build_world(scenario)
-    run = run_pipeline(world, telemetry=telemetry)
-    fleet = InvestigationFleet(
-        world, run.dataset,
-        playbook=get_playbook(playbook),
-        sample=sample,
-        workers=policy.workers,
-        fault_plan=plan,
-        telemetry=telemetry,
-    )
-    report = fleet.run(session=session)
-    return InvestigationOutcome(report=report, world=world, policy=policy,
-                                session=session)

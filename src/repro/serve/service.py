@@ -62,12 +62,13 @@ from .state import ServeState
 
 #: The serve directory's manifest file name.
 SERVE_MANIFEST_NAME = "SERVE.json"
-#: Version 4: ``state.pkl`` pickles the state, queue, ledger and
+#: Version 5: ``state.pkl`` pickles the state, queue, ledger and
 #: sanitizer objects whole, beside the admission and controller state,
 #: the next drain instant, the cache's (service, subject, value) triples
-#: and the registry state; the manifest records no argv. Older versions
-#: are refused.
-SERVE_FORMAT_VERSION = 4
+#: and the registry state; the manifest records no argv. The state holds
+#: the last batch's quarantine rate, which a version-4 state lacks and
+#: would silently read as zero. Older versions are refused.
+SERVE_FORMAT_VERSION = 5
 
 #: Front-door rejection reasons (vs ``deadline``, which is post-accept).
 FRONT_DOOR_REASONS = ("rate_limited", "queue_full", "shedding", "draining")
@@ -164,12 +165,6 @@ class IntakeService:
         self._crash = (fault_plan.crash_point("arrival")
                        if fault_plan is not None else None)
         self._kill_at = self._crash.at_call if self._crash else -1
-        if (store is not None and self._plan is not None
-                and not self._plan.is_empty and self._plan.profile is None):
-            raise ConfigurationError(
-                "a durable serve session needs a *named* fault profile "
-                "(hand-built plans cannot be rebuilt at resume time)"
-            )
 
         #: Services are fault-wrapped once for the whole lifetime, so
         #: call-indexed fault rules see a single continuous counter and
@@ -197,9 +192,6 @@ class IntakeService:
         #: detection by spreading copies over drains) and survive a
         #: resume because every commit pickles the object whole.
         self._sanitizer = Sanitizer(stage="serve")
-        #: Sanitizer share of the most recent processed batch — the
-        #: quarantine-pressure signal the controller reads.
-        self._last_batch_quarantine_rate = 0.0
         self.controller = DegradationController(
             self.clock,
             high_watermark=self.config.high_watermark,
@@ -483,7 +475,7 @@ class IntakeService:
                 reports, record_id_start=self.state.next_record_index,
                 sanitizer=self._sanitizer)
             self.state.quarantined += stats.quarantined
-            self._last_batch_quarantine_rate = (
+            self.state.last_batch_quarantine_rate = (
                 stats.quarantined / len(reports) if reports else 0.0)
             division = self.ledger.divide(dataset)
             delta = SmishingDataset(division.delta)
@@ -516,7 +508,7 @@ class IntakeService:
     def _quarantine_pressure(self) -> Optional[str]:
         """Degradation-controller signal: hostile-input spike in the
         most recent batch. Returns None while the intake runs clean."""
-        rate = self._last_batch_quarantine_rate
+        rate = self.state.last_batch_quarantine_rate
         if rate >= self.QUARANTINE_PRESSURE_THRESHOLD:
             return (f"sanitizer quarantined {rate:.0%} of the last "
                     f"batch (hostile-input spike)")

@@ -58,6 +58,9 @@ class ServeState:
     batches: int = 0
     degraded_batches: int = 0
     commits: int = 0
+    #: Sanitizer share of the most recent processed batch: the
+    #: quarantine-pressure signal the degradation controller reads.
+    last_batch_quarantine_rate: float = 0.0
 
     #: Queue depth sampled after every handled arrival.
     queue_depths: PercentileDigest = field(default_factory=PercentileDigest)

@@ -95,14 +95,6 @@ class StreamSession:
         self.services = self.stages.services
         self._store = store
 
-        if (store is not None and self._survivable is not None
-                and not self._survivable.is_empty
-                and self._survivable.profile is None):
-            raise ConfigurationError(
-                "a durable stream session needs a *named* fault profile "
-                "(hand-built plans cannot be rebuilt at resume time)"
-            )
-
         #: The committed clock/meter/breaker state. It registers no
         #: fault proxy: proxies are rebuilt for every epoch, so their
         #: call counters are epoch state (journaled per epoch), not

@@ -177,28 +177,18 @@ class StreamState:
 
     # -- telemetry ------------------------------------------------------------
 
-    def stats(self, *, target_epochs: Optional[int] = None,
-              ledger_stats: Optional[Dict[str, Any]] = None,
-              watermark_stats: Optional[Dict[str, Any]] = None,
-              cache_seeded: int = 0) -> Dict[str, Any]:
+    def stats(self, *, target_epochs: int, ledger_stats: Dict[str, Any],
+              watermark_stats: Dict[str, Any],
+              cache_seeded: int) -> Dict[str, Any]:
         """The dict :meth:`repro.obs.Telemetry.capture_stream` consumes."""
-        epochs = [stats.to_dict() for stats in self.epoch_stats]
-        ledger = dict(ledger_stats or {})
-        if not ledger:
-            hits = sum(s.ledger_hits for s in self.epoch_stats)
-            misses = sum(s.ledger_misses for s in self.epoch_stats)
-            total = hits + misses
-            ledger = {"entries": misses, "hits": hits, "misses": misses,
-                      "hit_rate": hits / total if total else 0.0}
         return {
             "epochs_run": self.committed_epochs,
-            "target_epochs": (target_epochs if target_epochs is not None
-                              else self.committed_epochs),
+            "target_epochs": target_epochs,
             "records": len(self.dataset),
             "quarantined": self.curation_stats.quarantined,
-            "epochs": epochs,
-            "ledger": ledger,
-            "watermarks": dict(watermark_stats or {}),
+            "epochs": [stats.to_dict() for stats in self.epoch_stats],
+            "ledger": dict(ledger_stats),
+            "watermarks": dict(watermark_stats),
             "cache_reuse": sum(s.cache_reuse for s in self.epoch_stats),
             "cache_seeded": cache_seeded,
         }

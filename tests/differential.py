@@ -35,7 +35,7 @@ from repro.core.pipeline import run_pipeline
 from repro.errors import SimulatedCrash
 from repro.exec import ExecutionPolicy
 from repro.faults import CrashPoint, FaultPlan
-from repro.investigate import fleet_fingerprint, run_investigation
+from repro.investigate import InvestigationFleet, fleet_fingerprint
 from repro.investigate import charged_calls as fleet_charged_calls
 from repro.serve import IntakeService, serve_fingerprint
 from repro.serve import charged_calls as serve_charged_calls
@@ -112,13 +112,17 @@ def _resume_serve(directory, *, kill_at: Optional[CrashPoint] = None):
 
 def _start_investigation(scenario, plan, policy, directory=None, *,
                          playbook="full-funnel", sample=None):
-    return run_investigation(scenario, playbook=playbook, sample=sample,
-                             execution=policy, fault_plan=plan,
-                             invest_dir=directory)
+    fleet = InvestigationFleet.create(scenario, playbook=playbook,
+                                      sample=sample, fault_plan=plan,
+                                      execution=policy, invest_dir=directory)
+    fleet.run()
+    return fleet
 
 
 def _resume_investigation(directory):
-    return run_investigation(invest_dir=directory, resume=True)
+    fleet = InvestigationFleet.load(directory)
+    fleet.run()
+    return fleet
 
 
 BATCH = Workload("batch", _start_batch, _resume_batch, fingerprint_run,

@@ -33,6 +33,9 @@ from repro.errors import (
 )
 from repro.exec import ExecutionPolicy
 from repro.faults import CrashPoint, ErrorRate, FaultPlan, build_fault_plan
+from repro.investigate import InvestigationFleet
+from repro.serve import IntakeService, LoadSpec
+from repro.stream import StreamSession
 from repro.world.scenario import ScenarioConfig, build_world
 
 from tests.fingerprints import fingerprint_run
@@ -256,6 +259,36 @@ def test_resume_refuses_a_hand_built_plan_it_cannot_rebuild(tmp_path):
     resumed = resume_pipeline(tmp_path / "ck", fault_plan=plan)
     assert fingerprint_run(resumed) == fingerprint_run(
         run_pipeline(build_world(_SMALL), fault_plan=plan))
+
+
+#: Per session kind: start one durable in a directory under a plan,
+#: without running it, and the phase its crash points count.
+_TINY = ScenarioConfig(seed=7, n_campaigns=4)
+_DURABLE_CREATES = {
+    "stream": (lambda plan, d: StreamSession.create(
+        _TINY, epochs=1, fault_plan=plan, stream_dir=d), "whois"),
+    "serve": (lambda plan, d: IntakeService.create(
+        _TINY, load=LoadSpec(requests=20, seed=7), fault_plan=plan,
+        serve_dir=d), "arrival"),
+    "investigate": (lambda plan, d: InvestigationFleet.create(
+        _TINY, sample=10, fault_plan=plan, invest_dir=d), "scan"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DURABLE_CREATES))
+def test_durable_sessions_refuse_a_hand_built_plan(kind, tmp_path):
+    """A session manifest records a fault plan by its profile name, so a
+    durable session refuses a profile-less plan it could not rebuild at
+    resume time, before writing anything. A crash point grafted onto an
+    empty plan injects nothing else, and is accepted."""
+    create, phase = _DURABLE_CREATES[kind]
+    hand_built = FaultPlan(seed=7, rules=(ErrorRate("virustotal", 0.5),))
+    with pytest.raises(ConfigurationError, match="named"):
+        create(hand_built, tmp_path / "refused")
+    assert not (tmp_path / "refused").exists()
+    create(FaultPlan(seed=7).extended(CrashPoint(phase, 0)),
+           tmp_path / "grafted")
+    assert (tmp_path / "grafted").is_dir()
 
 
 def test_resume_of_a_completed_run_is_idempotent(tmp_path):

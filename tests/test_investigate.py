@@ -24,15 +24,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.malware import build_table19, family_distribution_table
-from repro.checkpoint import StateRegistry
 from repro.core.pipeline import run_pipeline
 from repro.errors import CheckpointError, ConfigurationError
 from repro.exec import ExecutionPolicy
-from repro.faults import CrashPoint
+from repro.faults import CrashPoint, build_fault_plan
 from repro.investigate import (
+    INVESTIGATE_FORMAT_VERSION,
+    INVESTIGATE_MANIFEST_NAME,
     CaseStudyReport,
     EvidencePackage,
-    InvestigationSession,
+    InvestigationFleet,
     Playbook,
     PlaybookStep,
     PLAYBOOKS,
@@ -41,13 +42,12 @@ from repro.investigate import (
     fleet_items,
     get_playbook,
     run_case_study,
-    run_fleet,
-    run_investigation,
     verify_package,
     verify_package_dict,
     write_packages,
 )
 from repro.services.euphony import FamilyVerdict
+from repro.stream.persist import SnapshotStore
 from repro.types import Forum
 from repro.world.scenario import ScenarioConfig, build_world
 
@@ -74,9 +74,15 @@ def _fresh_world_and_dataset(config: ScenarioConfig):
 
 
 def _fleet_run(**kwargs):
-    world, dataset = _fresh_world_and_dataset(_fleet_scenario())
-    report = run_fleet(world, dataset, sample=FLEET_SAMPLE, **kwargs)
-    return report, world
+    fleet = InvestigationFleet.create(_fleet_scenario(), sample=FLEET_SAMPLE,
+                                      **kwargs)
+    return fleet.run(), fleet.world
+
+
+def _store(directory) -> SnapshotStore:
+    """The snapshot store a durable fleet commits to."""
+    return SnapshotStore(directory, INVESTIGATE_MANIFEST_NAME,
+                         INVESTIGATE_FORMAT_VERSION)
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +307,8 @@ class TestFleetEquivalence:
                              ids=["serial-1", "process-4"])
     def test_pool_matrix_matches_serial(self, serial_fleet, workers):
         base_report, base_world = serial_fleet
-        report, world = _fleet_run(workers=workers)
+        report, world = _fleet_run(
+            execution=ExecutionPolicy(workers=workers))
         assert report.stats()["pool"] == {
             "kind": "ProcessPool" if workers > 1 else "SerialPool",
             "workers": workers}
@@ -309,11 +316,10 @@ class TestFleetEquivalence:
             fleet_fingerprint(base_report, base_world)
 
     def test_fault_profile_matches_across_pools(self):
-        from repro.faults import build_fault_plan
         plans = [build_fault_plan("flaky", seed=0) for _ in range(2)]
         serial_report, serial_world = _fleet_run(fault_plan=plans[0])
         pooled_report, pooled_world = _fleet_run(
-            fault_plan=plans[1], workers=4)
+            fault_plan=plans[1], execution=ExecutionPolicy(workers=4))
         assert fleet_fingerprint(serial_report, serial_world) == \
             fleet_fingerprint(pooled_report, pooled_world)
 
@@ -413,8 +419,29 @@ class TestDurableSessions:
         # Zero duplicate charges: crash + resume spend exactly what one
         # uninterrupted run spends.
         assert INVESTIGATE.charged(resumed) == INVESTIGATE.charged(base)
-        assert resumed.session is not None
-        assert resumed.session.resuming
+        # The last commit holds every scan, in sorted-hash order.
+        _, payload = _store(tmp_path / "sess").load()
+        assert [sha for sha, _, _ in payload["scan_results"]] == \
+            sorted(base.report.payloads)
+
+    @pytest.mark.parametrize("profile", ["flaky", "outage"])
+    def test_faulted_kill_and_resume_matches_uninterrupted(self, tmp_path,
+                                                           profile):
+        """A fault profile wraps VirusTotal in a proxy whose call counter
+        the commit holds: the resumed fleet must restore it to fault the
+        calls the uninterrupted run faults."""
+        run = (_fleet_scenario(), build_fault_plan(profile, seed=7), None)
+        base = baseline(INVESTIGATE, *run, **_FLEET_SHAPE)
+        resumed = kill_then_resume(INVESTIGATE, tmp_path / "sess", *run,
+                                   kill=CrashPoint("scan", 1),
+                                   **_FLEET_SHAPE)
+        assert INVESTIGATE.fingerprint(resumed) == \
+            INVESTIGATE.fingerprint(base)
+        assert INVESTIGATE.charged(resumed) == INVESTIGATE.charged(base)
+        # The profile bites: retried or unanswered scans charge more
+        # than one call per payload.
+        assert INVESTIGATE.charged(base)["virustotal"] > \
+            len(base.report.payloads)
 
     def test_resume_takes_its_policy_from_the_manifest(self, tmp_path):
         policy = ExecutionPolicy(workers=2)
@@ -423,7 +450,7 @@ class TestDurableSessions:
                                    faults, policy,
                                    kill=CrashPoint("scan", 1),
                                    **_FLEET_SHAPE)
-        assert resumed.session.policy == resumed.policy == policy
+        assert resumed.policy == policy
 
     def test_kill_that_never_fires_is_an_error(self, tmp_path):
         with pytest.raises(AssertionError, match="never fired"):
@@ -433,35 +460,32 @@ class TestDurableSessions:
 
     def test_create_refuses_existing_session(self, tmp_path):
         directory = tmp_path / "sess"
-        InvestigationSession.create(
-            directory, scenario=ScenarioConfig(), playbook="full-funnel",
-            sample=None)
+        InvestigationFleet.create(_fleet_scenario(), sample=FLEET_SAMPLE,
+                                  invest_dir=directory)
         with pytest.raises(ConfigurationError):
-            InvestigationSession.create(
-                directory, scenario=ScenarioConfig(),
-                playbook="full-funnel", sample=None)
+            InvestigationFleet.create(_fleet_scenario(), sample=FLEET_SAMPLE,
+                                      invest_dir=directory)
 
     def test_load_requires_a_manifest(self, tmp_path):
         with pytest.raises(CheckpointError):
-            InvestigationSession.load(tmp_path / "nothing-here")
-
-    def test_resume_requires_a_directory(self):
-        with pytest.raises(ValueError):
-            run_investigation(resume=True)
+            InvestigationFleet.load(tmp_path / "nothing-here")
 
     def test_restore_rejects_foreign_state(self, tmp_path):
-        session = InvestigationSession.create(
-            tmp_path / "sess", scenario=ScenarioConfig(),
-            playbook="full-funnel", sample=None)
-        session.registry_state = {"meter:weird-service": {}}
-        with pytest.raises(CheckpointError):
-            session.restore(StateRegistry())
+        directory = tmp_path / "sess"
+        InvestigationFleet.create(_fleet_scenario(), sample=FLEET_SAMPLE,
+                                  invest_dir=directory)
+        store = _store(directory)
+        manifest, _ = store.load()
+        store.commit({"scan_results": [],
+                      "registry": {"meter:weird-service": {}}}, manifest)
+        fleet = InvestigationFleet.load(directory)
+        with pytest.raises(CheckpointError, match="weird-service"):
+            fleet.run()
 
     def test_registry_keys_cover_both_shapes(self, tmp_path):
         """The registry a durable fleet commits: the clock and
         VirusTotal's meter and breaker, plus its fault proxy when a
         fault profile wraps the service."""
-        from repro.faults import build_fault_plan
         plain = {"clock", "meter:virustotal", "breaker:virustotal"}
         for profile, keys in (("none", plain),
                               ("flaky", plain | {"proxy:virustotal"})):
@@ -469,5 +493,5 @@ class TestDurableSessions:
             INVESTIGATE.start(_fleet_scenario(),
                               build_fault_plan(profile, seed=7), None,
                               directory, **_FLEET_SHAPE)
-            session = InvestigationSession.load(directory)
-            assert set(session.registry_state) == keys
+            _, payload = _store(directory).load()
+            assert set(payload["registry"]) == keys

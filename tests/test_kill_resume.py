@@ -77,13 +77,19 @@ def test_cli_kill_then_resume_prints_the_uninterrupted_output(kind, tmp_path,
     assert _comparable(kind, resumed) == _comparable(kind, clean)
 
 
-@pytest.mark.parametrize("kind", ["stream", "serve"])
+#: The manifest version each session kind writes.
+FORMAT_VERSIONS = {"stream": 4, "serve": 5}
+
+
+@pytest.mark.parametrize("kind", sorted(FORMAT_VERSIONS))
 def test_resume_refuses_a_version_2_directory(kind, tmp_path, capsys):
     """A stream or serve directory in an older format is refused with one
     error line before its state file is unpickled: version 2, written
-    before cache entries became ``(service, subject, value)`` triples,
-    and version 3, whose state file held the session objects as
-    hand-converted dicts."""
+    before cache entries became ``(service, subject, value)`` triples;
+    version 3, whose state file held the session objects as
+    hand-converted dicts; and a version-4 serve state, which lacks the
+    last batch's quarantine rate and would resume with it zeroed."""
+    want = FORMAT_VERSIONS[kind]
     world, command, kill = CLI_CASES[kind]
     manifest_name = f"{kind.upper()}.json"
     run_dir = tmp_path / "run"
@@ -97,7 +103,7 @@ def test_resume_refuses_a_version_2_directory(kind, tmp_path, capsys):
     (run_dir / "state.pkl").write_bytes(state)
     manifest_path = run_dir / manifest_name
     manifest = json.loads(manifest_path.read_text())
-    for version in (2, 3):
+    for version in range(2, want):
         manifest.update(version=version, state_file="state.pkl",
                         state_sha256=hashlib.sha256(state).hexdigest())
         manifest_path.write_text(json.dumps(manifest))
@@ -105,7 +111,7 @@ def test_resume_refuses_a_version_2_directory(kind, tmp_path, capsys):
         assert main(["--quiet", "resume", str(run_dir)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"repro: error: {manifest_name} version {version} is not "
-            f"supported (want 4)"]
+            f"supported (want {want})"]
 
 
 #: The live machinery a resume rebuilds from the manifest: the world and

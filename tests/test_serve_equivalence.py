@@ -132,6 +132,23 @@ class TestHostileKillResume:
         assert resumed.state.quarantined == base.state.quarantined == 27
         assert serve_fingerprint(resumed) == serve_fingerprint(base)
 
+    def test_quarantine_pressure_survives_a_commit(self, tmp_path):
+        """The controller reads the last batch's quarantine rate, so a
+        poisoned spike committed and killed at arrival 5217 must resume
+        with the rate its commit held: the pressure signal then moves
+        the service through the modes the uninterrupted run moves it
+        through."""
+        run = (ScenarioConfig(seed=11, n_campaigns=20, hostile="poison"),
+               None, None)
+        shape = dict(load=LoadSpec(profile="spike", requests=6000,
+                                   reporters=500, seed=11),
+                     config=ServeConfig(queue_capacity=30,
+                                        commit_every=5217))
+        resumed = kill_then_resume(SERVE, tmp_path / "serve-pressure", *run,
+                                   kill=CrashPoint("arrival", 5217), **shape)
+        assert serve_fingerprint(resumed) == serve_fingerprint(
+            baseline(SERVE, *run, **shape))
+
 
 class TestWorkerEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])

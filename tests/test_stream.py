@@ -404,6 +404,40 @@ class TestDurablePolicy:
         assert STREAM.charged(resumed) == STREAM.charged(base)
 
 
+class TestTornJournalManifest:
+    def test_kill_mid_manifest_write_resumes(self, durable, tmp_path,
+                                             monkeypatch):
+        """A kill while epoch 1's journal writes its ``MANIFEST.json``
+        leaves no half-written manifest behind: the epoch directory then
+        holds nothing durable, and the resume restarts the epoch and
+        ends where the uninterrupted stream ends."""
+        from repro.checkpoint import journal
+        from repro.errors import SimulatedCrash
+
+        real_dump = json.dump
+        manifests = []
+
+        def dump_half_of_the_second(payload, handle, **options):
+            manifests.append(payload)
+            if len(manifests) < 2:
+                return real_dump(payload, handle, **options)
+            rendered = json.dumps(payload, **options)
+            handle.write(rendered[:len(rendered) // 2])
+            raise SimulatedCrash("killed mid-manifest")
+
+        monkeypatch.setattr(journal.json, "dump", dump_half_of_the_second)
+        session = StreamSession.create(_SCENARIO, epochs=2,
+                                       stream_dir=tmp_path / "run")
+        with pytest.raises(SimulatedCrash):
+            session.run()
+        monkeypatch.undo()
+        assert len(manifests) == 2
+        resumed = StreamSession.load(tmp_path / "run")
+        assert resumed.state.committed_epochs == 1
+        _, _, state = durable
+        assert resumed.run().fingerprint() == state.fingerprint()
+
+
 class TestIngest:
     def test_ingest_pages_forward(self, tmp_path):
         """A session reloaded between epochs pages forward as if it had
